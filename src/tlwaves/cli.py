@@ -14,16 +14,15 @@ are emitted as one-line JSON on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, analysis, dispersion, oracle, solver
-from .errors import InsufficientDataError, NotConvergedError, WaveError
+from .errors import InputFormatError, InsufficientDataError, NotConvergedError, WaveError
 from .grid import SpectralGrid, forward_transform, spectrum_columns
 from .params import make_parameters, params_to_config, wave_type
 from .solver import SolverConfig
@@ -64,11 +63,13 @@ def read_table(path: Path) -> tuple[dict, dict]:
     path = Path(path)
     if path.suffix == ".json":
         payload = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(payload, dict) or not isinstance(payload.get("columns"), dict):
+            raise InputFormatError(f"{path} is not a table: expected a JSON object with a 'columns' object")
         return payload.get("meta", {}), {n: np.asarray(v, dtype=float) for n, v in payload["columns"].items()}
     meta: dict = {}
     names: list[str] = []
     rows: list[list[float]] = []
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip():
             continue
         if line.startswith("#"):
@@ -78,10 +79,16 @@ def read_table(path: Path) -> tuple[dict, dict]:
             elif body.startswith("columns:"):
                 names = [n.strip() for n in body[len("columns:"):].split(",")]
             continue
-        rows.append([float(tok) for tok in line.split(",")])
+        row = [float(tok) for tok in line.split(",")]
+        width = len(names) if names else len(rows[0] if rows else row)
+        if len(row) != width:
+            raise InputFormatError(f"{path} line {number} holds {len(row)} values where the table has {width} columns")
+        rows.append(row)
+    if not rows:
+        raise InputFormatError(f"{path} holds no data rows")
     data = np.asarray(rows, dtype=float)
     if not names:
-        names = [f"col{i}" for i in range(data.shape[1] if data.size else 0)]
+        names = [f"col{i}" for i in range(data.shape[1])]
     return meta, {name: data[:, i] for i, name in enumerate(names)}
 
 
@@ -104,30 +111,35 @@ def _meta(command: str, config: dict, extra: dict | None = None) -> dict:
     return out
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("TLWAVES_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn, items):
-    workers = _thread_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 # ----------------------------------------------------------------------
 # configuration plumbing
+
+
+# the keys each block of a --config file may hold, as _build_run reads them
+_CONFIG_KEYS = {
+    "params": ("gamma", "delta"),
+    "grid": ("half_length", "modes"),
+    "solver": ("cs", "tol_residual", "tol_update", "max_iter", "extrapolation", "dealias", "strict"),
+}
 
 
 def _load_config_file(path: str | None) -> dict:
     if not path:
         return {}
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    config = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(config, dict):
+        raise InputFormatError(f"config file {path} must hold a JSON object with blocks {list(_CONFIG_KEYS)}")
+    for name, block in config.items():
+        if name not in _CONFIG_KEYS:
+            raise InputFormatError(f"config file {path}: unknown block {name!r}; blocks are {list(_CONFIG_KEYS)}")
+        if not isinstance(block, dict):
+            raise InputFormatError(f"config file {path}: block {name!r} must be a JSON object")
+        unknown = sorted(set(block) - set(_CONFIG_KEYS[name]))
+        if unknown:
+            raise InputFormatError(
+                f"config file {path}: unknown key(s) {unknown} in block {name!r}; it takes {list(_CONFIG_KEYS[name])}"
+            )
+    return config
 
 
 def _merged(file_block: dict, **flags) -> dict:
@@ -225,18 +237,10 @@ def cmd_sweep(args) -> int:
     speeds = params.c_crit + offsets
 
     def solve_one(speed: float):
-        cfg = SolverConfig(
-            speed=float(speed),
-            tol_residual=config.tol_residual,
-            tol_update=config.tol_update,
-            max_iter=config.max_iter,
-            mpe_cycle=config.mpe_cycle,
-            dealias=config.dealias,
-        )
-        state, _ = solver.solve(grid, params, cfg)
+        state, _ = solver.solve(grid, params, dataclasses.replace(config, speed=float(speed)))
         return analysis.amplitude(state)
 
-    amps = _map_ordered(solve_one, list(speeds))
+    amps = [solve_one(speed) for speed in speeds]
     zmax = np.array([a[0] for a in amps])
     vmax = np.array([a[1] for a in amps])
     umax = np.array([a[2] for a in amps])
@@ -298,14 +302,24 @@ def _grid_from_profile(x: np.ndarray) -> SpectralGrid:
     return SpectralGrid(half_length=half, n=x.size)
 
 
+def _profile_values(cols: dict, source, name: str | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The x column and a value column: ``name``, or zeta, or else the first column after x."""
+    if name is None:
+        others = [column for column in cols if column != "x"]
+        name = "zeta" if "zeta" in cols or not others else others[0]
+    missing = [column for column in ("x", name) if column not in cols]
+    if missing:
+        raise InputFormatError(f"{source} has no column {missing[0]!r}; its columns are {list(cols)}")
+    return cols["x"], cols[name]
+
+
 def cmd_analyze(args) -> int:
     meta_in, cols = read_table(Path(args.infile))
     out = Path(args.out)
     window = tuple(args.window) if args.window else None
 
     if args.mode == "phase":
-        x = cols["x"]
-        v = cols["v"]
+        x, v = _profile_values(cols, args.infile, "v")
         grid = _grid_from_profile(x)
         pairs = analysis.phase_portrait(
             solver.WaveState(grid=grid, zeta=cols.get("zeta", v), v=v, u=cols.get("u", v)), grid
@@ -316,8 +330,7 @@ def cmd_analyze(args) -> int:
         return 0
 
     if args.mode == "decay":
-        x = cols["x"]
-        y = cols["zeta"] if "zeta" in cols else cols[list(cols)[1]]
+        x, y = _profile_values(cols, args.infile)
         keep = x > 0.0
         x, y = x[keep], y[keep]
         if window is None:
@@ -327,8 +340,7 @@ def cmd_analyze(args) -> int:
         label = "analyze-decay"
         tname = "x"
     else:
-        x_all = cols["x"]
-        y_all = cols["zeta"] if "zeta" in cols else cols[list(cols)[1]]
+        x_all, y_all = _profile_values(cols, args.infile)
         grid = _grid_from_profile(x_all)
         kp, mags = analysis.spectrum_magnitudes(grid, y_all)
         if window is None:
@@ -374,7 +386,7 @@ def _repro_profiles(target, gamma, delta, outdir, half_length, modes, tol):
         write_table(path, meta, {"x": grid.nodes, "zeta": state.zeta, "v": state.v, "u": state.u})
         return path
 
-    return _map_ordered(one, list(_FIG2_OFFSETS))
+    return [one(offset) for offset in _FIG2_OFFSETS]
 
 
 def _repro_sweep(outdir, half_length, modes, tol):
@@ -388,7 +400,7 @@ def _repro_sweep(outdir, half_length, modes, tol):
         state, _ = solver.solve(grid, params, config)
         return analysis.amplitude(state)
 
-    amps = _map_ordered(one, list(offsets))
+    amps = [one(offset) for offset in offsets]
     speeds = params.c_crit + offsets
     return params, grid, speeds, np.asarray(amps)
 

@@ -37,6 +37,10 @@ class NotConvergedError(WaveError):
         self.report = report
 
 
+class InputFormatError(WaveError, ValueError):
+    """A config file or data table does not have the structure its reader expects."""
+
+
 class DomainTooSmallError(WaveError):
     """Computed profile does not decay below tolerance at the boundary."""
 

@@ -29,15 +29,15 @@ def extrapolate(history: Sequence[np.ndarray], cycle_length: int) -> np.ndarray:
         raise ValueError(
             f"history holds {len(history)} iterates, need {cycle_length + 2} for cycle {cycle_length}"
         )
-    window = [np.asarray(x, dtype=float).ravel() for x in history[-(cycle_length + 2):]]
+    # one row per iterate; a float array of iterates is used in place, a list is stacked
+    X = np.asarray(history[-(cycle_length + 2):], dtype=float).reshape(cycle_length + 2, -1)
     shape = np.asarray(history[-1]).shape
 
-    X = np.stack(window, axis=1)
-    D = np.diff(X, axis=1)
-    coeffs, *_ = np.linalg.lstsq(D[:, :-1], -D[:, -1], rcond=None)
+    D = np.diff(X, axis=0)
+    coeffs, *_ = np.linalg.lstsq(D[:-1].T, -D[-1], rcond=None)
     coeffs = np.append(coeffs, 1.0)
     total = coeffs.sum()
     if not np.isfinite(total) or abs(total) < 1e-300:
         return np.asarray(history[-1], dtype=float).copy()
     weights = coeffs / total
-    return (X[:, : weights.size] @ weights).reshape(shape)
+    return (weights @ X[: weights.size]).reshape(shape)

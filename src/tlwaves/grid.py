@@ -135,24 +135,33 @@ def padded_product(grid: SpectralGrid, f: np.ndarray, g: np.ndarray) -> np.ndarr
     Optional alternative to the plain Hadamard product in the solver's
     nonlinearity; off by default since the profiles of interest decay far
     below round-off in spectrum before the Nyquist mode.
+
+    Works on real half spectra (``rfft``): the modes 0..n/2 of f and g are
+    zero-padded onto 3n/2 points, multiplied there, and the product's modes
+    0..n/2 are kept.  The Nyquist mode n/2 has no sign partner on the
+    n-point grid.  An input's Nyquist coefficient is split evenly between
+    modes +-n/2 of the fine grid, so the fine-grid field is the real
+    trigonometric interpolant of the input.  The product's Nyquist
+    coefficient is the real part of its fine-grid mode n/2, i.e. the
+    output keeps the modes -n/2..n/2-1 of the FFT layout.  For inputs
+    without a Nyquist component this equals the complex-FFT 3/2-rule
+    formula.  ``g is f`` transforms f once.
     """
     f = _check_size(grid, f)
     g = _check_size(grid, g)
     n = grid.n
     m = 3 * n // 2
     half = n // 2
-    fpad = np.zeros(m, dtype=complex)
-    gpad = np.zeros(m, dtype=complex)
-    fh = np.fft.fft(f)
-    gh = np.fft.fft(g)
-    fpad[:half] = fh[:half]
-    fpad[-half:] = fh[-half:]
-    gpad[:half] = gh[:half]
-    gpad[-half:] = gh[-half:]
+
+    def fine(values):
+        spectrum = np.fft.rfft(values)
+        padded = np.zeros(m // 2 + 1, dtype=complex)
+        padded[:half] = spectrum[:half]
+        padded[half] = 0.5 * spectrum[half]
+        return np.fft.irfft(padded, m)
+
+    ff = fine(f)
+    gf = ff if g is f else fine(g)
     # m/n rescale keeps physical values on the fine grid, n/m undoes it
-    prod = np.fft.ifft(fpad) * np.fft.ifft(gpad) * (m / n) ** 2
-    ph = np.fft.fft(prod)
-    out = np.empty(n, dtype=complex)
-    out[:half] = ph[:half]
-    out[-half:] = ph[-half:]
-    return np.fft.ifft(out).real * (n / m)
+    ph = np.fft.rfft(ff * gf * (m / n) ** 2)
+    return np.fft.irfft(ph[: half + 1], n) * (n / m)

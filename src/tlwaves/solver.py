@@ -16,10 +16,22 @@ for the quadratic nonlinearity the squared exponent makes the iteration a
 contraction near the wave while suppressing the trivial zero attractor.
 Optional acceleration restarts the iteration from a minimal-polynomial
 extrapolation of the recent iterates.
+
+:func:`solve` runs one iteration core (:class:`_Core`) that keeps the
+spectra in real half-spectrum (``rfft``) form and builds the symbols,
+determinants and inverse coefficients once per solve.  The products N(x_k)
+of each iterate are formed once and serve three uses: the residual check
+of x_k, and the stabilizing factor and right-hand side of the next step.
+One iteration costs 2 ``rfft`` (the products) and 3 ``irfft`` (zeta, v and
+u, the last two from the same v-hat).  The step helpers below
+(:func:`petviashvili_step`, :func:`stabilizing_factor`,
+:func:`residual_norm`, ...) are the plain reference the core is tested
+against.
 """
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -59,7 +71,7 @@ class WaveState:
         v = np.asarray(v, dtype=float)
         if zeta.shape != (grid.n,) or v.shape != (grid.n,):
             raise ValueError(f"state components must have shape ({grid.n},)")
-        u = np.fft.ifft(helmholtz_symbol(grid, params) * np.fft.fft(v)).real
+        u = np.fft.irfft(_half_spectrum(grid, helmholtz_symbol(grid, params)) * np.fft.rfft(v), grid.n)
         return cls(grid=grid, zeta=zeta, v=v, u=u)
 
 
@@ -118,6 +130,14 @@ class SolveReport:
         if include_wall_time:
             out["wall_time"] = self.wall_time
         return out
+
+
+def _half_spectrum(grid: SpectralGrid, symbol: np.ndarray) -> np.ndarray:
+    """The rfft entries (modes 0..n/2) of a symbol even in k given in FFT layout.
+
+    Entry n/2 is mode -n/2, whose symbol equals that of +n/2.
+    """
+    return symbol[: grid.n // 2 + 1]
 
 
 def mode_determinants(grid: SpectralGrid, params: ModelParameters, speed: float) -> np.ndarray:
@@ -183,7 +203,11 @@ def stabilizing_factor(grid: SpectralGrid, params: ModelParameters, speed: float
     n1, n2 = nonlinear_rhs(params, state, dealias=dealias)
     num = float(l1 @ state.zeta + l2 @ state.v)
     den = float(n1 @ state.zeta + n2 @ state.v)
-    scale = float(np.max(np.abs(state.zeta)) + np.max(np.abs(state.v)))
+    return _stabilizing_ratio(num, den, state.zeta, state.v)
+
+
+def _stabilizing_ratio(num: float, den: float, zeta: np.ndarray, v: np.ndarray) -> float:
+    scale = float(np.max(np.abs(zeta)) + np.max(np.abs(v)))
     if abs(den) < 1e-300 * max(1.0, scale):
         raise DegenerateInnerProductError("nonlinearity inner product has collapsed to zero")
     return num / den
@@ -206,6 +230,57 @@ def petviashvili_step(
     zeta = np.fft.ifft(zh).real
     v = np.fft.ifft(vh).real
     return WaveState.from_zeta_v(grid, params, zeta, v), m
+
+
+@dataclass
+class _Iterate:
+    """An iterate with the products and inner products the next step reuses."""
+
+    state: WaveState
+    n1: np.ndarray  # N(x), physical
+    n2: np.ndarray
+    residual: float  # max norm of L x - N(x)
+    num: float  # <L x, x>
+    den: float  # <N(x), x>
+
+
+class _Core:
+    """Per-solve constants of the iteration, in rfft half-spectrum form.
+
+    The singular-mode check runs once, here.  :meth:`step` costs 2 ``rfft``
+    of the products and 3 ``irfft`` (zeta, v, and u from the same v-hat).
+    """
+
+    def __init__(self, grid: SpectralGrid, params: ModelParameters, config: SolverConfig):
+        speed = config.speed
+        det = _half_spectrum(grid, _checked_determinants(grid, params, speed))
+        self.grid, self.params, self.config = grid, params, config
+        self.sym = _half_spectrum(grid, helmholtz_symbol(grid, params))
+        # closed-form 2x2 inverse per mode, as in petviashvili_step
+        self.a11 = speed * self.sym / det
+        self.a12 = 1.0 / ((params.delta + params.gamma) * det)
+        self.a21 = (1.0 - params.gamma) / det
+        self.a22 = speed / det
+
+    def evaluate(self, state: WaveState) -> _Iterate:
+        """Products N(x) once, then the residual and the two inner products of m."""
+        params, speed = self.params, self.config.speed
+        zeta, v = state.zeta, state.v
+        n1, n2 = nonlinear_rhs(params, state, dealias=self.config.dealias)
+        l1 = speed * zeta - v / (params.delta + params.gamma)
+        l2 = (params.gamma - 1.0) * zeta + speed * state.u
+        residual = max(float(np.max(np.abs(l1 - n1))), float(np.max(np.abs(l2 - n2))))
+        return _Iterate(state, n1, n2, residual, float(l1 @ zeta + l2 @ v), float(n1 @ zeta + n2 @ v))
+
+    def step(self, x: _Iterate, m: float) -> _Iterate:
+        """Solve L x_new = m^2 N(x) mode by mode and evaluate x_new."""
+        n = self.grid.n
+        r1 = m * m * np.fft.rfft(x.n1)
+        r2 = m * m * np.fft.rfft(x.n2)
+        vh = self.a21 * r1 + self.a22 * r2
+        zeta = np.fft.irfft(self.a11 * r1 + self.a12 * r2, n)
+        state = WaveState(grid=self.grid, zeta=zeta, v=np.fft.irfft(vh, n), u=np.fft.irfft(self.sym * vh, n))
+        return self.evaluate(state)
 
 
 def auto_initial_guess(grid: SpectralGrid, params: ModelParameters, speed: float) -> WaveState:
@@ -234,7 +309,8 @@ def solve(grid: SpectralGrid, params: ModelParameters, config: SolverConfig) -> 
     NoSolitaryWaveError
         If c_s^2 <= c_crit^2 or the nonlinearity coefficient is zero.
     NotConvergedError
-        If max_iter is reached; the partial report rides on the exception.
+        If max_iter is reached, or at the first non-finite stabilizing
+        factor or residual; the partial report rides on the exception.
     DomainTooSmallError
         Under ``strict_domain`` when the converged profile does not decay
         below ``boundary_decay_tol`` (relative) at the boundary.
@@ -255,33 +331,50 @@ def solve(grid: SpectralGrid, params: ModelParameters, config: SolverConfig) -> 
     state = config.initial_guess
     if state is None:
         state = auto_initial_guess(grid, params, speed)
+    else:
+        # a given guess is checked against the grid and its u rebuilt from v
+        state = WaveState.from_zeta_v(grid, params, state.zeta, state.v)
 
+    n = grid.n
+    core = _Core(grid, params, config)
+    x = core.evaluate(state)
     report = SolveReport()
-    history = [np.concatenate([state.zeta, state.v])]
     cycle = config.mpe_cycle
+    if cycle is not None:
+        # iterates are written straight into the rows extrapolate reads
+        history = np.empty((cycle + 2, 2 * n))
+        np.concatenate([state.zeta, state.v], out=history[0])
+        stored = 1
 
     converged = False
+    failure = None
     for _ in range(config.max_iter):
-        new_state, m = petviashvili_step(grid, params, config, state)
+        m = _stabilizing_ratio(x.num, x.den, x.state.zeta, x.state.v)
+        new = core.step(x, m)
         report.iterations += 1
-        res = residual_norm(grid, params, speed, new_state, dealias=config.dealias)
         upd = max(
-            float(np.max(np.abs(new_state.zeta - state.zeta))),
-            float(np.max(np.abs(new_state.v - state.v))),
+            float(np.max(np.abs(new.state.zeta - x.state.zeta))),
+            float(np.max(np.abs(new.state.v - x.state.v))),
         )
-        report.residual_history.append(res)
+        report.residual_history.append(new.residual)
         report.m_history.append(m)
-        state = new_state
-        if res <= config.tol_residual and upd <= config.tol_update:
+        if not (math.isfinite(m) and math.isfinite(new.residual)):
+            failure = f"non-finite iterate at iteration {report.iterations} (m {m:.3e}, residual {new.residual:.3e})"
+            break
+        x = new
+        if x.residual <= config.tol_residual and upd <= config.tol_update:
             converged = True
             break
         if cycle is not None:
-            history.append(np.concatenate([state.zeta, state.v]))
-            if len(history) == cycle + 2:
+            np.concatenate([x.state.zeta, x.state.v], out=history[stored])
+            stored += 1
+            if stored == cycle + 2:
                 stacked = extrapolate(history, cycle)
-                state = WaveState.from_zeta_v(grid, params, stacked[: grid.n], stacked[grid.n:])
-                history = [np.concatenate([state.zeta, state.v])]
+                x = core.evaluate(WaveState.from_zeta_v(grid, params, stacked[:n], stacked[n:]))
+                history[0] = stacked
+                stored = 1
 
+    state = x.state
     report.wall_time = time.perf_counter() - started
     report.converged = converged
     peak = float(np.max(np.abs(state.zeta)))
@@ -290,7 +383,7 @@ def solve(grid: SpectralGrid, params: ModelParameters, config: SolverConfig) -> 
 
     if not converged:
         raise NotConvergedError(
-            f"no convergence in {config.max_iter} iterations "
+            failure or f"no convergence in {config.max_iter} iterations "
             f"(residual {report.residual_history[-1]:.3e})",
             report=report,
         )

@@ -227,14 +227,69 @@ def test_reproduce_table1(tmp_path, capsys):
     assert payload["spectrum_fit"]["r_squared"] > 0.999
 
 
-def test_thread_fanout_is_deterministic(tmp_path, capsys, monkeypatch):
-    out_serial = tmp_path / "serial.csv"
-    out_threaded = tmp_path / "threaded.csv"
+def test_thread_fanout_is_deterministic(tmp_path, capsys):
+    first = tmp_path / "first.csv"
+    second = tmp_path / "second.csv"
     argv = ["sweep", "--gamma", "0.5", "--delta", "0.8", "--half-length", "64",
             "--modes", "512", "--offset-min", "0.05", "--offset-max", "0.2",
             "--count", "4"]
-    assert main(argv + ["--out", str(out_serial)]) == 0
-    monkeypatch.setenv("TLWAVES_THREADS", "3")
-    assert main(argv + ["--out", str(out_threaded)]) == 0
+    assert main(argv + ["--out", str(first)]) == 0
+    assert main(argv + ["--out", str(second)]) == 0
     capsys.readouterr()
-    assert out_serial.read_bytes() == out_threaded.read_bytes()
+    assert first.read_bytes() == second.read_bytes()
+
+
+def one_line_error(err):
+    """The error record of stderr, which must be its only line."""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1, lines
+    return json.loads(lines[0])
+
+
+def test_sweep_honours_strict(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "sweep", "--half-length", "16", "--modes", "256", "--count", "4",
+                           "--strict", "--out", str(tmp_path / "sweep.csv"))
+    assert code == 1
+    assert one_line_error(err)["error"] == "DomainTooSmallError"
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_analyze_without_x_column_exits_1(tmp_path, capsys):
+    table = tmp_path / "no_x.csv"
+    write_table(table, {}, {"zeta": np.linspace(1.0, 2.0, 8), "v": np.ones(8)})
+    for mode in ("decay", "spectrum", "phase"):
+        code, _, err = run_cli(capsys, "analyze", mode, "--in", str(table), "--out", str(tmp_path / "a.csv"))
+        assert code == 1
+        record = one_line_error(err)
+        assert record["error"] == "InputFormatError" and "'x'" in record["message"]
+
+
+def test_table_with_short_rows_exits_1(tmp_path, capsys):
+    table = tmp_path / "short.csv"
+    table.write_text("# columns: x,zeta,v\n0,1\n1,2\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "analyze", "decay", "--in", str(table), "--out", str(tmp_path / "a.csv"))
+    assert code == 1
+    record = one_line_error(err)
+    assert record["error"] == "InputFormatError" and "line 2" in record["message"]
+
+
+def test_config_that_is_not_an_object_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text("[1, 2]", encoding="utf-8")
+    code, _, err = run_cli(capsys, "solve", "--config", str(cfg), "--out", str(tmp_path / "x.csv"))
+    assert code == 1
+    assert one_line_error(err)["error"] == "InputFormatError"
+
+
+@pytest.mark.parametrize("config,named", [
+    ({"grid": {"half_lenght": 16}}, "half_lenght"),
+    ({"solver": {"extrapolation": "mpe:6", "tol": 1e-8}}, "tol"),
+    ({"grids": {"modes": 512}}, "grids"),
+])
+def test_config_unknown_keys_exit_1(tmp_path, capsys, config, named):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    code, _, err = run_cli(capsys, "solve", "--config", str(cfg), "--out", str(tmp_path / "x.csv"))
+    assert code == 1
+    record = one_line_error(err)
+    assert record["error"] == "InputFormatError" and repr(named) in record["message"]

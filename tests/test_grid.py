@@ -183,3 +183,46 @@ def test_padded_product_removes_aliasing():
     idx = int(np.where(g.mode_numbers == alias_mode)[0][0])
     assert np.abs(plain_spec[idx]) > 1.0
     assert np.abs(padded_spec[idx]) < 1e-10
+
+
+def _complex_padded_product(g, f, h):
+    """The 3/2-rule product on full complex spectra, as a reference."""
+    n, m, half = g.n, 3 * g.n // 2, g.n // 2
+    fine = []
+    for values in (f, h):
+        spectrum = np.fft.fft(values)
+        padded = np.zeros(m, dtype=complex)
+        padded[:half] = spectrum[:half]
+        padded[-half:] = spectrum[-half:]
+        fine.append(np.fft.ifft(padded))
+    ph = np.fft.fft(fine[0] * fine[1] * (m / n) ** 2)
+    out = np.empty(n, dtype=complex)
+    out[:half] = ph[:half]
+    out[-half:] = ph[-half:]
+    return np.fft.ifft(out).real * (n / m)
+
+
+@pytest.mark.parametrize("n", [16, 18, 64, 1024])
+def test_padded_product_matches_complex_formula(n):
+    rng = np.random.default_rng(n)
+    g = SpectralGrid(half_length=5.0, n=n)
+
+    def band_limited():
+        # every mode but the Nyquist one: the product still reaches modes up to n - 2
+        spectrum = np.fft.rfft(rng.standard_normal(n))
+        spectrum[n // 2] = 0.0
+        return np.fft.irfft(spectrum, n)
+
+    f, h = band_limited(), band_limited()
+    for a, b in ((f, h), (f, f)):
+        want = _complex_padded_product(g, a, b)
+        assert np.max(np.abs(padded_product(g, a, b) - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_padded_product_nyquist_convention():
+    g = SpectralGrid(half_length=np.pi, n=16)
+    nyquist = (-1.0) ** np.arange(g.n)
+    # the input's Nyquist coefficient is split between modes +-n/2 of the fine grid (a real cosine);
+    # the product keeps one mode of that pair, so f * 1 returns half of f's Nyquist component
+    out = padded_product(g, nyquist, np.ones(g.n))
+    assert np.max(np.abs(out - 0.5 * nyquist)) < 1e-14

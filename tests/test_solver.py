@@ -10,6 +10,7 @@ from tlwaves.errors import (
     NotConvergedError,
     SingularModeError,
 )
+from tlwaves.extrapolation import extrapolate
 from tlwaves.grid import SpectralGrid
 from tlwaves.params import make_parameters
 from tlwaves.solver import SolverConfig, WaveState
@@ -241,3 +242,50 @@ def test_solver_config_validation():
         SolverConfig(speed=1.0, max_iter=0)
     with pytest.raises(ValueError):
         SolverConfig(speed=1.0, mpe_cycle=1)
+
+
+def _reference_solve(grid, params, config):
+    """The iteration rebuilt from the step helpers: (state, residual history, m history)."""
+    state = solver.auto_initial_guess(grid, params, config.speed)
+    history = [np.concatenate([state.zeta, state.v])]
+    residuals, ms = [], []
+    for _ in range(config.max_iter):
+        new_state, m = solver.petviashvili_step(grid, params, config, state)
+        res = solver.residual_norm(grid, params, config.speed, new_state, dealias=config.dealias)
+        upd = max(np.max(np.abs(new_state.zeta - state.zeta)), np.max(np.abs(new_state.v - state.v)))
+        residuals.append(res)
+        ms.append(m)
+        state = new_state
+        if res <= config.tol_residual and upd <= config.tol_update:
+            return state, residuals, ms
+        if config.mpe_cycle is not None:
+            history.append(np.concatenate([state.zeta, state.v]))
+            if len(history) == config.mpe_cycle + 2:
+                stacked = extrapolate(history, config.mpe_cycle)
+                state = WaveState.from_zeta_v(grid, params, stacked[: grid.n], stacked[grid.n:])
+                history = [stacked]
+    raise AssertionError("reference iteration did not converge")
+
+
+@pytest.mark.parametrize("options", [{}, {"mpe_cycle": 6}, {"dealias": True}], ids=["plain", "mpe6", "dealias"])
+def test_core_matches_reference_iteration(elevation_params, default_grid, options):
+    cfg = SolverConfig(speed=elevation_params.c_crit + 0.05, max_iter=300, **options)
+    state, report = solver.solve(default_grid, elevation_params, cfg)
+    ref_state, ref_residuals, ref_ms = _reference_solve(default_grid, elevation_params, cfg)
+    assert report.iterations == len(ref_residuals)
+    assert np.max(np.abs(np.array(report.residual_history) - ref_residuals)) <= 1e-12
+    assert np.max(np.abs(np.array(report.m_history) - ref_ms)) <= 1e-12
+    for got, want in ((state.zeta, ref_state.zeta), (state.v, ref_state.v), (state.u, ref_state.u)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_non_finite_seed_fails_at_first_iteration(elevation_params, small_grid):
+    cs = elevation_params.c_crit + 0.05
+    seed = solver.auto_initial_guess(small_grid, elevation_params, cs)
+    zeta = seed.zeta.copy()
+    zeta[small_grid.n // 2] = np.nan
+    cfg = SolverConfig(speed=cs, initial_guess=WaveState.from_zeta_v(small_grid, elevation_params, zeta, seed.v))
+    with pytest.raises(NotConvergedError, match="non-finite iterate at iteration 1") as excinfo:
+        solver.solve(small_grid, elevation_params, cfg)
+    assert excinfo.value.report.iterations == 1
+    assert not excinfo.value.report.converged
