@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -25,6 +25,11 @@ from .params import make_parameters
 from .solver import SolverConfig, WaveState
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# The default decay-fit windows keep values above this fraction of the peak.
+# The profiles' round-off is about 1e-16 of the peak, i.e. 1e-10 of a value
+# at the floor; a perturbation of 1e-15 of the peak then moves the fitted
+# exponents by about 1e-9 relative (at 1e-9 it is still 2e-6).
+_FIT_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -183,19 +188,22 @@ def spectrum_magnitudes(grid: SpectralGrid, values: np.ndarray) -> tuple[np.ndar
     return kp, mags
 
 
+def _floor_edge(t: np.ndarray, values: np.ndarray) -> float:
+    """Largest t > 0 at which |values| exceeds _FIT_FLOOR times its peak (0 when none does)."""
+    t = np.asarray(t)
+    mags = np.abs(np.asarray(values))
+    usable = t[(t > 0.0) & (mags > _FIT_FLOOR * float(np.max(mags)))]
+    return float(usable.max()) if usable.size else 0.0
+
+
 def default_space_window(x: np.ndarray, values: np.ndarray, half_length: float) -> tuple[float, float]:
-    """x in [5, 0.8 l], shrunk to where |values| clears the round-off floor."""
-    floor = 1e-12 * float(np.max(np.abs(values)))
-    usable = np.asarray(x)[(np.asarray(x) > 0.0) & (np.abs(values) > floor)]
-    hi = min(0.8 * half_length, float(usable.max()) if usable.size else 0.0)
-    return (5.0, hi)
+    """x in [5, 0.8 l], shrunk to where |values| exceeds the fit floor of the peak."""
+    return (5.0, min(0.8 * half_length, _floor_edge(x, values)))
 
 
 def default_spectrum_window(kp: np.ndarray, magnitudes: np.ndarray) -> tuple[float, float]:
-    """k' in [1, k'_max / 2], shrunk to magnitudes above 1e-12."""
-    usable = kp[(kp > 0.0) & (magnitudes > 1e-12)]
-    hi = min(float(kp.max()) / 2.0, float(usable.max()) if usable.size else 0.0)
-    return (1.0, hi)
+    """k' in [1, k'_max / 2], shrunk to where the magnitudes exceed the fit floor of the peak."""
+    return (1.0, min(float(kp.max()) / 2.0, _floor_edge(kp, magnitudes)))
 
 
 @dataclass(frozen=True)
@@ -224,14 +232,19 @@ def amplitude_vs_k_study(
     grid: SpectralGrid | None = None,
     tol: float = 1e-10,
     max_iter: int = 500,
+    solve: Callable | None = None,
 ) -> StudyResult:
     """Amplitude against the nonlinearity coefficient at fixed speed offset.
 
     Each depth ratio is solved at c_s = c_crit(gamma, delta) + speed_offset;
     failures are recorded and skipped rather than aborting the sweep.
+    ``solve`` replaces :func:`solver.solve` (same signature), e.g. with a
+    memo that shares solves with other computations.
     """
     if grid is None:
         grid = SpectralGrid(half_length=128.0, n=1024)
+    if solve is None:
+        solve = _solver.solve
     points = []
     skipped = []
     for delta in deltas:
@@ -243,7 +256,7 @@ def amplitude_vs_k_study(
                 tol_update=tol,
                 max_iter=max_iter,
             )
-            state, _ = _solver.solve(grid, params, config)
+            state, _ = solve(grid, params, config)
             zeta_max, _, _ = amplitude(state)
             points.append(StudyPoint(delta=float(delta), k_coeff=params.k_coeff, zeta_max=zeta_max))
         except WaveError as exc:

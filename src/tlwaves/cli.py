@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -365,17 +366,17 @@ def cmd_analyze(args) -> int:
 # reproduction targets
 
 
-def _solve_pair(gamma, delta, offset, half_length, modes, tol, mpe=None):
+def _solve_pair(solve, gamma, delta, offset, half_length, modes, tol):
     params = make_parameters(gamma, delta)
     grid = SpectralGrid(half_length=half_length, n=modes)
-    config = SolverConfig(speed=params.c_crit + offset, tol_residual=tol, tol_update=tol, mpe_cycle=mpe)
-    state, report = solver.solve(grid, params, config)
+    config = SolverConfig(speed=params.c_crit + offset, tol_residual=tol, tol_update=tol)
+    state, report = solve(grid, params, config)
     return params, grid, config, state, report
 
 
-def _repro_profiles(target, gamma, delta, outdir, half_length, modes, tol):
+def _repro_profiles(solve, target, gamma, delta, outdir, half_length, modes, tol):
     def one(offset):
-        params, grid, config, state, report = _solve_pair(gamma, delta, offset, half_length, modes, tol)
+        params, grid, config, state, report = _solve_pair(solve, gamma, delta, offset, half_length, modes, tol)
         described = {
             "params": params_to_config(params),
             "grid": {"half_length": grid.half_length, "modes": grid.n},
@@ -415,11 +416,15 @@ def cmd_reproduce(args) -> int:
         "fig2a", "fig2b", "fig3a", "fig3b", "fig3c", "fig4", "fig5", "fig6", "table1"
     }
     made: list[Path] = []
+    # each distinct (grid, params, config) is solved once per command: fig2a, fig3c, fig4 and
+    # fig5/fig6/table1 share the elevation wave at offset 0.05, and fig2b, fig3c and fig4 the
+    # depression wave there.  Callers only read the cached states.
+    solve = functools.cache(solver.solve)
 
     if "fig2a" in targets:
-        made += _repro_profiles("fig2a", *_ELEVATION_PAIR, outdir, half_length, modes, tol)
+        made += _repro_profiles(solve, "fig2a", *_ELEVATION_PAIR, outdir, half_length, modes, tol)
     if "fig2b" in targets:
-        made += _repro_profiles("fig2b", *_DEPRESSION_PAIR, outdir, half_length, modes, tol)
+        made += _repro_profiles(solve, "fig2b", *_DEPRESSION_PAIR, outdir, half_length, modes, tol)
 
     sweep_cache = None
     if targets & {"fig3a", "fig3b"}:
@@ -438,7 +443,7 @@ def cmd_reproduce(args) -> int:
         made.append(path)
     if "fig3c" in targets:
         grid = SpectralGrid(half_length=half_length, n=modes)
-        study = analysis.amplitude_vs_k_study(0.5, _FIG3C_DELTAS, 0.05, grid=grid, tol=tol)
+        study = analysis.amplitude_vs_k_study(0.5, _FIG3C_DELTAS, 0.05, grid=grid, tol=tol, solve=solve)
         meta = _meta("reproduce-fig3c", {"gamma": 0.5, "deltas": list(_FIG3C_DELTAS), "offset": 0.05},
                      {"skipped": list(study.skipped)})
         path = outdir / "fig3c_amplitude_vs_k.csv"
@@ -450,7 +455,7 @@ def cmd_reproduce(args) -> int:
         made.append(path)
     if "fig4" in targets:
         for label, (gamma, delta) in (("elevation", _ELEVATION_PAIR), ("depression", _DEPRESSION_PAIR)):
-            params, grid, config, state, _ = _solve_pair(gamma, delta, 0.05, half_length, modes, tol)
+            params, grid, config, state, _ = _solve_pair(solve, gamma, delta, 0.05, half_length, modes, tol)
             pairs = analysis.phase_portrait(state, grid)
             meta = _meta("reproduce-fig4", {"params": params_to_config(params), "cs": config.speed})
             path = outdir / f"fig4_{label}.csv"
@@ -459,7 +464,7 @@ def cmd_reproduce(args) -> int:
 
     fits: dict = {}
     if targets & {"fig5", "fig6", "table1"}:
-        params, grid, config, state, _ = _solve_pair(*_ELEVATION_PAIR, 0.05, half_length, modes, tol)
+        params, grid, config, state, _ = _solve_pair(solve, *_ELEVATION_PAIR, 0.05, half_length, modes, tol)
         described = {"params": params_to_config(params), "cs": config.speed}
         x = grid.nodes
         kp, mags = analysis.spectrum_magnitudes(grid, state.zeta)

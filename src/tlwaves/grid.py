@@ -129,6 +129,34 @@ def spectrum_columns(grid: SpectralGrid, spectrum: np.ndarray) -> dict:
     }
 
 
+def fine_grid_values(grid: SpectralGrid, half_spectrum: np.ndarray) -> np.ndarray:
+    """Values on the 3n/2-point grid of the field with rfft modes 0..n/2 on the n-point grid.
+
+    The modes are zero-padded; the Nyquist coefficient is split evenly
+    between modes +-n/2 of the fine grid, so the result samples the real
+    trigonometric interpolant of the field.
+    """
+    n, half = grid.n, grid.n // 2
+    m = 3 * n // 2
+    padded = np.zeros(m // 2 + 1, dtype=complex)
+    padded[:half] = half_spectrum[:half]
+    padded[half] = 0.5 * half_spectrum[half]
+    # m/n rescales the unnormalized n-point coefficients to m points
+    return np.fft.irfft(padded, m) * (m / n)
+
+
+def coarse_half_spectrum(grid: SpectralGrid, fine_values: np.ndarray) -> np.ndarray:
+    """rfft modes 0..n/2, on the n-point grid, of values given on the 3n/2-point grid.
+
+    The Nyquist coefficient is the real part of the fine grid's mode n/2,
+    i.e. the kept modes are -n/2..n/2-1 of the FFT layout.
+    """
+    n, half = grid.n, grid.n // 2
+    spectrum = np.fft.rfft(fine_values)[: half + 1] * (n / (3 * n // 2))
+    spectrum[half] = spectrum[half].real
+    return spectrum
+
+
 def padded_product(grid: SpectralGrid, f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Pointwise product with 3/2-rule zero padding (alias-free quadratics).
 
@@ -136,32 +164,18 @@ def padded_product(grid: SpectralGrid, f: np.ndarray, g: np.ndarray) -> np.ndarr
     nonlinearity; off by default since the profiles of interest decay far
     below round-off in spectrum before the Nyquist mode.
 
-    Works on real half spectra (``rfft``): the modes 0..n/2 of f and g are
-    zero-padded onto 3n/2 points, multiplied there, and the product's modes
-    0..n/2 are kept.  The Nyquist mode n/2 has no sign partner on the
-    n-point grid.  An input's Nyquist coefficient is split evenly between
-    modes +-n/2 of the fine grid, so the fine-grid field is the real
-    trigonometric interpolant of the input.  The product's Nyquist
-    coefficient is the real part of its fine-grid mode n/2, i.e. the
-    output keeps the modes -n/2..n/2-1 of the FFT layout.  For inputs
+    Works on real half spectra (``rfft``): f and g are moved to the 3n/2
+    grid by :func:`fine_grid_values`, multiplied there, and the product's
+    modes 0..n/2 are kept by :func:`coarse_half_spectrum`.  The Nyquist
+    mode n/2 has no sign partner on the n-point grid: an input's Nyquist
+    coefficient is split evenly between modes +-n/2 of the fine grid, and
+    the output keeps the modes -n/2..n/2-1 of the FFT layout.  For inputs
     without a Nyquist component this equals the complex-FFT 3/2-rule
-    formula.  ``g is f`` transforms f once.
+    formula.  ``g is f`` transforms f once.  A caller that holds the half
+    spectra already (the solver) calls the two helpers directly.
     """
     f = _check_size(grid, f)
     g = _check_size(grid, g)
-    n = grid.n
-    m = 3 * n // 2
-    half = n // 2
-
-    def fine(values):
-        spectrum = np.fft.rfft(values)
-        padded = np.zeros(m // 2 + 1, dtype=complex)
-        padded[:half] = spectrum[:half]
-        padded[half] = 0.5 * spectrum[half]
-        return np.fft.irfft(padded, m)
-
-    ff = fine(f)
-    gf = ff if g is f else fine(g)
-    # m/n rescale keeps physical values on the fine grid, n/m undoes it
-    ph = np.fft.rfft(ff * gf * (m / n) ** 2)
-    return np.fft.irfft(ph[: half + 1], n) * (n / m)
+    ff = fine_grid_values(grid, np.fft.rfft(f))
+    gf = ff if g is f else fine_grid_values(grid, np.fft.rfft(g))
+    return np.fft.irfft(coarse_half_spectrum(grid, ff * gf), grid.n)

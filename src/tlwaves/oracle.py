@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import NoSolitaryWaveError, PoleProximityError, StepSizeTooLargeError, WaveError
 from .params import ModelParameters
@@ -181,13 +180,26 @@ def potential(problem: TravelingWaveProblem) -> PotentialCurve:
     )
 
 
+def _hermite(x: np.ndarray, y: np.ndarray, dy: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Piecewise cubic Hermite interpolant of values y and slopes dy at nodes x, at t in [x[0], x[-1]]."""
+    i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, x.size - 2)
+    h = x[i + 1] - x[i]
+    s = (t - x[i]) / h
+    r = 1.0 - s
+    return (y[i] * (1.0 + 2.0 * s) + h * dy[i] * s) * r * r + (y[i + 1] * (3.0 - 2.0 * s) - h * dy[i + 1] * r) * s * s
+
+
 @dataclass
 class OracleProfile:
-    """Half-line samples of the solitary profile with spline evaluation.
+    """Half-line samples of the solitary profile with cubic Hermite evaluation.
 
     ``x`` is ascending on [0, x_max] with x[0] = 0 at the crest; ``v`` and
-    ``v_prime`` are in the signed (physical) frame.  Sampling outside the
-    stored range continues the tail as C exp(-lambda (|x| - x_max)).
+    ``v_prime`` are in the signed (physical) frame.  Between samples, v is
+    the cubic Hermite interpolant of the stored (v, v') and v' that of
+    (v', v''), with v'' from the ODE.  Each cubic piece uses only its two end
+    samples, so evaluating at |x| (times sign(x) for v') is the interpolant
+    of the even/odd mirrored samples.  Sampling outside the stored range
+    continues the tail as C exp(-lambda (|x| - x_max)).
     """
 
     curve: PotentialCurve
@@ -195,39 +207,26 @@ class OracleProfile:
     v: np.ndarray
     v_prime: np.ndarray
     energy_max: float
-    _spline_v: CubicSpline = field(init=False, repr=False, default=None)
-    _spline_vp: CubicSpline = field(init=False, repr=False, default=None)
+    _v_second: np.ndarray = field(init=False, repr=False, default=None)
 
-    def _build_splines(self) -> None:
-        xm = np.concatenate([-self.x[:0:-1], self.x])
-        vm = np.concatenate([self.v[:0:-1], self.v])
-        vpm = np.concatenate([-self.v_prime[:0:-1], self.v_prime])
-        self._spline_v = CubicSpline(xm, vm)
-        self._spline_vp = CubicSpline(xm, vpm)
+    def _sample(self, xq, values: np.ndarray, slopes: np.ndarray) -> np.ndarray:
+        xa = np.abs(np.asarray(xq, dtype=float))
+        x_end = self.x[-1]
+        vals = _hermite(self.x, values, slopes, np.clip(xa, 0.0, x_end))
+        tail = values[-1] * np.exp(-self.curve.saddle_rate * (xa - x_end))
+        return np.where(xa <= x_end, vals, tail)
 
     def sample_v(self, xq) -> np.ndarray:
-        if self._spline_v is None:
-            self._build_splines()
-        xq = np.asarray(xq, dtype=float)
-        xa = np.abs(xq)
-        x_end = self.x[-1]
-        inside = np.clip(xa, 0.0, x_end)
-        vals = self._spline_v(inside)
-        tail = self.v[-1] * np.exp(-self.curve.saddle_rate * (xa - x_end))
-        out = np.where(xa <= x_end, vals, tail)
+        out = self._sample(xq, self.v, self.v_prime)
         return out if out.ndim else float(out)
 
     def sample_v_prime(self, xq) -> np.ndarray:
-        if self._spline_vp is None:
-            self._build_splines()
-        xq = np.asarray(xq, dtype=float)
-        xa = np.abs(xq)
-        x_end = self.x[-1]
-        inside = np.clip(xa, 0.0, x_end)
-        vals = self._spline_vp(inside)
-        tail = self.v_prime[-1] * np.exp(-self.curve.saddle_rate * (xa - x_end))
+        if self._v_second is None:
+            # v'' = ode_rhs(v) holds in the positive frame; v' and v'' flip with the speed sign
+            sign = self.curve.v_sign
+            self._v_second = sign * np.asarray(self.curve.ode_rhs(sign * self.v))
         # stored arrays are d/dx on x > 0; oddness via the sign factor
-        out = np.sign(xq) * np.where(xa <= x_end, vals, tail)
+        out = np.sign(np.asarray(xq, dtype=float)) * self._sample(xq, self.v_prime, self._v_second)
         return out if out.ndim else float(out)
 
 

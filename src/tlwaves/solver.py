@@ -48,7 +48,14 @@ from .errors import (
     SingularModeError,
 )
 from .extrapolation import extrapolate
-from .grid import SpectralGrid, forward_transform, helmholtz_symbol, padded_product
+from .grid import (
+    SpectralGrid,
+    coarse_half_spectrum,
+    fine_grid_values,
+    forward_transform,
+    helmholtz_symbol,
+    padded_product,
+)
 from .params import ModelParameters
 
 
@@ -242,6 +249,7 @@ class _Iterate:
     residual: float  # max norm of L x - N(x)
     num: float  # <L x, x>
     den: float  # <N(x), x>
+    spectra: tuple | None = None  # rfft of (n1, n2), when the dealiased products were formed from them
 
 
 class _Core:
@@ -249,6 +257,11 @@ class _Core:
 
     The singular-mode check runs once, here.  :meth:`step` costs 2 ``rfft``
     of the products and 3 ``irfft`` (zeta, v, and u from the same v-hat).
+    With dealiasing, the products are formed on the 3n/2 grid from the
+    half spectra of zeta and v that the step already holds (v moved to the
+    fine grid once for both products), and their truncated spectra feed the
+    next step directly: 2 fine ``irfft``, 2 fine ``rfft`` and 2 ``irfft``
+    for the physical products, in place of the two ``rfft`` of the step.
     """
 
     def __init__(self, grid: SpectralGrid, params: ModelParameters, config: SolverConfig):
@@ -262,25 +275,39 @@ class _Core:
         self.a21 = (1.0 - params.gamma) / det
         self.a22 = speed / det
 
-    def evaluate(self, state: WaveState) -> _Iterate:
-        """Products N(x) once, then the residual and the two inner products of m."""
-        params, speed = self.params, self.config.speed
+    def evaluate(self, state: WaveState, zh: np.ndarray | None = None, vh: np.ndarray | None = None) -> _Iterate:
+        """Products N(x) once, then the residual and the two inner products of m.
+
+        ``zh`` and ``vh`` are the rfft of zeta and v when the caller has them.
+        """
+        grid, params, speed = self.grid, self.params, self.config.speed
         zeta, v = state.zeta, state.v
-        n1, n2 = nonlinear_rhs(params, state, dealias=self.config.dealias)
+        spectra = None
+        if self.config.dealias:
+            if zh is None:
+                zh, vh = np.fft.rfft(zeta), np.fft.rfft(v)
+            zf, vf = fine_grid_values(grid, zh), fine_grid_values(grid, vh)
+            k = params.k_coeff
+            spectra = (k * coarse_half_spectrum(grid, zf * vf), 0.5 * k * coarse_half_spectrum(grid, vf * vf))
+            n1, n2 = (np.fft.irfft(spectrum, grid.n) for spectrum in spectra)
+        else:
+            n1, n2 = nonlinear_rhs(params, state)
         l1 = speed * zeta - v / (params.delta + params.gamma)
         l2 = (params.gamma - 1.0) * zeta + speed * state.u
         residual = max(float(np.max(np.abs(l1 - n1))), float(np.max(np.abs(l2 - n2))))
-        return _Iterate(state, n1, n2, residual, float(l1 @ zeta + l2 @ v), float(n1 @ zeta + n2 @ v))
+        return _Iterate(state, n1, n2, residual, float(l1 @ zeta + l2 @ v), float(n1 @ zeta + n2 @ v), spectra)
 
     def step(self, x: _Iterate, m: float) -> _Iterate:
         """Solve L x_new = m^2 N(x) mode by mode and evaluate x_new."""
         n = self.grid.n
-        r1 = m * m * np.fft.rfft(x.n1)
-        r2 = m * m * np.fft.rfft(x.n2)
+        s1, s2 = x.spectra if x.spectra is not None else (np.fft.rfft(x.n1), np.fft.rfft(x.n2))
+        r1 = m * m * s1
+        r2 = m * m * s2
+        zh = self.a11 * r1 + self.a12 * r2
         vh = self.a21 * r1 + self.a22 * r2
-        zeta = np.fft.irfft(self.a11 * r1 + self.a12 * r2, n)
-        state = WaveState(grid=self.grid, zeta=zeta, v=np.fft.irfft(vh, n), u=np.fft.irfft(self.sym * vh, n))
-        return self.evaluate(state)
+        state = WaveState(grid=self.grid, zeta=np.fft.irfft(zh, n), v=np.fft.irfft(vh, n),
+                          u=np.fft.irfft(self.sym * vh, n))
+        return self.evaluate(state, zh, vh)
 
 
 def auto_initial_guess(grid: SpectralGrid, params: ModelParameters, speed: float) -> WaveState:

@@ -141,6 +141,26 @@ def test_solver_profile_space_decay(elevation_solution, default_grid):
     assert fit.r_squared >= 0.999
 
 
+def test_default_fit_windows_are_robust_to_round_off(elevation_solution, default_grid):
+    # a perturbation of 1e-15 of the peak, the size of the solver's round-off, must not
+    # move the fitted exponents beyond 1e-8 relative
+    state, _ = elevation_solution
+    x = default_grid.nodes
+    mask = x > 0
+    noise = np.random.default_rng(3).standard_normal(default_grid.n)
+    perturbed = state.zeta + 1e-15 * np.max(np.abs(state.zeta)) * noise / np.max(np.abs(noise))
+
+    def fits(zeta):
+        window = default_space_window(x[mask], zeta[mask], default_grid.half_length)
+        kp, mags = spectrum_magnitudes(default_grid, zeta)
+        spectral_window = default_spectrum_window(kp, mags)
+        return fit_decay_space(x[mask], zeta[mask], window), fit_decay_spectrum(kp, mags, spectral_window)
+
+    for fit, moved in zip(fits(state.zeta), fits(perturbed)):
+        for name in ("b", "c"):
+            assert moved.coefficients[name] == pytest.approx(fit.coefficients[name], rel=1e-8, abs=0.0)
+
+
 def test_solver_profile_spectrum_decay(elevation_solution, default_grid):
     state, _ = elevation_solution
     kp, mags = spectrum_magnitudes(default_grid, state.zeta)

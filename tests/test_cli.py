@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from tlwaves import oracle, solver
 from tlwaves.cli import main, read_table, write_table
+from tlwaves.params import make_parameters
 
 
 def run_cli(capsys, *argv):
@@ -293,3 +299,49 @@ def test_config_unknown_keys_exit_1(tmp_path, capsys, config, named):
     assert code == 1
     record = one_line_error(err)
     assert record["error"] == "InputFormatError" and repr(named) in record["message"]
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_module(*args, cwd):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    # scipy is a test-only dependency; importing it would cost every cold process about 0.5 s
+    code = "import sys, tlwaves.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = run_module("-c", code, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def test_oracle_command_in_a_fresh_process(tmp_path):
+    done = run_module("-m", "tlwaves.cli", "oracle", "--x-max", "20", "--dx", "0.5", "--out", "o.csv", cwd=tmp_path)
+    assert done.returncode == 0
+    assert done.stderr == ""
+    meta, cols = read_table(tmp_path / "o.csv")
+    params = make_parameters(0.5, 0.8)
+    curve = oracle.potential(oracle.TravelingWaveProblem(params=params, speed=params.c_crit + 0.05))
+    assert meta["turning_point"] == curve.turning_point
+    # the first row is the crest: the RK4 crest sample, which is the turning point up to round-off
+    assert cols["x"][0] == 0.0
+    assert cols["zeta"][0] == pytest.approx(oracle.reconstruct_zeta(curve, curve.turning_point), rel=1e-14)
+    assert cols["zeta"][0] == np.max(cols["zeta"])
+
+
+def test_reproduce_solves_each_configuration_once(tmp_path, capsys, monkeypatch):
+    keys = []
+    real_solve = solver.solve
+
+    def counted(grid, params, config):
+        keys.append((grid, params, config))
+        return real_solve(grid, params, config)
+
+    monkeypatch.setattr(solver, "solve", counted)
+    code, _, _ = run_cli(capsys, "reproduce", "all", "--out-dir", str(tmp_path))
+    assert code == 0
+    # 28 solves, of which 23 distinct: fig3c, fig4 and fig5/fig6/table1 reuse fig2a's and fig2b's waves at 0.05
+    assert len(keys) == 23
+    assert len(set(keys)) == 23
