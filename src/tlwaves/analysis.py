@@ -25,6 +25,8 @@ from .params import make_parameters
 from .solver import SolverConfig, WaveState
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# the interval of exponents B the speed-amplitude fit searches
+_EXPONENT_BRACKET = (0.5, 6.0)
 # The default decay-fit windows keep values above this fraction of the peak.
 # The profiles' round-off is about 1e-16 of the peak, i.e. 1e-10 of a value
 # at the floor; a perturbation of 1e-15 of the peak then moves the fitted
@@ -81,10 +83,7 @@ def _power_sse(cs: np.ndarray, y: np.ndarray, b: float) -> tuple[float, float, f
     return float(resid @ resid), float(coef[0]), float(coef[1])
 
 
-def fit_speed_amplitude(
-    samples: Sequence[tuple[float, float]],
-    exponent_bracket: tuple[float, float] = (0.5, 6.0),
-) -> FitResult:
+def fit_speed_amplitude(samples: Sequence[tuple[float, float]]) -> FitResult:
     """Fit zeta_max = A c_s^B + C to (speed, amplitude) samples.
 
     Raises
@@ -101,7 +100,7 @@ def fit_speed_amplitude(
     if np.any(cs <= 0.0):
         raise WaveError("speeds must be positive for the power fit")
 
-    b_lo, b_hi = exponent_bracket
+    b_lo, b_hi = _EXPONENT_BRACKET
     scan = np.linspace(b_lo, b_hi, 56)
     sse_scan = np.array([_power_sse(cs, y, b)[0] for b in scan])
     i_min = int(np.argmin(sse_scan))
@@ -138,6 +137,11 @@ def fit_speed_amplitude(
     )
 
 
+def power_exponential(t: np.ndarray, a: float, b: float, c: float, sign: float) -> np.ndarray:
+    """The decay law sign * a t^b exp(c t)."""
+    return sign * a * t**b * np.exp(c * t)
+
+
 def _fit_power_exponential(t: np.ndarray, y: np.ndarray, window: tuple[float, float], model: str) -> FitResult:
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -157,7 +161,7 @@ def _fit_power_exponential(t: np.ndarray, y: np.ndarray, window: tuple[float, fl
     coef, *_ = np.linalg.lstsq(design, np.log(np.abs(y_w)), rcond=None)
     a = math.exp(coef[0])
     b, c = float(coef[1]), float(coef[2])
-    y_fit = sign * a * t_w**b * np.exp(c * t_w)
+    y_fit = power_exponential(t_w, a, b, c, sign)
     sse, r2, rmse = _goodness(y_w, y_fit)
     return FitResult(
         model=model,
@@ -229,9 +233,8 @@ def amplitude_vs_k_study(
     gamma: float,
     deltas: Iterable[float],
     speed_offset: float,
-    grid: SpectralGrid | None = None,
+    grid: SpectralGrid,
     tol: float = 1e-10,
-    max_iter: int = 500,
     solve: Callable | None = None,
 ) -> StudyResult:
     """Amplitude against the nonlinearity coefficient at fixed speed offset.
@@ -241,8 +244,6 @@ def amplitude_vs_k_study(
     ``solve`` replaces :func:`solver.solve` (same signature), e.g. with a
     memo that shares solves with other computations.
     """
-    if grid is None:
-        grid = SpectralGrid(half_length=128.0, n=1024)
     if solve is None:
         solve = _solver.solve
     points = []
@@ -254,7 +255,6 @@ def amplitude_vs_k_study(
                 speed=params.c_crit + speed_offset,
                 tol_residual=tol,
                 tol_update=tol,
-                max_iter=max_iter,
             )
             state, _ = solve(grid, params, config)
             zeta_max, _, _ = amplitude(state)

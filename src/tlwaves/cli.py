@@ -32,6 +32,7 @@ _ELEVATION_PAIR = (0.5, 0.8)
 _DEPRESSION_PAIR = (0.5, 0.5)
 _FIG2_OFFSETS = (0.02, 0.05, 0.10)
 _FIG3C_DELTAS = (0.5, 0.55, 0.6, 0.65, 0.8, 0.9, 1.0, 1.1, 1.2)
+_TARGETS = ("fig2a", "fig2b", "fig3a", "fig3b", "fig3c", "fig4", "fig5", "fig6", "table1")
 
 
 # ----------------------------------------------------------------------
@@ -217,7 +218,7 @@ def _build_run(args) -> tuple:
 def cmd_solve(args) -> int:
     params, grid, config, described = _build_run(args)
     state, report = solver.solve(grid, params, config)
-    meta = _meta("solve", described, {"report": report.to_dict(include_wall_time=False)})
+    meta = _meta("solve", described, {"report": report.to_dict()})
     write_table(Path(args.out), meta, {"x": grid.nodes, "zeta": state.zeta, "v": state.v, "u": state.u})
     if args.spectrum_out:
         spec_cols = spectrum_columns(grid, forward_transform(grid, state.zeta))
@@ -230,28 +231,35 @@ def cmd_solve(args) -> int:
     return 0
 
 
+def _sweep(solve, grid: SpectralGrid, params, config: SolverConfig, offsets: np.ndarray) -> dict:
+    """The cs, zeta_max, v_max and u_max columns of one solve at each speed c_crit + offset."""
+    speeds = params.c_crit + offsets
+
+    def solve_one(speed: float):
+        state, _ = solve(grid, params, dataclasses.replace(config, speed=float(speed)))
+        return analysis.amplitude(state)
+
+    amps = np.array([solve_one(speed) for speed in speeds])
+    return {"cs": speeds, "zeta_max": amps[:, 0], "v_max": amps[:, 1], "u_max": amps[:, 2]}
+
+
+def _speed_fit(columns: dict) -> analysis.FitResult:
+    """The power law of |zeta_max| against cs over the columns of a sweep."""
+    return analysis.fit_speed_amplitude(list(zip(columns["cs"], np.abs(columns["zeta_max"]))))
+
+
 def cmd_sweep(args) -> int:
     params, grid, config, described = _build_run(args)
     if args.count < 4:
         raise InsufficientDataError("sweep needs at least 4 speeds for the power fit")
-    offsets = np.linspace(args.offset_min, args.offset_max, args.count)
-    speeds = params.c_crit + offsets
-
-    def solve_one(speed: float):
-        state, _ = solver.solve(grid, params, dataclasses.replace(config, speed=float(speed)))
-        return analysis.amplitude(state)
-
-    amps = [solve_one(speed) for speed in speeds]
-    zmax = np.array([a[0] for a in amps])
-    vmax = np.array([a[1] for a in amps])
-    umax = np.array([a[2] for a in amps])
+    columns = _sweep(solver.solve, grid, params, config, np.linspace(args.offset_min, args.offset_max, args.count))
 
     described["sweep"] = {"offset_min": args.offset_min, "offset_max": args.offset_max, "count": args.count}
     meta = _meta("sweep", described)
     out = Path(args.out)
-    write_table(out, meta, {"cs": speeds, "zeta_max": zmax, "v_max": vmax, "u_max": umax})
+    write_table(out, meta, columns)
 
-    fit = analysis.fit_speed_amplitude(list(zip(speeds, np.abs(zmax))))
+    fit = _speed_fit(columns)
     fit_path = out.with_suffix(".fit.json")
     write_json(fit_path, {"meta": meta, "fit": fit.to_dict()})
     print(f"sweep: {args.count} speeds -> {out} (fit R^2 = {fit.r_squared:.6f} -> {fit_path})")
@@ -314,10 +322,29 @@ def _profile_values(cols: dict, source, name: str | None = None) -> tuple[np.nda
     return cols["x"], cols[name]
 
 
+def _decay_fit(mode: str, x: np.ndarray, values: np.ndarray, window=None, half_length=None, grid=None):
+    """The decay law fitted to ``values`` in space (mode "decay") or to their half spectrum.
+
+    In space the abscissae are the nodes x > 0, and the default window ends at most at
+    0.8 ``half_length``; the spectrum is taken on ``grid``, else on the periodic grid of
+    the nodes x.  Returns the windowed abscissae, values and fitted curve, and the fit.
+    """
+    if mode == "decay":
+        t, values = x[x > 0.0], values[x > 0.0]
+        window = window or analysis.default_space_window(t, values, half_length)
+        fit = analysis.fit_decay_space(t, values, window)
+    else:
+        t, values = analysis.spectrum_magnitudes(grid or _grid_from_profile(x), values)
+        window = window or analysis.default_spectrum_window(t, values)
+        fit = analysis.fit_decay_spectrum(t, values, window)
+    mask = (t >= window[0]) & (t <= window[1])
+    t, values = t[mask], values[mask]
+    return t, values, analysis.power_exponential(t, **fit.coefficients, sign=np.sign(values[0])), fit
+
+
 def cmd_analyze(args) -> int:
     meta_in, cols = read_table(Path(args.infile))
     out = Path(args.out)
-    window = tuple(args.window) if args.window else None
 
     if args.mode == "phase":
         x, v = _profile_values(cols, args.infile, "v")
@@ -330,35 +357,18 @@ def cmd_analyze(args) -> int:
         print(f"analyze phase: {grid.n} samples -> {out}")
         return 0
 
-    if args.mode == "decay":
-        x, y = _profile_values(cols, args.infile)
-        keep = x > 0.0
-        x, y = x[keep], y[keep]
-        if window is None:
-            half_length = meta_in.get("config", {}).get("grid", {}).get("half_length", float(np.max(x)))
-            window = analysis.default_space_window(x, y, half_length=float(half_length))
-        fit = analysis.fit_decay_space(x, y, window)
-        label = "analyze-decay"
-        tname = "x"
-    else:
-        x_all, y_all = _profile_values(cols, args.infile)
-        grid = _grid_from_profile(x_all)
-        kp, mags = analysis.spectrum_magnitudes(grid, y_all)
-        if window is None:
-            window = analysis.default_spectrum_window(kp, mags)
-        fit = analysis.fit_decay_spectrum(kp, mags, window)
-        x, y = kp, mags
-        label = "analyze-spectrum"
-        tname = "k"
-
-    mask = (x >= window[0]) & (x <= window[1])
-    a, b, c = fit.coefficients["a"], fit.coefficients["b"], fit.coefficients["c"]
-    sign = np.sign(y[mask][0]) if y[mask].size else 1.0
-    fitted = sign * a * x[mask] ** b * np.exp(c * x[mask])
-    meta = _meta(label, {"input": str(args.infile), "window": list(window), "source": meta_in.get("config", {})})
-    write_table(out, meta, {tname: x[mask], "value": y[mask], "fitted": fitted})
+    x, y = _profile_values(cols, args.infile)
+    window = tuple(args.window) if args.window else None
+    half_length = None
+    if args.mode == "decay" and window is None:
+        # the default space window ends at 0.8 l of the source grid, else at 0.8 max(x)
+        half_length = float(meta_in.get("config", {}).get("grid", {}).get("half_length", np.max(x)))
+    t, values, fitted, fit = _decay_fit(args.mode, x, y, window, half_length)
+    label = f"analyze-{args.mode}"
+    meta = _meta(label, {"input": str(args.infile), "window": list(fit.window), "source": meta_in.get("config", {})})
+    write_table(out, meta, {"x" if args.mode == "decay" else "k": t, "value": values, "fitted": fitted})
     write_json(out.with_suffix(".fit.json"), {"meta": meta, "fit": fit.to_dict()})
-    print(f"{label}: c = {c:.6g}, R^2 = {fit.r_squared:.8f} -> {out}")
+    print(f"{label}: c = {fit.coefficients['c']:.6g}, R^2 = {fit.r_squared:.8f} -> {out}")
     return 0
 
 
@@ -366,142 +376,99 @@ def cmd_analyze(args) -> int:
 # reproduction targets
 
 
-def _solve_pair(solve, gamma, delta, offset, half_length, modes, tol):
-    params = make_parameters(gamma, delta)
-    grid = SpectralGrid(half_length=half_length, n=modes)
-    config = SolverConfig(speed=params.c_crit + offset, tol_residual=tol, tol_update=tol)
-    state, report = solve(grid, params, config)
-    return params, grid, config, state, report
-
-
-def _repro_profiles(solve, target, gamma, delta, outdir, half_length, modes, tol):
-    def one(offset):
-        params, grid, config, state, report = _solve_pair(solve, gamma, delta, offset, half_length, modes, tol)
-        described = {
-            "params": params_to_config(params),
-            "grid": {"half_length": grid.half_length, "modes": grid.n},
-            "solver": {"cs": config.speed},
-        }
-        meta = _meta(f"reproduce-{target}", described, {"report": report.to_dict(include_wall_time=False)})
-        path = outdir / f"{target}_offset{offset:g}.csv"
-        write_table(path, meta, {"x": grid.nodes, "zeta": state.zeta, "v": state.v, "u": state.u})
-        return path
-
-    return [one(offset) for offset in _FIG2_OFFSETS]
-
-
-def _repro_sweep(outdir, half_length, modes, tol):
-    gamma, delta = _ELEVATION_PAIR
-    params = make_parameters(gamma, delta)
-    grid = SpectralGrid(half_length=half_length, n=modes)
-    offsets = np.linspace(0.01, 0.3, 10)
-
-    def one(offset):
-        config = SolverConfig(speed=params.c_crit + offset, tol_residual=tol, tol_update=tol)
-        state, _ = solver.solve(grid, params, config)
-        return analysis.amplitude(state)
-
-    amps = [one(offset) for offset in offsets]
-    speeds = params.c_crit + offsets
-    return params, grid, speeds, np.asarray(amps)
-
-
 def cmd_reproduce(args) -> int:
     outdir = Path(args.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    half_length = args.half_length or 128.0
-    modes = args.modes or 1024
-    tol = args.tol or 1e-10
-    targets = {args.target} if args.target != "all" else {
-        "fig2a", "fig2b", "fig3a", "fig3b", "fig3c", "fig4", "fig5", "fig6", "table1"
-    }
-    made: list[Path] = []
+    targets = _TARGETS if args.target == "all" else (args.target,)
+    grid = SpectralGrid(half_length=args.half_length, n=args.modes)
+    # the speed is set per wave; building the config here rejects a bad tolerance before any file is written
+    config = SolverConfig(speed=0.0, tol_residual=args.tol, tol_update=args.tol)
     # each distinct (grid, params, config) is solved once per command: fig2a, fig3c, fig4 and
-    # fig5/fig6/table1 share the elevation wave at offset 0.05, and fig2b, fig3c and fig4 the
-    # depression wave there.  Callers only read the cached states.
+    # fig5/fig6/table1 share the elevation wave at offset 0.05, fig2b, fig3c and fig4 the
+    # depression wave there, and fig3a and fig3b the sweep.  Callers only read the cached states.
     solve = functools.cache(solver.solve)
 
-    if "fig2a" in targets:
-        made += _repro_profiles(solve, "fig2a", *_ELEVATION_PAIR, outdir, half_length, modes, tol)
-    if "fig2b" in targets:
-        made += _repro_profiles(solve, "fig2b", *_DEPRESSION_PAIR, outdir, half_length, modes, tol)
+    def wave(pair, offset):
+        params = make_parameters(*pair)
+        wave_config = dataclasses.replace(config, speed=params.c_crit + offset)
+        return (params, wave_config, *solve(grid, params, wave_config))
 
-    sweep_cache = None
-    if targets & {"fig3a", "fig3b"}:
-        sweep_cache = _repro_sweep(outdir, half_length, modes, tol)
+    def save(name, write, *data):
+        path = outdir / name
+        write(path, *data)
+        print(f"reproduce: wrote {path}")
+
+    def profiles(target, pair):
+        for offset in _FIG2_OFFSETS:
+            params, wave_config, state, report = wave(pair, offset)
+            described = {
+                "params": params_to_config(params),
+                "grid": {"half_length": grid.half_length, "modes": grid.n},
+                "solver": {"cs": wave_config.speed},
+            }
+            meta = _meta(f"reproduce-{target}", described, {"report": report.to_dict()})
+            save(f"{target}_offset{offset:g}.csv", write_table, meta,
+                 {"x": grid.nodes, "zeta": state.zeta, "v": state.v, "u": state.u})
+
+    def sweep():
+        params = make_parameters(*_ELEVATION_PAIR)
+        return params, _sweep(solve, grid, params, config, np.linspace(0.01, 0.3, 10))
+
+    def elevation():
+        """The elevation wave at offset 0.05, whose decay fig5, fig6 and table1 describe, and its description."""
+        params, wave_config, state, _ = wave(_ELEVATION_PAIR, 0.05)
+        return state, {"params": params_to_config(params), "cs": wave_config.speed}
+
+    def decay(mode):
+        return _decay_fit(mode, grid.nodes, elevation()[0].zeta, half_length=grid.half_length, grid=grid)
+
+    if "fig2a" in targets:
+        profiles("fig2a", _ELEVATION_PAIR)
+    if "fig2b" in targets:
+        profiles("fig2b", _DEPRESSION_PAIR)
     if "fig3a" in targets:
-        params, grid, speeds, amps = sweep_cache
-        meta = _meta("reproduce-fig3a", {"params": params_to_config(params)})
-        path = outdir / "fig3a_amplitudes.csv"
-        write_table(path, meta, {"cs": speeds, "zeta_max": amps[:, 0], "v_max": amps[:, 1], "u_max": amps[:, 2]})
-        made.append(path)
+        params, columns = sweep()
+        save("fig3a_amplitudes.csv", write_table, _meta("reproduce-fig3a", {"params": params_to_config(params)}),
+             columns)
     if "fig3b" in targets:
-        params, grid, speeds, amps = sweep_cache
-        fit = analysis.fit_speed_amplitude(list(zip(speeds, amps[:, 0])))
-        path = outdir / "fig3b_fit.json"
-        write_json(path, {"meta": _meta("reproduce-fig3b", {"params": params_to_config(params)}), "fit": fit.to_dict()})
-        made.append(path)
+        params, columns = sweep()
+        save("fig3b_fit.json", write_json, {
+            "meta": _meta("reproduce-fig3b", {"params": params_to_config(params)}),
+            "fit": _speed_fit(columns).to_dict(),
+        })
     if "fig3c" in targets:
-        grid = SpectralGrid(half_length=half_length, n=modes)
-        study = analysis.amplitude_vs_k_study(0.5, _FIG3C_DELTAS, 0.05, grid=grid, tol=tol, solve=solve)
+        study = analysis.amplitude_vs_k_study(0.5, _FIG3C_DELTAS, 0.05, grid=grid, tol=args.tol, solve=solve)
         meta = _meta("reproduce-fig3c", {"gamma": 0.5, "deltas": list(_FIG3C_DELTAS), "offset": 0.05},
                      {"skipped": list(study.skipped)})
-        path = outdir / "fig3c_amplitude_vs_k.csv"
-        write_table(path, meta, {
+        save("fig3c_amplitude_vs_k.csv", write_table, meta, {
             "k_coeff": study.k_values(),
             "zeta_max": study.amplitudes(),
             "delta": np.array([p.delta for p in study.points]),
         })
-        made.append(path)
     if "fig4" in targets:
-        for label, (gamma, delta) in (("elevation", _ELEVATION_PAIR), ("depression", _DEPRESSION_PAIR)):
-            params, grid, config, state, _ = _solve_pair(solve, gamma, delta, 0.05, half_length, modes, tol)
+        for label, pair in (("elevation", _ELEVATION_PAIR), ("depression", _DEPRESSION_PAIR)):
+            params, wave_config, state, _ = wave(pair, 0.05)
             pairs = analysis.phase_portrait(state, grid)
-            meta = _meta("reproduce-fig4", {"params": params_to_config(params), "cs": config.speed})
-            path = outdir / f"fig4_{label}.csv"
-            write_table(path, meta, {"v": pairs[:, 0], "v_prime": pairs[:, 1]})
-            made.append(path)
-
-    fits: dict = {}
-    if targets & {"fig5", "fig6", "table1"}:
-        params, grid, config, state, _ = _solve_pair(solve, *_ELEVATION_PAIR, 0.05, half_length, modes, tol)
-        described = {"params": params_to_config(params), "cs": config.speed}
-        x = grid.nodes
+            meta = _meta("reproduce-fig4", {"params": params_to_config(params), "cs": wave_config.speed})
+            save(f"fig4_{label}.csv", write_table, meta, {"v": pairs[:, 0], "v_prime": pairs[:, 1]})
+    if "fig5" in targets:
+        state, described = elevation()
         kp, mags = analysis.spectrum_magnitudes(grid, state.zeta)
-        sw = analysis.default_space_window(x[x > 0], state.zeta[x > 0], grid.half_length)
-        kw = analysis.default_spectrum_window(kp, mags)
-        space_fit = analysis.fit_decay_space(x[x > 0], state.zeta[x > 0], sw)
-        spec_fit = analysis.fit_decay_spectrum(kp, mags, kw)
-        fits = {"space": space_fit, "spectrum": spec_fit}
-        if "fig5" in targets:
-            path = outdir / "fig5a_spectrum.csv"
-            write_table(path, _meta("reproduce-fig5a", described), {"k": kp, "magnitude": mags})
-            made.append(path)
-            mask = (x > 0) & (x >= sw[0]) & (x <= sw[1])
-            a, b, c = (space_fit.coefficients[key] for key in ("a", "b", "c"))
-            path = outdir / "fig5b_profile_fit.csv"
-            write_table(path, _meta("reproduce-fig5b", described, {"fit": space_fit.to_dict()}),
-                        {"x": x[mask], "zeta": state.zeta[mask],
-                         "fitted": np.sign(params.k_coeff) * a * x[mask] ** b * np.exp(c * x[mask])})
-            made.append(path)
-        if "fig6" in targets:
-            mask = (kp >= kw[0]) & (kp <= kw[1])
-            a, b, c = (spec_fit.coefficients[key] for key in ("a", "b", "c"))
-            path = outdir / "fig6_spectrum_fit.csv"
-            write_table(path, _meta("reproduce-fig6", described, {"fit": spec_fit.to_dict()}),
-                        {"k": kp[mask], "magnitude": mags[mask], "fitted": a * kp[mask] ** b * np.exp(c * kp[mask])})
-            made.append(path)
-        if "table1" in targets:
-            path = outdir / "table1.json"
-            write_json(path, {
-                "meta": _meta("reproduce-table1", described),
-                "space_fit": fits["space"].to_dict(),
-                "spectrum_fit": fits["spectrum"].to_dict(),
-            })
-            made.append(path)
-
-    for path in made:
-        print(f"reproduce: wrote {path}")
+        save("fig5a_spectrum.csv", write_table, _meta("reproduce-fig5a", described), {"k": kp, "magnitude": mags})
+        x, zeta, fitted, fit = decay("decay")
+        save("fig5b_profile_fit.csv", write_table, _meta("reproduce-fig5b", described, {"fit": fit.to_dict()}),
+             {"x": x, "zeta": zeta, "fitted": fitted})
+    if "fig6" in targets:
+        _, described = elevation()
+        kp, mags, fitted, fit = decay("spectrum")
+        save("fig6_spectrum_fit.csv", write_table, _meta("reproduce-fig6", described, {"fit": fit.to_dict()}),
+             {"k": kp, "magnitude": mags, "fitted": fitted})
+    if "table1" in targets:
+        _, described = elevation()
+        save("table1.json", write_json, {
+            "meta": _meta("reproduce-table1", described),
+            "space_fit": decay("decay")[3].to_dict(),
+            "spectrum_fit": decay("spectrum")[3].to_dict(),
+        })
     return 0
 
 
@@ -573,12 +540,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("reproduce", help="regenerate the reference figure and table data")
-    p.add_argument("target", choices=["fig2a", "fig2b", "fig3a", "fig3b", "fig3c", "fig4", "fig5", "fig6",
-                                      "table1", "all"])
+    p.add_argument("target", choices=[*_TARGETS, "all"])
     p.add_argument("--out-dir", dest="out_dir", default="results")
-    p.add_argument("--half-length", dest="half_length", type=float)
-    p.add_argument("--modes", type=int)
-    p.add_argument("--tol", type=float)
+    p.add_argument("--half-length", dest="half_length", type=float, default=128.0)
+    p.add_argument("--modes", type=int, default=1024)
+    p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(func=cmd_reproduce)
 
     return parser

@@ -58,6 +58,10 @@ from .grid import (
 )
 from .params import ModelParameters
 
+# a converged profile warns (or, under strict_domain, fails) when its boundary value exceeds
+# this fraction of its peak
+BOUNDARY_DECAY_TOL = 1e-10
+
 
 @dataclass
 class WaveState:
@@ -100,7 +104,6 @@ class SolverConfig:
     initial_guess: WaveState | None = None
     dealias: bool = False
     strict_domain: bool = False
-    boundary_decay_tol: float = 1e-10
 
     def __post_init__(self) -> None:
         if not (self.tol_residual > 0.0 and self.tol_update > 0.0):
@@ -125,8 +128,9 @@ class SolveReport:
     def m_final(self) -> float:
         return self.m_history[-1] if self.m_history else float("nan")
 
-    def to_dict(self, include_wall_time: bool = True) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        """The deterministic fields: wall_time is left out, so equal solves give equal dicts."""
+        return {
             "converged": self.converged,
             "iterations": self.iterations,
             "residual_final": self.residual_history[-1] if self.residual_history else None,
@@ -134,9 +138,6 @@ class SolveReport:
             "boundary_ratio": self.boundary_ratio,
             "warnings": list(self.warnings),
         }
-        if include_wall_time:
-            out["wall_time"] = self.wall_time
-        return out
 
 
 def _half_spectrum(grid: SpectralGrid, symbol: np.ndarray) -> np.ndarray:
@@ -340,7 +341,7 @@ def solve(grid: SpectralGrid, params: ModelParameters, config: SolverConfig) -> 
         factor or residual; the partial report rides on the exception.
     DomainTooSmallError
         Under ``strict_domain`` when the converged profile does not decay
-        below ``boundary_decay_tol`` (relative) at the boundary.
+        below ``BOUNDARY_DECAY_TOL`` (relative) at the boundary.
     """
     speed = config.speed
     if params.k_coeff == 0.0:
@@ -415,7 +416,7 @@ def solve(grid: SpectralGrid, params: ModelParameters, config: SolverConfig) -> 
             report=report,
         )
 
-    if report.boundary_ratio > config.boundary_decay_tol:
+    if report.boundary_ratio > BOUNDARY_DECAY_TOL:
         msg = (
             f"profile decays only to {report.boundary_ratio:.3e} of its peak at the boundary; "
             f"the domain half-length {grid.half_length} is too small"

@@ -345,3 +345,44 @@ def test_reproduce_solves_each_configuration_once(tmp_path, capsys, monkeypatch)
     # 28 solves, of which 23 distinct: fig3c, fig4 and fig5/fig6/table1 reuse fig2a's and fig2b's waves at 0.05
     assert len(keys) == 23
     assert len(set(keys)) == 23
+
+
+@pytest.mark.parametrize("flag", ["--tol", "--modes", "--half-length"])
+def test_reproduce_rejects_a_zero_setting(tmp_path, capsys, flag):
+    out_dir = tmp_path / "results"
+    code, _, err = run_cli(capsys, "reproduce", "all", "--out-dir", str(out_dir), flag, "0")
+    assert code == 1
+    assert one_line_error(err)["error"] == "ValueError"
+    assert not out_dir.exists()
+
+
+def test_reproduce_agrees_with_sweep_and_analyze(tmp_path, capsys):
+    # reproduce computes fig3-fig6 and table1 with the code behind sweep and analyze: same rows, same fits
+    grid_flags = ("--half-length", "64", "--modes", "512")
+    repro = tmp_path / "results"
+    assert run_cli(capsys, "reproduce", "all", "--out-dir", str(repro), *grid_flags)[0] == 0
+
+    def rows(path):
+        return np.column_stack(list(read_table(path)[1].values()))
+
+    def fit_of(path):
+        return json.loads(path.with_suffix(".fit.json").read_text())["fit"]
+
+    sweep = tmp_path / "sweep.csv"
+    assert run_cli(capsys, "sweep", *grid_flags, "--out", str(sweep))[0] == 0
+    assert np.array_equal(rows(repro / "fig3a_amplitudes.csv"), rows(sweep))
+    assert json.loads((repro / "fig3b_fit.json").read_text())["fit"] == fit_of(sweep)
+
+    made = {}
+    for mode, family in (("phase", "fig2a"), ("phase", "fig2b"), ("decay", "fig2a"), ("spectrum", "fig2a")):
+        made[mode, family] = tmp_path / f"{mode}_{family}.csv"
+        argv = ("analyze", mode, "--in", str(repro / f"{family}_offset0.05.csv"), "--out", str(made[mode, family]))
+        assert run_cli(capsys, *argv)[0] == 0
+    assert np.array_equal(rows(repro / "fig4_elevation.csv"), rows(made["phase", "fig2a"]))
+    assert np.array_equal(rows(repro / "fig4_depression.csv"), rows(made["phase", "fig2b"]))
+    table1 = json.loads((repro / "table1.json").read_text())
+    fits = (("fig5b_profile_fit", "decay", "space_fit"), ("fig6_spectrum_fit", "spectrum", "spectrum_fit"))
+    for target, mode, key in fits:
+        analyzed = made[mode, "fig2a"]
+        assert np.array_equal(rows(repro / f"{target}.csv"), rows(analyzed))
+        assert read_table(repro / f"{target}.csv")[0]["fit"] == fit_of(analyzed) == table1[key]
