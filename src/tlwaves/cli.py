@@ -39,10 +39,6 @@ _TARGETS = ("fig2a", "fig2b", "fig3a", "fig3b", "fig3c", "fig4", "fig5", "fig6",
 # file formats
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def write_table(path: Path, meta: dict, columns: dict) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -52,13 +48,11 @@ def write_table(path: Path, meta: dict, columns: dict) -> None:
         payload = {"meta": meta, "columns": {n: [float(v) for v in a] for n, a in zip(names, arrays)}}
         path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
         return
-    lines = [
-        "# " + json.dumps(meta, sort_keys=True),
-        "# columns: " + ",".join(names),
-    ]
-    for row in zip(*arrays):
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    header = "# " + json.dumps(meta, sort_keys=True) + "\n# columns: " + ",".join(names) + "\n"
+    # the body in one formatting pass: '%.17g' % x equals format(x, '.17g') for every double
+    table = np.column_stack(arrays)
+    row = ",".join(["%.17g"] * len(names)) + "\n"
+    path.write_text(header + row * len(table) % tuple(table.ravel().tolist()), encoding="utf-8")
 
 
 def read_table(path: Path) -> tuple[dict, dict]:
@@ -67,10 +61,14 @@ def read_table(path: Path) -> tuple[dict, dict]:
         payload = json.loads(path.read_text(encoding="utf-8"))
         if not isinstance(payload, dict) or not isinstance(payload.get("columns"), dict):
             raise InputFormatError(f"{path} is not a table: expected a JSON object with a 'columns' object")
-        return payload.get("meta", {}), {n: np.asarray(v, dtype=float) for n, v in payload["columns"].items()}
+        meta = payload.get("meta", {})
+        if not isinstance(meta, dict):
+            raise InputFormatError(f"{path}: 'meta' must be a JSON object")
+        return meta, {n: np.asarray(v, dtype=float) for n, v in payload["columns"].items()}
     meta: dict = {}
     names: list[str] = []
-    rows: list[list[float]] = []
+    rows: list[str] = []
+    width = 0
     for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip():
             continue
@@ -81,16 +79,19 @@ def read_table(path: Path) -> tuple[dict, dict]:
             elif body.startswith("columns:"):
                 names = [n.strip() for n in body[len("columns:"):].split(",")]
             continue
-        row = [float(tok) for tok in line.split(",")]
-        width = len(names) if names else len(rows[0] if rows else row)
-        if len(row) != width:
-            raise InputFormatError(f"{path} line {number} holds {len(row)} values where the table has {width} columns")
-        rows.append(row)
+        count = line.count(",") + 1
+        width = len(names) if names else (width or count)
+        if count != width:
+            raise InputFormatError(f"{path} line {number} holds {count} values where the table has {width} columns")
+        rows.append(line)
     if not rows:
         raise InputFormatError(f"{path} holds no data rows")
-    data = np.asarray(rows, dtype=float)
+    if names and len(names) != width:
+        raise InputFormatError(f"{path} names {len(names)} columns but its rows hold {width} values")
+    # every value in one conversion, bit-equal to float(token)
+    data = np.array(",".join(rows).split(","), dtype=float).reshape(len(rows), width)
     if not names:
-        names = [f"col{i}" for i in range(data.shape[1])]
+        names = [f"col{i}" for i in range(width)]
     return meta, {name: data[:, i] for i, name in enumerate(names)}
 
 
@@ -362,7 +363,14 @@ def cmd_analyze(args) -> int:
     half_length = None
     if args.mode == "decay" and window is None:
         # the default space window ends at 0.8 l of the source grid, else at 0.8 max(x)
-        half_length = float(meta_in.get("config", {}).get("grid", {}).get("half_length", np.max(x)))
+        config = meta_in.get("config", {})
+        grid = config.get("grid", {}) if isinstance(config, dict) else None
+        half_length = grid.get("half_length", np.max(x)) if isinstance(grid, dict) else None
+        if isinstance(half_length, bool) or not isinstance(half_length, (int, float)):
+            raise InputFormatError(
+                f"{args.infile} header: config.grid must be a JSON object and its half_length a number"
+            )
+        half_length = float(half_length)
     t, values, fitted, fit = _decay_fit(args.mode, x, y, window, half_length)
     label = f"analyze-{args.mode}"
     meta = _meta(label, {"input": str(args.infile), "window": list(fit.window), "source": meta_in.get("config", {})})

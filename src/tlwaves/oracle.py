@@ -26,6 +26,7 @@ turning point.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -152,17 +153,30 @@ def potential(problem: TravelingWaveProblem) -> PotentialCurve:
     pole = cs / p.k_coeff
     lam = math.sqrt((cs * cs - p.c_crit**2) / (p.beta * cs * cs))
     sign = 1.0 if problem.speed > 0 else -1.0
-    curve = PotentialCurve(problem=problem, v_pole=pole, turning_point=math.nan, saddle_rate=lam, v_sign=sign)
+    K, beta = p.k_coeff, p.beta
+    c2 = p.c_crit**2 / (beta * cs * K)
+    cubic = K / (6.0 * beta * cs) + c2 / (3.0 * pole**2)
+
+    def U(v: float) -> float:
+        # PotentialCurve.U on one float: the branch its np.where selects, the same operations
+        # in the same order; powers and log1p go through numpy, whose last bit can differ
+        # from Python's ** and math.log1p
+        r = v / pole
+        v3 = float(np.power(v, 3))
+        if abs(r) < _SERIES_CUTOFF:
+            tail = c2 * (float(np.power(r, 4)) * (1 / 4 + r * (1 / 5 + r * (1 / 6 + r / 7)))) * pole
+            return -0.5 * lam**2 * v * v + cubic * v3 + tail
+        return -v * v / (2.0 * beta) + (K * v3 / (6.0 * beta * cs) + c2 * (-v - pole * float(np.log1p(-r))))
 
     # U(t*pole) changes sign exactly once on (0, 1): negative near the
     # saddle, positive near the pole where G blows up logarithmically.
     lo, hi = 1e-12, 1.0 - 1e-9
-    f_lo = curve.U(lo * pole)
-    f_hi = curve.U(hi * pole)
+    f_lo = U(lo * pole)
+    f_hi = U(hi * pole)
     bumps = 0
     while f_hi <= 0.0 and bumps < 3:
         hi = 1.0 - (1.0 - hi) * 1e-3
-        f_hi = curve.U(hi * pole)
+        f_hi = U(hi * pole)
         bumps += 1
     if f_lo >= 0.0 or f_hi <= 0.0:
         raise WaveError(
@@ -170,7 +184,7 @@ def potential(problem: TravelingWaveProblem) -> PotentialCurve:
         )
     while hi - lo > 1e-15:
         mid = 0.5 * (lo + hi)
-        if curve.U(mid * pole) < 0.0:
+        if U(mid * pole) < 0.0:
             lo = mid
         else:
             hi = mid
@@ -260,35 +274,52 @@ def integrate_profile(curve: PotentialCurve, x_max: float, step: float = 1e-3) -
     vstar_pos = curve.v_sign * curve.turning_point  # positive-frame turning point
     crest_sign = 1.0 if vstar_pos > 0 else -1.0
 
-    # cheap scalar RHS for the hot loop
+    # the hot loop is _rk4_step on rhs inlined, with the same operations in the same order, so
+    # its samples are the same bits; 0.5*K, 0.5*h, h/6 and beta*c_s are hoisted because Python
+    # evaluates those products first in the original expressions anyway
     K = p.k_coeff
+    hK = 0.5 * K
     beta = p.beta
     cs = abs(curve.problem.speed)
+    bcs = beta * cs
     ccrit2 = p.c_crit**2
+    hh = 0.5 * step
+    h6 = step / 6.0
 
     def rhs(v: float) -> float:
-        return v / beta - (0.5 * K * v * v + ccrit2 * v / (cs - K * v)) / (beta * cs)
+        return v / beta - (hK * v * v + ccrit2 * v / (cs - K * v)) / bcs
 
     margin = max(8.0, 4.0 / lam)
     for _attempt in range(4):
         w = vstar_pos * math.exp(-lam * (x_max + margin))
         wp = lam * w
-        s_list = [0.0]
-        w_list = [w]
-        wp_list = [wp]
-        s = 0.0
+        w_buf = array("d", [w])
+        wp_buf = array("d", [wp])
+        add_w, add_wp = w_buf.append, wp_buf.append
         cap = int((x_max + margin + 24.0 / lam) / step) + 8
         crest_hit = False
         for _ in range(cap):
-            w, wp = _rk4_step(rhs, w, wp, step)
-            s += step
-            s_list.append(s)
-            w_list.append(w)
-            wp_list.append(wp)
+            k1p = w / beta - (hK * w * w + ccrit2 * w / (cs - K * w)) / bcs
+            a = w + hh * wp
+            k2w = wp + hh * k1p
+            k2p = a / beta - (hK * a * a + ccrit2 * a / (cs - K * a)) / bcs
+            a = w + hh * k2w
+            k3w = wp + hh * k2p
+            k3p = a / beta - (hK * a * a + ccrit2 * a / (cs - K * a)) / bcs
+            a = w + step * k3w
+            k4w = wp + step * k3p
+            k4p = a / beta - (hK * a * a + ccrit2 * a / (cs - K * a)) / bcs
+            w, wp = w + h6 * (wp + 2.0 * k2w + 2.0 * k3w + k4w), wp + h6 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+            add_w(w)
+            add_wp(wp)
             if crest_sign * wp <= 0.0:
                 crest_hit = True
                 break
-        if crest_hit and s > x_max:
+        # arc length s_j: the steps summed one at a time from 0, as s += step would
+        s_arr = np.full(len(w_buf), step)
+        s_arr[0] = 0.0
+        s_arr = np.cumsum(s_arr)
+        if crest_hit and s_arr[-1] > x_max:
             break
         margin *= 2.0
     else:
@@ -296,7 +327,7 @@ def integrate_profile(curve: PotentialCurve, x_max: float, step: float = 1e-3) -
 
     # refine the crest position inside the final step by bisection on the
     # substep length; the substep map is the same RK4 scheme
-    w0, wp0 = w_list[-2], wp_list[-2]
+    w0, wp0 = w_buf[-2], wp_buf[-2]
     lo, hi = 0.0, step
     for _ in range(80):
         mid = 0.5 * (lo + hi)
@@ -305,12 +336,13 @@ def integrate_profile(curve: PotentialCurve, x_max: float, step: float = 1e-3) -
         else:
             hi = mid
     sub = 0.5 * (lo + hi)
-    s_crest = s_list[-2] + sub
+    s_crest = s_arr[-2] + sub
     w_crest, _ = _rk4_step(rhs, w0, wp0, sub)
 
-    s_arr = np.asarray(s_list[:-1])  # drop the overshoot past the crest
-    w_arr = np.asarray(w_list[:-1])
-    wp_arr = np.asarray(wp_list[:-1])
+    # drop the overshoot past the crest
+    s_arr = s_arr[:-1]
+    w_arr = np.frombuffer(w_buf, dtype=float)[:-1]
+    wp_arr = np.frombuffer(wp_buf, dtype=float)[:-1]
 
     x_arr = s_crest - s_arr
     order = np.argsort(x_arr)
@@ -322,9 +354,10 @@ def integrate_profile(curve: PotentialCurve, x_max: float, step: float = 1e-3) -
     v_full = np.concatenate([[w_crest], w_arr])
     vp_full = np.concatenate([[0.0], -wp_arr])  # dv/dx = -dw/ds
 
-    energy = 0.5 * vp_full**2 + curve.U(v_full)
+    u_full = curve.U(v_full)
+    energy = 0.5 * vp_full**2 + u_full
     with np.errstate(invalid="ignore"):
-        scale = max(1.0, float(np.nanmax(np.abs(curve.U(v_full)))))
+        scale = max(1.0, float(np.nanmax(np.abs(u_full))))
         energy_max = float(np.max(np.abs(energy)))
     if not energy_max <= 1e-10 * scale:  # NaN-safe: NaN fails the comparison
         raise StepSizeTooLargeError(

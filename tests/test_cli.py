@@ -9,6 +9,7 @@ import pytest
 
 from tlwaves import oracle, solver
 from tlwaves.cli import main, read_table, write_table
+from tlwaves.errors import InputFormatError
 from tlwaves.params import make_parameters
 
 
@@ -386,3 +387,68 @@ def test_reproduce_agrees_with_sweep_and_analyze(tmp_path, capsys):
         analyzed = made[mode, "fig2a"]
         assert np.array_equal(rows(repro / f"{target}.csv"), rows(analyzed))
         assert read_table(repro / f"{target}.csv")[0]["fit"] == fit_of(analyzed) == table1[key]
+
+
+def _reference_table_bytes(meta, columns):
+    """A CSV table formatted one value at a time with format(v, '.17g')."""
+    lines = ["# " + json.dumps(meta, sort_keys=True), "# columns: " + ",".join(columns)]
+    arrays = [np.asarray(a, dtype=float) for a in columns.values()]
+    lines += [",".join(format(float(v), ".17g") for v in row) for row in zip(*arrays)]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("columns", [
+    {"x": [0.0, -0.0, np.nan, np.inf, -np.inf], "y": [5e-324, 1e300, -1e-300, np.pi, 1.0 / 3.0]},
+    {"v": np.linspace(-1.0, 1.0, 7)},
+    {"x": np.array([]), "y": np.array([])},
+], ids=["special-values", "one-column", "zero-rows"])
+def test_write_table_matches_per_value_format(tmp_path, columns):
+    path = tmp_path / "t.csv"
+    meta = {"config": {"gamma": 0.5}}
+    write_table(path, meta, columns)
+    assert path.read_bytes() == _reference_table_bytes(meta, columns)
+
+
+def test_read_table_round_trip_is_bit_exact(tmp_path):
+    bits = np.random.default_rng(5).integers(0, 2**64, size=3000, dtype=np.uint64)
+    values = bits.view(np.float64)
+    values[:6] = (-0.0, 5e-324, -5e-324, np.inf, -np.inf, 1.7976931348623157e308)
+    path = tmp_path / "t.csv"
+    write_table(path, {}, {"a": values[::3], "b": values[1::3], "c": values[2::3]})
+    _, cols = read_table(path)
+    got = np.column_stack([cols["a"], cols["b"], cols["c"]]).ravel()
+    want = np.array([float(format(v, ".17g")) for v in values.tolist()])
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("name, body, message", [
+    ("bad.csv", "# columns: x,zeta\n0,1\n\n1,2,3\n", "line 4 holds 3 values where the table has 2 columns"),
+    ("bad.csv", "0,1\n1\n", "line 2 holds 1 values where the table has 2 columns"),
+    ("bad.csv", "# {\"config\": {}}\n# columns: x,zeta\n", "holds no data rows"),
+    ("bad.json", '{"meta": 3, "columns": {"x": [0, 1]}}', "'meta' must be a JSON object"),
+    ("bad.csv", "0\n# columns: x,y\n", "names 2 columns but its rows hold 1 values"),
+])
+def test_read_table_errors_keep_their_messages(tmp_path, name, body, message):
+    path = tmp_path / name
+    path.write_text(body, encoding="utf-8")
+    with pytest.raises(InputFormatError, match=message):
+        read_table(path)
+
+
+def test_analyze_bad_token_exits_1(tmp_path, capsys):
+    table = tmp_path / "bad.csv"
+    table.write_text("# columns: x,zeta\n0,1\n1,abc\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "analyze", "decay", "--in", str(table), "--out", str(tmp_path / "a.csv"))
+    assert code == 1
+    assert "abc" in one_line_error(err)["message"]
+
+
+@pytest.mark.parametrize("header", ['{"config": "x"}', '{"config": {"grid": 3}}'])
+def test_analyze_decay_rejects_a_header_grid_that_is_not_an_object(tmp_path, capsys, header):
+    table = tmp_path / "t.csv"
+    x = np.linspace(0.0, 20.0, 41)
+    write_table(table, json.loads(header), {"x": x, "zeta": np.exp(-0.5 * x)})
+    code, _, err = run_cli(capsys, "analyze", "decay", "--in", str(table), "--out", str(tmp_path / "a.csv"))
+    assert code == 1
+    record = one_line_error(err)
+    assert record["error"] == "InputFormatError" and "config.grid" in record["message"]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -225,3 +227,107 @@ def test_oracle_matches_solver_to_its_tolerance(default_grid, elevation_solution
     # the interpolant adds nothing visible to the solver-vs-oracle gap (8.8e-11 on this configuration)
     state, _ = elevation_solution
     assert np.max(np.abs(state.v - elevation_oracle_profile.sample_v(default_grid.nodes))) <= 1e-10
+
+
+def _reference_profile(curve, x_max, step):
+    """integrate_profile as a plain loop of _rk4_step calls over Python lists."""
+    p = curve.problem.params
+    lam = curve.saddle_rate
+    vstar_pos = curve.v_sign * curve.turning_point
+    crest_sign = 1.0 if vstar_pos > 0 else -1.0
+    K, beta, cs, ccrit2 = p.k_coeff, p.beta, abs(curve.problem.speed), p.c_crit**2
+
+    def rhs(v):
+        return v / beta - (0.5 * K * v * v + ccrit2 * v / (cs - K * v)) / (beta * cs)
+
+    margin = max(8.0, 4.0 / lam)
+    while True:
+        w = vstar_pos * math.exp(-lam * (x_max + margin))
+        wp = lam * w
+        s, s_list, w_list, wp_list = 0.0, [0.0], [w], [wp]
+        for _ in range(int((x_max + margin + 24.0 / lam) / step) + 8):
+            w, wp = oracle._rk4_step(rhs, w, wp, step)
+            s += step
+            s_list.append(s)
+            w_list.append(w)
+            wp_list.append(wp)
+            if crest_sign * wp <= 0.0:
+                break
+        if crest_sign * wp <= 0.0 and s > x_max:
+            break
+        margin *= 2.0
+    lo, hi = 0.0, step
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if crest_sign * oracle._rk4_step(rhs, w_list[-2], wp_list[-2], mid)[1] > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    sub = 0.5 * (lo + hi)
+    w_crest = oracle._rk4_step(rhs, w_list[-2], wp_list[-2], sub)[0]
+    x = (s_list[-2] + sub) - np.asarray(s_list[:-1])
+    order = np.argsort(x)
+    x, w_arr, wp_arr = x[order], np.asarray(w_list[:-1])[order], np.asarray(wp_list[:-1])[order]
+    pos = x > 1e-9
+    x_full = np.concatenate([[0.0], x[pos]])
+    v_full = np.concatenate([[w_crest], w_arr[pos]])
+    vp_full = np.concatenate([[0.0], -wp_arr[pos]])
+    energy_max = float(np.max(np.abs(0.5 * vp_full**2 + curve.U(v_full))))
+    keep = x_full <= x_max + 5.0 * step
+    return x_full[keep], curve.v_sign * v_full[keep], curve.v_sign * vp_full[keep], energy_max
+
+
+@pytest.mark.parametrize(
+    "gamma, delta, sign",
+    [(0.5, 0.8, 1.0), (0.5, 0.5, 1.0), (0.5, 0.8, -1.0), (0.5, 0.5, -1.0)],
+    ids=["elevation", "depression", "elevation-negative-speed", "depression-negative-speed"],
+)
+@pytest.mark.parametrize("offset", [0.05, 0.2])
+def test_fused_loop_matches_rk4_step_reference(gamma, delta, sign, offset):
+    # the inlined RK4 loop performs the reference's operations in its order: equal bits
+    # (at offset 0.2 a reordered stage sum already changes the samples)
+    p = make_parameters(gamma, delta)
+    curve = oracle.potential(oracle.TravelingWaveProblem(params=p, speed=sign * (p.c_crit + offset)))
+    prof = oracle.integrate_profile(curve, x_max=20.0, step=1e-3)
+    x, v, v_prime, energy_max = _reference_profile(curve, 20.0, 1e-3)
+    for got, want in ((prof.x, x), (prof.v, v), (prof.v_prime, v_prime)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert prof.energy_max == energy_max
+
+
+def _reference_turning_point(problem):
+    """The turning-point bisection evaluated with the vectorised PotentialCurve.U."""
+    p = problem.params
+    cs = abs(problem.speed)
+    pole = cs / p.k_coeff
+    lam = math.sqrt((cs * cs - p.c_crit**2) / (p.beta * cs * cs))
+    curve = oracle.PotentialCurve(problem=problem, v_pole=pole, turning_point=math.nan, saddle_rate=lam)
+    lo, hi = 1e-12, 1.0 - 1e-9
+    for _ in range(3):
+        if curve.U(hi * pole) > 0.0:
+            break
+        hi = 1.0 - (1.0 - hi) * 1e-3
+    while hi - lo > 1e-15:
+        mid = 0.5 * (lo + hi)
+        if curve.U(mid * pole) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return (1.0 if problem.speed > 0 else -1.0) * (0.5 * (lo + hi) * pole)
+
+
+def test_turning_point_matches_vectorised_bisection():
+    # potential() evaluates U on floats; the turning point must be the vectorised bisection's, bit for bit
+    checked = 0
+    with np.errstate(divide="ignore"):  # log1p(-1) = -inf once the bracket reaches the pole
+        for gamma in (0.02, 0.2, 0.45, 0.7, 0.95):
+            for delta in (0.2, 0.5, 0.8, 1.3, 2.0):
+                p = make_parameters(gamma, delta)
+                if p.k_coeff == 0.0:
+                    continue
+                for offset in (1e-4, 0.01, 0.05, 0.3, 2.0):
+                    for sign in (1.0, -1.0):
+                        problem = oracle.TravelingWaveProblem(params=p, speed=sign * (p.c_crit + offset))
+                        assert oracle.potential(problem).turning_point == _reference_turning_point(problem)
+                        checked += 1
+    assert checked == 250
