@@ -269,6 +269,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_oracle(args) -> int:
     params, _, config, described = _build_run(args)
+    if not 0.0 < args.dx < np.inf:
+        raise ValueError(f"--dx must be positive and finite, got {args.dx}")
     problem = oracle.TravelingWaveProblem(params=params, speed=config.speed)
     curve = oracle.potential(problem)
     profile = oracle.integrate_profile(curve, x_max=args.x_max, step=args.step)

@@ -10,25 +10,30 @@ the origin.  The profile starts at the turning point v* (the nonzero root
 of U) with v'(0) = 0 and decays like exp(-lambda |x|) with
 lambda = sqrt((c_s^2 - c_crit^2) / (beta c_s^2)).
 
-Numerical strategy: the orbit is traced with classical RK4, but seeded in
-the *tail* on the stable eigendirection of the saddle and integrated
-toward the crest.  Shooting in that direction is numerically stable: the
-mode that is unstable in forward x decays along the integration, so the
-computed orbit tracks the homoclinic at relative accuracy near round-off
-over arbitrarily many e-foldings.  (Forward shooting from the crest loses
-the tail to the unstable mode once |v| reaches roughly sqrt(eps) times the
-amplitude; it cannot reach the decay levels this oracle certifies.)  The
-crest is located on the trajectory and relabeled as x = 0, which is
-legitimate because the ODE is autonomous and the orbit is even about its
-turning point.
+Numerical strategy: on the zero-energy orbit the first integral gives the
+slope exactly, v' = -sign(v*) sqrt(-2U(v)) for x > 0, and position is a
+quadrature, x(v) = int_v^{v*} dw / sqrt(-2U(w)).  The substitution
+v = v* exp(-z^2), z >= 0, turns it into x(z) = int_0^z f with
+
+    f = dx/dz = 2 z |v| / sqrt(-2U(v)),    f(0) = sqrt(2 v* / U'(v*)),
+
+which is smooth on [0, inf): the crest's inverse square root and the
+tail's logarithm are both gone, and f ~ 2 z / lambda far out.  A coarse
+map x(z) by 16-point Gauss-Legendre on 256 z-panels, with its C1 cubic
+Hermite inverse, places the nodes at x ~ i * step, so ``step`` is the node
+spacing; the nodes' own x then follows from a trapezoid in z with the
+end-point derivative correction, with f' in closed form.  Within 0.2 |v*| of
+the crest, U(v) cancels, so -2U is the running integral 2 int_v^{v*} U'
+over the nodes (trapezoid in v with the U'' end correction).  The nodes are
+evaluated in blocks, which keeps the temporaries small.  ``energy_max`` is
+max |v'^2/2 + U(v)| of the cubic Hermite interpolant at the node midpoints,
+the interpolant that :class:`OracleProfile` samples.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -36,6 +41,10 @@ from .errors import NoSolitaryWaveError, PoleProximityError, StepSizeTooLargeErr
 from .params import ModelParameters
 
 _SERIES_CUTOFF = 1e-3  # |v/v_pole| below which log1p cancellation kicks in
+_PANELS = 256  # uniform z-panels of the coarse map x(z) that places the nodes
+_GAUSS_POINTS = 16  # Gauss-Legendre points per coarse panel
+_CREST_BAND = 0.2  # |v* - v| < 0.2 |v*|: -2U from the running integral of U'
+_BLOCK = 8192  # nodes evaluated per block, which bounds the temporaries
 
 
 @dataclass(frozen=True)
@@ -99,11 +108,13 @@ class PotentialCurve:
         v = np.asarray(v, dtype=float)
         r = v / pole
         small = np.abs(r) < _SERIES_CUTOFF
-        # S(v) = -v - pole*log1p(-v/pole) = pole * sum_{n>=2} r^n / n
+        exact = ~small
+        # S(v) = -v - pole*log1p(-v/pole) = pole * sum_{n>=2} r^n / n; each branch on its own samples
+        s = np.empty_like(v)
         with np.errstate(invalid="ignore"):
-            s_exact = -v - pole * np.log1p(-r)
-        s_series = pole * (r * r * (1 / 2 + r * (1 / 3 + r * (1 / 4 + r * (1 / 5 + r * (1 / 6 + r / 7))))))
-        s = np.where(small, s_series, s_exact)
+            s[exact] = -v[exact] - pole * np.log1p(-r[exact])
+        rs = r[small]
+        s[small] = pole * (rs * rs * (1 / 2 + rs * (1 / 3 + rs * (1 / 4 + rs * (1 / 5 + rs * (1 / 6 + rs / 7))))))
         out = K * v**3 / (6.0 * p.beta * cs) + c2 * s
         return out if out.ndim else float(out)
 
@@ -117,14 +128,17 @@ class PotentialCurve:
         v = np.asarray(v, dtype=float)
         r = v / pole
         small = np.abs(r) < _SERIES_CUTOFF
+        exact = ~small
+        out = np.empty_like(v)
+        ve = v[exact]
         with np.errstate(invalid="ignore"):
-            u_exact = -v * v / (2.0 * p.beta) + self.G(v)
+            out[exact] = -ve * ve / (2.0 * p.beta) + self.G(ve)
         # assemble the small-v branch from the series so that the exact
         # quadratic coefficient -lambda^2/2 is used without cancellation
+        vs, rs = v[small], r[small]
         cubic = K / (6.0 * p.beta * cs) + c2 / (3.0 * pole**2)
-        tail = c2 * (r**4 * (1 / 4 + r * (1 / 5 + r * (1 / 6 + r / 7)))) * pole
-        u_series = -0.5 * self.saddle_rate**2 * v * v + cubic * v**3 + tail
-        out = np.where(small, u_series, u_exact)
+        tail = c2 * (rs**4 * (1 / 4 + rs * (1 / 5 + rs * (1 / 6 + rs / 7)))) * pole
+        out[small] = -0.5 * self.saddle_rate**2 * vs * vs + cubic * vs**3 + tail
         return out if out.ndim else float(out)
 
     def ode_rhs(self, v):
@@ -207,7 +221,7 @@ def _hermite(x: np.ndarray, y: np.ndarray, dy: np.ndarray, t: np.ndarray) -> np.
 class OracleProfile:
     """Half-line samples of the solitary profile with cubic Hermite evaluation.
 
-    ``x`` is ascending on [0, x_max] with x[0] = 0 at the crest; ``v`` and
+    ``x`` ascends from x[0] = 0 at the crest to just beyond x_max; ``v`` and
     ``v_prime`` are in the signed (physical) frame.  Between samples, v is
     the cubic Hermite interpolant of the stored (v, v') and v' that of
     (v', v''), with v'' from the ODE.  Each cubic piece uses only its two end
@@ -244,135 +258,110 @@ class OracleProfile:
         return out if out.ndim else float(out)
 
 
-def _rk4_step(f: Callable[[float], float], w: float, wp: float, h: float) -> tuple[float, float]:
-    k1w, k1p = wp, f(w)
-    k2w, k2p = wp + 0.5 * h * k1p, f(w + 0.5 * h * k1w)
-    k3w, k3p = wp + 0.5 * h * k2p, f(w + 0.5 * h * k2w)
-    k4w, k4p = wp + h * k3p, f(w + h * k3w)
-    return (
-        w + (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w),
-        wp + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p),
-    )
-
-
 def integrate_profile(curve: PotentialCurve, x_max: float, step: float = 1e-3) -> OracleProfile:
-    """Trace the homoclinic orbit and return samples on [0, x_max].
+    """Samples of the solitary profile at nodes x_i ~ i * step, from the crest to beyond x_max.
 
-    RK4 with fixed step, seeded in the tail on the stable eigendirection
-    and integrated up to the crest (see module docstring).  The maximum
-    of |E| along the trajectory is the accuracy monitor.
+    Quadrature of the first integral in z, where v = v* exp(-z^2) (see the
+    module docstring).  ``energy_max`` is the largest |v'^2/2 + U(v)| of the
+    cubic Hermite interpolant at the node midpoints.
 
     Raises
     ------
+    ValueError
+        If x_max or step is not positive and finite.
     StepSizeTooLargeError
-        If the energy drift exceeds 1e-10 times the potential scale.
+        If energy_max exceeds 1e-10 times max(1, max |U|).
     """
-    if not (x_max > 0.0 and step > 0.0):
-        raise ValueError("x_max and step must be positive")
+    if not (0.0 < x_max < math.inf and 0.0 < step < math.inf):
+        raise ValueError("x_max and step must be positive and finite")
+    from numpy.polynomial.legendre import leggauss  # not imported by numpy itself; only this function needs it
+
     p = curve.problem.params
     lam = curve.saddle_rate
-    vstar_pos = curve.v_sign * curve.turning_point  # positive-frame turning point
-    crest_sign = 1.0 if vstar_pos > 0 else -1.0
+    vstar = curve.v_sign * curve.turning_point  # positive-frame turning point
+    crest_sign = math.copysign(1.0, vstar)
+    K, beta, cs, ccrit2 = p.k_coeff, p.beta, abs(curve.problem.speed), p.c_crit**2
+    linear = 1e-140 * abs(vstar)  # below this |v|, v'/v = -lam to round-off and v^2 may underflow
 
-    # the hot loop is _rk4_step on rhs inlined, with the same operations in the same order, so
-    # its samples are the same bits; 0.5*K, 0.5*h, h/6 and beta*c_s are hoisted because Python
-    # evaluates those products first in the original expressions anyway
-    K = p.k_coeff
-    hK = 0.5 * K
-    beta = p.beta
-    cs = abs(curve.problem.speed)
-    bcs = beta * cs
-    ccrit2 = p.c_crit**2
-    hh = 0.5 * step
-    h6 = step / 6.0
+    def u_prime(v):
+        return -curve.ode_rhs(v)
 
-    def rhs(v: float) -> float:
-        return v / beta - (hK * v * v + ccrit2 * v / (cs - K * v)) / bcs
+    def u_second(v):
+        return -1.0 / beta + (K * v + ccrit2 * cs / (cs - K * v) ** 2) / (beta * cs)
 
-    margin = max(8.0, 4.0 / lam)
-    for _attempt in range(4):
-        w = vstar_pos * math.exp(-lam * (x_max + margin))
-        wp = lam * w
-        w_buf = array("d", [w])
-        wp_buf = array("d", [wp])
-        add_w, add_wp = w_buf.append, wp_buf.append
-        cap = int((x_max + margin + 24.0 / lam) / step) + 8
-        crest_hit = False
-        for _ in range(cap):
-            k1p = w / beta - (hK * w * w + ccrit2 * w / (cs - K * w)) / bcs
-            a = w + hh * wp
-            k2w = wp + hh * k1p
-            k2p = a / beta - (hK * a * a + ccrit2 * a / (cs - K * a)) / bcs
-            a = w + hh * k2w
-            k3w = wp + hh * k2p
-            k3p = a / beta - (hK * a * a + ccrit2 * a / (cs - K * a)) / bcs
-            a = w + step * k3w
-            k4w = wp + step * k3p
-            k4p = a / beta - (hK * a * a + ccrit2 * a / (cs - K * a)) / bcs
-            w, wp = w + h6 * (wp + 2.0 * k2w + 2.0 * k3w + k4w), wp + h6 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-            add_w(w)
-            add_wp(wp)
-            if crest_sign * wp <= 0.0:
-                crest_hit = True
-                break
-        # arc length s_j: the steps summed one at a time from 0, as s += step would
-        s_arr = np.full(len(w_buf), step)
-        s_arr[0] = 0.0
-        s_arr = np.cumsum(s_arr)
-        if crest_hit and s_arr[-1] > x_max:
-            break
-        margin *= 2.0
-    else:
-        raise WaveError("oracle integration failed to bracket the crest; seed margin exhausted")
+    def rate(v, m):
+        """|v'/v| on the orbit, from m = -2U(v) = v'^2."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(np.abs(v) < linear, lam, np.sqrt(m) / np.abs(v))
 
-    # refine the crest position inside the final step by bisection on the
-    # substep length; the substep map is the same RK4 scheme
-    w0, wp0 = w_buf[-2], wp_buf[-2]
-    lo, hi = 0.0, step
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if crest_sign * _rk4_step(rhs, w0, wp0, mid)[1] > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    sub = 0.5 * (lo + hi)
-    s_crest = s_arr[-2] + sub
-    w_crest, _ = _rk4_step(rhs, w0, wp0, sub)
+    # coarse map x(z) on uniform z-panels; -2U(v) <= lam^2 v^2 on the orbit, so x(z) >= z^2 / lam
+    # and z_end maps beyond the last node
+    n = int(x_max / step) + 1
+    z_end = math.sqrt(lam * (n + 1) * step)
+    gl_nodes, gl_weights = leggauss(_GAUSS_POINTS)
+    z_edges = np.linspace(0.0, z_end, _PANELS + 1)
+    half = 0.5 * z_end / _PANELS
+    zc = np.concatenate([(z_edges[:-1, None] + half * (1.0 + gl_nodes)).ravel(), z_edges[1:]])
+    vc = vstar * np.exp(-zc * zc)
+    fc = 2.0 * zc / rate(vc, -2.0 * curve.U(vc))
+    f0 = math.sqrt(2.0 * vstar / u_prime(vstar))  # dx/dz at the crest, the limit z -> 0
+    x_edges = np.concatenate([[0.0], np.cumsum(half * (fc[:-_PANELS].reshape(_PANELS, -1) @ gl_weights))])
+    z_slopes = 1.0 / np.concatenate([[f0], fc[-_PANELS:]])
 
-    # drop the overshoot past the crest
-    s_arr = s_arr[:-1]
-    w_arr = np.frombuffer(w_buf, dtype=float)[:-1]
-    wp_arr = np.frombuffer(wp_buf, dtype=float)[:-1]
+    x_out, v_out, vp_out = np.empty(n + 1), np.empty(n + 1), np.empty(n + 1)
+    band = _CREST_BAND * abs(vstar)
+    x_last = m_last = 0.0
+    drift, depth = [], []
+    for i0 in range(1, n + 1, _BLOCK):
+        i1 = min(i0 + _BLOCK, n + 1)
+        # node i0 - 1 (the crest for the first block) again, then the block's nodes: the C1 Hermite
+        # inverse z(x) places them at x ~ i * step, and the same t gives the same z in both blocks
+        z = _hermite(x_edges, z_edges, z_slopes, np.arange(i0 - 1, i1) * step)
+        v = vstar * np.exp(-z * z)
+        up = u_prime(v)
+        # m = -2U(v); inside the crest band U cancels, so m = 2 int_v^v* U' by the end-corrected trapezoid
+        m = np.empty_like(z)
+        m[0] = m_last
+        c = 1 + np.count_nonzero(np.abs(v[1:] - vstar) < band)  # the band's nodes are a prefix
+        if c > 1:
+            w, upp = v[:c], u_second(v[:c])
+            h = w[:-1] - w[1:]
+            m[1:c] = m_last + np.cumsum(h * (up[: c - 1] + up[1:c]) + h * h / 6.0 * (upp[1:] - upp[:-1]))
+        m[c:] = -2.0 * curve.U(v[c:])
+        # f = dx/dz = 2 z / rate and its z-derivative; the crest values are the limits z -> 0
+        r = rate(v, m)
+        tail = np.abs(v) < linear
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = 1.0 + up / v / (r * r)
+            q[tail] = 0.0
+            f = np.where(z > 0.0, 2.0 * z / r, f0)
+            fp = np.where(z > 0.0, 2.0 / r * (1.0 - 2.0 * z * z * q), 0.0)
+        # x by the end-corrected trapezoid in z
+        dz = np.diff(z)
+        x = np.empty_like(z)
+        x[0] = x_last
+        x[1:] = x_last + np.cumsum(0.5 * dz * (f[:-1] + f[1:]) + dz * dz / 12.0 * (fp[:-1] - fp[1:]))
+        vp = -crest_sign * np.sqrt(m)
+        vp[tail] = -lam * v[tail]
+        # energy of the Hermite interpolant at the midpoints, with slopes v' and v'' = -U'(v)
+        h = np.diff(x)
+        v_mid = 0.5 * (v[:-1] + v[1:]) + 0.125 * h * (vp[:-1] - vp[1:])
+        vp_mid = 0.5 * (vp[:-1] + vp[1:]) + 0.125 * h * (up[1:] - up[:-1])
+        drift.append(np.max(np.abs(0.5 * vp_mid * vp_mid + curve.U(v_mid))))
+        depth.append(np.max(m))
+        x_out[i0 - 1 : i1], v_out[i0 - 1 : i1], vp_out[i0 - 1 : i1] = x, v, vp
+        x_last, m_last = x[-1], m[-1]
+    vp_out[0] = 0.0
 
-    x_arr = s_crest - s_arr
-    order = np.argsort(x_arr)
-    x_arr, w_arr, wp_arr = x_arr[order], w_arr[order], wp_arr[order]
-    pos = x_arr > 1e-9  # crest sample is prepended separately
-    x_arr, w_arr, wp_arr = x_arr[pos], w_arr[pos], wp_arr[pos]
-
-    x_full = np.concatenate([[0.0], x_arr])
-    v_full = np.concatenate([[w_crest], w_arr])
-    vp_full = np.concatenate([[0.0], -wp_arr])  # dv/dx = -dw/ds
-
-    u_full = curve.U(v_full)
-    energy = 0.5 * vp_full**2 + u_full
-    with np.errstate(invalid="ignore"):
-        scale = max(1.0, float(np.nanmax(np.abs(u_full))))
-        energy_max = float(np.max(np.abs(energy)))
+    energy_max = float(np.max(drift))
+    scale = max(1.0, 0.5 * float(np.max(depth)))  # max |U| = max(-2U) / 2 on the orbit
     if not energy_max <= 1e-10 * scale:  # NaN-safe: NaN fails the comparison
         raise StepSizeTooLargeError(
             f"energy drift {energy_max:.3e} exceeds 1e-10 * {scale:.3g}; reduce the step"
         )
-
-    keep = x_full <= x_max + 5.0 * step
-    sign = curve.v_sign
-    return OracleProfile(
-        curve=curve,
-        x=x_full[keep],
-        v=sign * v_full[keep],
-        v_prime=sign * vp_full[keep],
-        energy_max=energy_max,
-    )
+    v_out *= curve.v_sign
+    vp_out *= curve.v_sign
+    return OracleProfile(curve=curve, x=x_out, v=v_out, v_prime=vp_out, energy_max=energy_max)
 
 
 def reconstruct_zeta(curve: PotentialCurve, v_beta):

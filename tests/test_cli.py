@@ -126,6 +126,16 @@ def test_oracle_csv(tmp_path, capsys):
     assert cols["v"][0] == pytest.approx(meta["turning_point"], abs=1e-12)
 
 
+@pytest.mark.parametrize("flag, value", [("--dx", "0"), ("--dx", "-1"), ("--dx", "nan"), ("--x-max", "inf")])
+def test_oracle_rejects_a_bad_sampling_setting(tmp_path, capsys, flag, value):
+    out = tmp_path / "oracle.csv"
+    code, stdout, err = run_cli(capsys, "oracle", "--x-max", "10", flag, value, "--out", str(out))
+    assert code == 1
+    assert one_line_error(err)["error"] == "ValueError"
+    assert stdout == ""
+    assert not out.exists()
+
+
 def test_dispersion_csv(tmp_path, capsys):
     out = tmp_path / "disp.csv"
     code, _, _ = run_cli(capsys, "dispersion", "--gamma", "0.5", "--delta", "0.8",

@@ -84,6 +84,43 @@ def test_potential_series_matches_closed_form(elev_curve):
         assert elev_curve.U(val) == pytest.approx(direct, rel=1e-10, abs=1e-18)
 
 
+def _where_G_U(curve, v):
+    """G and U with both branches evaluated on every sample and selected by np.where."""
+    p = curve.problem.params
+    cs = abs(curve.problem.speed)
+    K, pole = p.k_coeff, curve.v_pole
+    c2 = p.c_crit**2 / (p.beta * cs * K)
+    v = np.asarray(v, dtype=float)
+    r = v / pole
+    small = np.abs(r) < oracle._SERIES_CUTOFF
+    with np.errstate(invalid="ignore"):
+        s_exact = -v - pole * np.log1p(-r)
+    s_series = pole * (r * r * (1 / 2 + r * (1 / 3 + r * (1 / 4 + r * (1 / 5 + r * (1 / 6 + r / 7))))))
+    G = K * v**3 / (6.0 * p.beta * cs) + c2 * np.where(small, s_series, s_exact)
+    u_exact = -v * v / (2.0 * p.beta) + G
+    cubic = K / (6.0 * p.beta * cs) + c2 / (3.0 * pole**2)
+    tail = c2 * (r**4 * (1 / 4 + r * (1 / 5 + r * (1 / 6 + r / 7)))) * pole
+    u_series = -0.5 * curve.saddle_rate**2 * v * v + cubic * v**3 + tail
+    return G, np.where(small, u_series, u_exact)
+
+
+@pytest.mark.parametrize("curve_name", ["elev_curve", "depr_curve"])
+def test_potential_branches_match_where_formulation(request, curve_name):
+    # U and G evaluate each branch only on its own samples; the values are the bits of np.where over both
+    curve = request.getfixturevalue(curve_name)
+    vstar = curve.turning_point
+    v = vstar * np.logspace(-7, 0, 4001)  # from 1e-7 v* to the turning point, across the series cutoff
+    assert np.any(np.abs(v / curve.v_pole) < oracle._SERIES_CUTOFF)
+    assert np.any(np.abs(v / curve.v_pole) >= oracle._SERIES_CUTOFF)
+    G, U = _where_G_U(curve, v)
+    assert curve.G(v).tobytes() == G.tobytes()
+    assert curve.U(v).tobytes() == U.tobytes()
+    for k in range(0, v.size, 97):
+        got_G, got_U = curve.G(v[k]), curve.U(v[k])
+        assert isinstance(got_G, float) and isinstance(got_U, float)
+        assert (got_G, got_U) == (G[k], U[k])
+
+
 def test_profile_initial_conditions(elev_curve, elev_profile):
     assert elev_profile.x[0] == 0.0
     assert elev_profile.v[0] == pytest.approx(elev_curve.turning_point, abs=1e-12)
@@ -115,6 +152,19 @@ def test_profile_even_extension_satisfies_ode(elev_curve, elev_profile):
     assert np.max(np.abs(residual)) < 1e-5
 
 
+def test_profile_tail_where_v_squared_underflows():
+    # lambda * x_max = 551: far out -2U(v) = v'^2 underflows, and there v'/v = -lambda to round-off
+    p = make_parameters(0.5, 0.8)
+    curve = oracle.potential(oracle.TravelingWaveProblem(params=p, speed=p.c_crit + 0.3))
+    prof = oracle.integrate_profile(curve, x_max=500.0, step=2e-3)
+    assert prof.x[-1] > 500.0 and np.all(np.diff(prof.x) > 0.0)
+    assert np.all(np.diff(prof.v) < 0.0) and prof.v[-1] < 1e-200
+    far = prof.x > 400.0
+    assert np.max(np.abs(prof.v_prime[far] / prof.v[far] + curve.saddle_rate)) < 1e-12
+    slope = np.polyfit(prof.x[far], np.log(prof.v[far]), 1)[0]
+    assert slope == pytest.approx(-curve.saddle_rate, rel=1e-9)
+
+
 def test_step_size_monitor():
     p = make_parameters(0.5, 0.8)
     curve = oracle.potential(oracle.TravelingWaveProblem(params=p, speed=p.c_crit + 0.3))
@@ -143,12 +193,12 @@ def test_reconstruct_u_basics(elev_curve):
 
 
 def test_reconstruct_u_consistent_with_trajectory(elev_curve, elev_profile):
-    # u = v - beta v'' along the orbit, with v'' from second differences of
-    # the stored uniform samples (the crest sample at index 0 is offset)
-    x = elev_profile.x[1:]
-    v = elev_profile.v[1:]
-    h = x[1] - x[0]
-    second = (v[2:] - 2 * v[1:-1] + v[:-2]) / h**2
+    # u = v - beta v'' along the orbit, with v'' from the three-point second difference
+    # on the stored nodes, which are spaced by the step up to ~1e-7 of it
+    x = elev_profile.x
+    v = elev_profile.v
+    h0, h1 = x[1:-1] - x[:-2], x[2:] - x[1:-1]
+    second = 2.0 * ((v[2:] - v[1:-1]) / h1 - (v[1:-1] - v[:-2]) / h0) / (h0 + h1)
     beta = elev_curve.problem.params.beta
     u = oracle.reconstruct_u(elev_curve, v[1:-1])
     assert np.max(np.abs(u - v[1:-1] + beta * second)) < 1e-8
@@ -229,8 +279,25 @@ def test_oracle_matches_solver_to_its_tolerance(default_grid, elevation_solution
     assert np.max(np.abs(state.v - elevation_oracle_profile.sample_v(default_grid.nodes))) <= 1e-10
 
 
+def _rk4_step(f, w, wp, h):
+    """One classical RK4 step of w'' = f(w)."""
+    k1w, k1p = wp, f(w)
+    k2w, k2p = wp + 0.5 * h * k1p, f(w + 0.5 * h * k1w)
+    k3w, k3p = wp + 0.5 * h * k2p, f(w + 0.5 * h * k2w)
+    k4w, k4p = wp + h * k3p, f(w + h * k3w)
+    return (
+        w + (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w),
+        wp + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p),
+    )
+
+
 def _reference_profile(curve, x_max, step):
-    """integrate_profile as a plain loop of _rk4_step calls over Python lists."""
+    """The orbit by RK4 shooting, a plain loop of _rk4_step calls over Python lists.
+
+    Seeded in the tail on the saddle's stable eigendirection and integrated toward
+    the crest, which a bisection on the last substep locates; returns an
+    OracleProfile on the RK4 samples.
+    """
     p = curve.problem.params
     lam = curve.saddle_rate
     vstar_pos = curve.v_sign * curve.turning_point
@@ -246,7 +313,7 @@ def _reference_profile(curve, x_max, step):
         wp = lam * w
         s, s_list, w_list, wp_list = 0.0, [0.0], [w], [wp]
         for _ in range(int((x_max + margin + 24.0 / lam) / step) + 8):
-            w, wp = oracle._rk4_step(rhs, w, wp, step)
+            w, wp = _rk4_step(rhs, w, wp, step)
             s += step
             s_list.append(s)
             w_list.append(w)
@@ -259,12 +326,12 @@ def _reference_profile(curve, x_max, step):
     lo, hi = 0.0, step
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if crest_sign * oracle._rk4_step(rhs, w_list[-2], wp_list[-2], mid)[1] > 0.0:
+        if crest_sign * _rk4_step(rhs, w_list[-2], wp_list[-2], mid)[1] > 0.0:
             lo = mid
         else:
             hi = mid
     sub = 0.5 * (lo + hi)
-    w_crest = oracle._rk4_step(rhs, w_list[-2], wp_list[-2], sub)[0]
+    w_crest = _rk4_step(rhs, w_list[-2], wp_list[-2], sub)[0]
     x = (s_list[-2] + sub) - np.asarray(s_list[:-1])
     order = np.argsort(x)
     x, w_arr, wp_arr = x[order], np.asarray(w_list[:-1])[order], np.asarray(wp_list[:-1])[order]
@@ -274,7 +341,8 @@ def _reference_profile(curve, x_max, step):
     vp_full = np.concatenate([[0.0], -wp_arr[pos]])
     energy_max = float(np.max(np.abs(0.5 * vp_full**2 + curve.U(v_full))))
     keep = x_full <= x_max + 5.0 * step
-    return x_full[keep], curve.v_sign * v_full[keep], curve.v_sign * vp_full[keep], energy_max
+    sign = curve.v_sign
+    return oracle.OracleProfile(curve, x_full[keep], sign * v_full[keep], sign * vp_full[keep], energy_max)
 
 
 @pytest.mark.parametrize(
@@ -282,17 +350,35 @@ def _reference_profile(curve, x_max, step):
     [(0.5, 0.8, 1.0), (0.5, 0.5, 1.0), (0.5, 0.8, -1.0), (0.5, 0.5, -1.0)],
     ids=["elevation", "depression", "elevation-negative-speed", "depression-negative-speed"],
 )
-@pytest.mark.parametrize("offset", [0.05, 0.2])
+@pytest.mark.parametrize("offset", [0.01, 0.05, 0.2])
 def test_fused_loop_matches_rk4_step_reference(gamma, delta, sign, offset):
-    # the inlined RK4 loop performs the reference's operations in its order: equal bits
-    # (at offset 0.2 a reordered stage sum already changes the samples)
+    # the quadrature against RK4 shooting, at the quadrature's nodes and on a dx = 0.25 grid; the
+    # reference runs to x_max = 40 because its tail seed shifts the profile by ~1e-11 at x_max = 20
     p = make_parameters(gamma, delta)
     curve = oracle.potential(oracle.TravelingWaveProblem(params=p, speed=sign * (p.c_crit + offset)))
     prof = oracle.integrate_profile(curve, x_max=20.0, step=1e-3)
-    x, v, v_prime, energy_max = _reference_profile(curve, 20.0, 1e-3)
-    for got, want in ((prof.x, x), (prof.v, v), (prof.v_prime, v_prime)):
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    assert prof.energy_max == energy_max
+    ref = _reference_profile(curve, 40.0, 1e-3)
+    bound = 1e-11 * abs(curve.turning_point)
+    xs = np.arange(0.0, 20.0 + 0.125, 0.25)
+    assert np.max(np.abs(prof.v - ref.sample_v(prof.x))) <= bound
+    assert np.max(np.abs(prof.v_prime - ref.sample_v_prime(prof.x))) <= bound
+    assert np.max(np.abs(prof.sample_v(xs) - ref.sample_v(xs))) <= bound
+    assert np.max(np.abs(prof.sample_v_prime(xs) - ref.sample_v_prime(xs))) <= bound
+    # the nodes are spaced by the step; the crest is the turning point
+    assert np.max(np.abs(np.diff(prof.x) / 1e-3 - 1.0)) < 1e-5
+    assert prof.x[-1] > 20.0 and prof.v[0] == curve.turning_point
+
+
+@pytest.mark.parametrize("gamma, delta", [(0.5, 0.8), (0.5, 0.5)], ids=["elevation", "depression"])
+def test_halving_the_step_moves_the_profile_below_round_off(gamma, delta):
+    p = make_parameters(gamma, delta)
+    curve = oracle.potential(oracle.TravelingWaveProblem(params=p, speed=p.c_crit + 0.05))
+    coarse = oracle.integrate_profile(curve, x_max=20.0, step=1e-3)
+    fine = oracle.integrate_profile(curve, x_max=20.0, step=5e-4)
+    xs = np.arange(0.0, 20.0 + 0.125, 0.25)
+    bound = 1e-11 * abs(curve.turning_point)
+    assert np.max(np.abs(coarse.sample_v(xs) - fine.sample_v(xs))) <= bound
+    assert np.max(np.abs(coarse.sample_v_prime(xs) - fine.sample_v_prime(xs))) <= bound
 
 
 def _reference_turning_point(problem):
