@@ -20,7 +20,7 @@ import numpy as np
 
 from . import solver as _solver
 from .errors import InsufficientDataError, NoBracketError, SignChangeError, WaveError
-from .grid import SpectralGrid, differentiate, forward_transform
+from .grid import SpectralGrid, differentiate, half_spectrum
 from .params import make_parameters
 from .solver import SolverConfig, WaveState
 
@@ -184,12 +184,8 @@ def fit_decay_spectrum(k: np.ndarray, magnitudes: np.ndarray, window: tuple[floa
 
 
 def spectrum_magnitudes(grid: SpectralGrid, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nonnegative-wavenumber half of (k', |fhat|), Nyquist included."""
-    spec = forward_transform(grid, values)
-    half = grid.n // 2
-    kp = np.abs(np.concatenate([grid.wavenumbers[: half + 1]]))
-    mags = np.abs(spec[: half + 1])
-    return kp, mags
+    """(k', |fhat|) on the rfft modes 0..n/2, Nyquist included."""
+    return grid.half_wavenumbers.copy(), np.abs(half_spectrum(grid, values))
 
 
 def _floor_edge(t: np.ndarray, values: np.ndarray) -> float:

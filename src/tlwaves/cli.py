@@ -8,7 +8,8 @@ runs with the same configuration produce byte-identical files; wall-clock
 numbers go to the console log instead.
 
 Exit codes: 0 success, 1 validation failure, 2 non-convergence.  Errors
-are emitted as one-line JSON on stderr.
+and warnings are emitted as one-line JSON on stderr,
+``{"error": <type>, "message": ...}`` and ``{"warning": <category>, "message": ...}``.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import dataclasses
 import functools
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -118,29 +120,32 @@ def _meta(command: str, config: dict, extra: dict | None = None) -> dict:
 # configuration plumbing
 
 
-# the keys each block of a --config file may hold, as _build_run reads them
+# the keys each block of a --config file may hold, as _build_run reads them; oracle and
+# dispersion read fewer, and their files and headers hold only those
 _CONFIG_KEYS = {
     "params": ("gamma", "delta"),
     "grid": ("half_length", "modes"),
     "solver": ("cs", "tol_residual", "tol_update", "max_iter", "extrapolation", "dealias", "strict"),
 }
+_ORACLE_KEYS = {"params": _CONFIG_KEYS["params"], "solver": ("cs",)}
+_DISPERSION_KEYS = {"params": _CONFIG_KEYS["params"]}
 
 
-def _load_config_file(path: str | None) -> dict:
+def _load_config_file(path: str | None, keys: dict) -> dict:
     if not path:
         return {}
     config = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(config, dict):
-        raise InputFormatError(f"config file {path} must hold a JSON object with blocks {list(_CONFIG_KEYS)}")
+        raise InputFormatError(f"config file {path} must hold a JSON object with blocks {list(keys)}")
     for name, block in config.items():
-        if name not in _CONFIG_KEYS:
-            raise InputFormatError(f"config file {path}: unknown block {name!r}; blocks are {list(_CONFIG_KEYS)}")
+        if name not in keys:
+            raise InputFormatError(f"config file {path}: unknown block {name!r}; blocks are {list(keys)}")
         if not isinstance(block, dict):
             raise InputFormatError(f"config file {path}: block {name!r} must be a JSON object")
-        unknown = sorted(set(block) - set(_CONFIG_KEYS[name]))
+        unknown = sorted(set(block) - set(keys[name]))
         if unknown:
             raise InputFormatError(
-                f"config file {path}: unknown key(s) {unknown} in block {name!r}; it takes {list(_CONFIG_KEYS[name])}"
+                f"config file {path}: unknown key(s) {unknown} in block {name!r}; it takes {list(keys[name])}"
             )
     return config
 
@@ -163,9 +168,13 @@ def _parse_extrapolation(text: str | None) -> int | None:
     raise ValueError(f"unknown extrapolation setting {text!r}; use off or mpe:K")
 
 
-def _build_run(args) -> tuple:
-    """Validate every block of the run configuration up front."""
-    filecfg = _load_config_file(getattr(args, "config", None))
+def _build_run(args, keys: dict = _CONFIG_KEYS) -> tuple:
+    """Validate every block of the run configuration up front.
+
+    ``keys`` names the blocks and keys the command reads: a config file may hold
+    only those, and the returned description records only those.
+    """
+    filecfg = _load_config_file(getattr(args, "config", None), keys)
     pblock = _merged(filecfg.get("params", {}), gamma=args.gamma, delta=args.delta)
     gblock = _merged(
         filecfg.get("grid", {}),
@@ -209,7 +218,7 @@ def _build_run(args) -> tuple:
             "strict": config.strict_domain,
         },
     }
-    return params, grid, config, described
+    return params, grid, config, {name: {key: described[name][key] for key in keys[name]} for name in keys}
 
 
 # ----------------------------------------------------------------------
@@ -268,7 +277,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    params, _, config, described = _build_run(args)
+    params, _, config, described = _build_run(args, _ORACLE_KEYS)
     if not 0.0 < args.dx < np.inf:
         raise ValueError(f"--dx must be positive and finite, got {args.dx}")
     problem = oracle.TravelingWaveProblem(params=params, speed=config.speed)
@@ -293,7 +302,9 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_dispersion(args) -> int:
-    params, _, _, described = _build_run(args)
+    if args.count < 1:
+        raise ValueError(f"--count must be >= 1, got {args.count}")
+    params, _, _, described = _build_run(args, _DISPERSION_KEYS)
     symbols = dispersion.DispersionSymbols(params)
     ks = np.linspace(args.k_min, args.k_max, args.count)
     described["dispersion"] = {"k_min": args.k_min, "k_max": args.k_max, "count": args.count}
@@ -560,16 +571,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stderr_record(kind: str, name: str, message) -> None:
+    print(json.dumps({kind: name, "message": str(message)}), file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = lambda message, category, *_: _stderr_record("warning", category.__name__, message)
+            return args.func(args)
     except NotConvergedError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
+        _stderr_record("error", type(exc).__name__, exc)
         return 2
     except (WaveError, ValueError, OSError, json.JSONDecodeError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
+        _stderr_record("error", type(exc).__name__, exc)
         return 1
 
 

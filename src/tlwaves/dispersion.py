@@ -8,17 +8,16 @@ d/dt (zeta_hat, u_hat) = -i*k*A(k) (zeta_hat, u_hat) with
 
 Since A(k)^2 = sigma(k)^2 I with sigma = sqrt((1 - gamma) * omega), the
 propagator exp(-i k A t) is closed form and is applied analytically per
-mode; no time stepping is involved.
+mode (on the rfft modes 0..n/2 of a grid); no time stepping is involved.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import SpectralGrid, forward_transform
+from .grid import SpectralGrid, half_spectrum
 from .params import ModelParameters
 
 
@@ -36,6 +35,14 @@ class DispersionSymbols:
         return np.sqrt((1.0 - self.params.gamma) * self.omega(k))
 
 
+def _rotation(symbols: DispersionSymbols, k, t: float):
+    """c = cos(k sigma t), s = sin(k sigma t) and r = sqrt(omega/(1-gamma)) per wavenumber k."""
+    gamma = symbols.params.gamma
+    om = symbols.omega(k)
+    phase = k * np.sqrt((1.0 - gamma) * om) * t
+    return np.cos(phase), np.sin(phase), np.sqrt(om / (1.0 - gamma))
+
+
 def propagator(symbols: DispersionSymbols, k: float, t: float) -> np.ndarray:
     """2x2 propagator matrix exp(-i k A(k) t) for a single mode.
 
@@ -45,13 +52,7 @@ def propagator(symbols: DispersionSymbols, k: float, t: float) -> np.ndarray:
 
     Unit determinant (c^2 + s^2 = 1).
     """
-    gamma = symbols.params.gamma
-    om = float(symbols.omega(k))
-    sg = math.sqrt((1.0 - gamma) * om)
-    phase = k * sg * t
-    c = math.cos(phase)
-    s = math.sin(phase)
-    r = math.sqrt(om / (1.0 - gamma))
+    c, s, r = _rotation(symbols, k, t)
     return np.array([[c, -1j * r * s], [-1j * s / r, c]], dtype=complex)
 
 
@@ -64,35 +65,26 @@ def evolve_linear(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evolve (zeta, u) for time t under the linearized system.
 
-    Applies the closed-form propagator mode by mode, using the grid's
-    scaled wavenumbers k'.  Exact up to round-off: for each mode the
+    Applies the closed-form propagator to the rfft modes 0..n/2, using the
+    grid's scaled wavenumbers k'.  Exact up to round-off: for each mode the
     quadratic form (1-gamma)|zeta_hat|^2 + omega(k)|u_hat|^2 is conserved.
 
-    The unpaired Nyquist mode k = -n/2 of a real field has no quadrature
-    partner to rotate into, so it is held fixed (same convention as the
-    odd-order pseudospectral derivative).
+    The Nyquist mode n/2 of a real field has no quadrature partner to
+    rotate into, so it is held fixed (same convention as the odd-order
+    pseudospectral derivative).
     """
-    gamma = symbols.params.gamma
-    kp = grid.wavenumbers
-    om = symbols.omega(kp)
-    phase = kp * np.sqrt((1.0 - gamma) * om) * t
-    phase[grid.n // 2] = 0.0
-    c = np.cos(phase)
-    s = np.sin(phase)
-    r = np.sqrt(om / (1.0 - gamma))
-
-    zh = forward_transform(grid, zeta0)
-    uh = forward_transform(grid, u0)
+    c, s, r = _rotation(symbols, grid.half_wavenumbers, t)
+    c[-1], s[-1] = 1.0, 0.0
+    zh, uh = half_spectrum(grid, zeta0), half_spectrum(grid, u0)
     zh_t = c * zh - 1j * r * s * uh
     uh_t = -1j * s / r * zh + c * uh
-    return np.fft.ifft(zh_t).real, np.fft.ifft(uh_t).real
+    return np.fft.irfft(zh_t, grid.n), np.fft.irfft(uh_t, grid.n)
 
 
 def mode_energy(symbols: DispersionSymbols, grid: SpectralGrid, zeta: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Per-mode invariant (1-gamma)|zeta_hat|^2 + omega(k)|u_hat|^2."""
-    zh = forward_transform(grid, zeta)
-    uh = forward_transform(grid, u)
-    om = symbols.omega(grid.wavenumbers)
+    """Per-mode invariant (1-gamma)|zeta_hat|^2 + omega(k)|u_hat|^2 on the n/2 + 1 rfft modes."""
+    zh, uh = half_spectrum(grid, zeta), half_spectrum(grid, u)
+    om = symbols.omega(grid.half_wavenumbers)
     return (1.0 - symbols.params.gamma) * np.abs(zh) ** 2 + om * np.abs(uh) ** 2
 
 

@@ -1,9 +1,13 @@
 """Periodic Fourier collocation grid on (-l, l).
 
 DFT normalization convention used throughout the package: unnormalized
-forward transform (numpy's ``fft``), ``1/N`` inverse.  Parseval then reads
+forward transform, ``1/N`` inverse.  Parseval then reads
 ``sum |f_j|^2 == (1/N) * sum |fhat_k|^2``.  All per-mode symbol operations
 (differentiation, Helmholtz) are normalization-invariant.
+
+Compute paths use real half spectra (rfft modes 0..n/2, Nyquist last) on
+:attr:`SpectralGrid.half_wavenumbers`; the full complex layout is only the
+public DFT and the ``--spectrum-out`` file format (:func:`spectrum_columns`).
 """
 
 from __future__ import annotations
@@ -34,6 +38,8 @@ class SpectralGrid:
         Signed integer mode indices in FFT layout: 0..n/2-1, -n/2..-1.
     wavenumbers : (n,) array
         Scaled wavenumbers k' = pi*k/l in the same layout.
+    half_wavenumbers : (n/2 + 1,) array
+        k' of the rfft modes 0..n/2, i.e. ``abs(wavenumbers[:n/2 + 1])``.
     """
 
     half_length: float
@@ -41,6 +47,7 @@ class SpectralGrid:
     nodes: np.ndarray = field(init=False, repr=False, compare=False)
     mode_numbers: np.ndarray = field(init=False, repr=False, compare=False)
     wavenumbers: np.ndarray = field(init=False, repr=False, compare=False)
+    half_wavenumbers: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.half_length > 0.0:
@@ -53,6 +60,7 @@ class SpectralGrid:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "mode_numbers", modes)
         object.__setattr__(self, "wavenumbers", np.pi * modes / self.half_length)
+        object.__setattr__(self, "half_wavenumbers", np.pi * np.arange(self.n // 2 + 1) / self.half_length)
 
     @property
     def spacing(self) -> float:
@@ -76,41 +84,42 @@ def inverse_transform(grid: SpectralGrid, spectrum: np.ndarray) -> np.ndarray:
     return np.fft.ifft(_check_size(grid, spectrum))
 
 
+def half_spectrum(grid: SpectralGrid, values: np.ndarray) -> np.ndarray:
+    """rfft modes 0..n/2 (unnormalized) of a real grid function; ``np.fft.irfft(., grid.n)`` inverts it."""
+    return np.fft.rfft(_check_size(grid, values))
+
+
 def differentiate(grid: SpectralGrid, values: np.ndarray, order: int = 1) -> np.ndarray:
     """Pseudospectral derivative of the given order.
 
     Multiplies mode k by (i k')^order.  For odd orders the unmatched
-    Nyquist mode k = -n/2 is zeroed so real input stays real.
+    Nyquist mode n/2 is zeroed so real input stays real.
     """
     if order < 1:
         raise ValueError(f"derivative order must be >= 1, got {order}")
-    spectrum = forward_transform(grid, values)
-    factor = (1j * grid.wavenumbers) ** order
+    factor = (1j * grid.half_wavenumbers) ** order
     if order % 2 == 1:
-        factor = factor.copy()
         factor[grid.n // 2] = 0.0
-    return np.fft.ifft(factor * spectrum).real
+    return np.fft.irfft(factor * half_spectrum(grid, values), grid.n)
 
 
 def helmholtz_symbol(grid: SpectralGrid, params: ModelParameters) -> np.ndarray:
-    """Per-mode symbol 1 + beta*k'^2 of the operator 1 - beta*d_xx.
+    """Symbol 1 + beta*k'^2 of the operator 1 - beta*d_xx on the rfft modes 0..n/2.
 
     Strictly >= 1 for beta > 0, so the inverse never divides by a small
     number.
     """
-    return 1.0 + params.beta * grid.wavenumbers**2
+    return 1.0 + params.beta * grid.half_wavenumbers**2
 
 
 def helmholtz_apply(grid: SpectralGrid, params: ModelParameters, values: np.ndarray) -> np.ndarray:
     """Apply 1 - beta*d_xx, i.e. recover u from the smoothed velocity v."""
-    spectrum = forward_transform(grid, values)
-    return np.fft.ifft(helmholtz_symbol(grid, params) * spectrum).real
+    return np.fft.irfft(helmholtz_symbol(grid, params) * half_spectrum(grid, values), grid.n)
 
 
 def helmholtz_solve(grid: SpectralGrid, params: ModelParameters, values: np.ndarray) -> np.ndarray:
     """Invert 1 - beta*d_xx, i.e. smooth u into v."""
-    spectrum = forward_transform(grid, values)
-    return np.fft.ifft(spectrum / helmholtz_symbol(grid, params)).real
+    return np.fft.irfft(half_spectrum(grid, values) / helmholtz_symbol(grid, params), grid.n)
 
 
 def grid_function_columns(grid: SpectralGrid, values: np.ndarray) -> dict:
@@ -162,17 +171,12 @@ def padded_product(grid: SpectralGrid, f: np.ndarray, g: np.ndarray) -> np.ndarr
 
     Optional alternative to the plain Hadamard product in the solver's
     nonlinearity; off by default since the profiles of interest decay far
-    below round-off in spectrum before the Nyquist mode.
-
-    Works on real half spectra (``rfft``): f and g are moved to the 3n/2
-    grid by :func:`fine_grid_values`, multiplied there, and the product's
-    modes 0..n/2 are kept by :func:`coarse_half_spectrum`.  The Nyquist
-    mode n/2 has no sign partner on the n-point grid: an input's Nyquist
-    coefficient is split evenly between modes +-n/2 of the fine grid, and
-    the output keeps the modes -n/2..n/2-1 of the FFT layout.  For inputs
-    without a Nyquist component this equals the complex-FFT 3/2-rule
-    formula.  ``g is f`` transforms f once.  A caller that holds the half
-    spectra already (the solver) calls the two helpers directly.
+    below round-off in spectrum before the Nyquist mode.  f and g are moved
+    to the 3n/2 grid by :func:`fine_grid_values`, multiplied there, and the
+    product's modes 0..n/2 are kept by :func:`coarse_half_spectrum`; those
+    two state the Nyquist convention.  ``g is f`` transforms f once.  A
+    caller that holds the half spectra already (the solver) calls the two
+    helpers directly.
     """
     f = _check_size(grid, f)
     g = _check_size(grid, g)

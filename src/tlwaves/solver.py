@@ -17,14 +17,14 @@ contraction near the wave while suppressing the trivial zero attractor.
 Optional acceleration restarts the iteration from a minimal-polynomial
 extrapolation of the recent iterates.
 
-:func:`solve` runs one iteration core (:class:`_Core`) that keeps the
-spectra in real half-spectrum (``rfft``) form and builds the symbols,
-determinants and inverse coefficients once per solve.  The products N(x_k)
-of each iterate are formed once and serve three uses: the residual check
-of x_k, and the stabilizing factor and right-hand side of the next step.
-One iteration costs 2 ``rfft`` (the products) and 3 ``irfft`` (zeta, v and
-u, the last two from the same v-hat).  The step helpers below
-(:func:`petviashvili_step`, :func:`stabilizing_factor`,
+:func:`solve` runs one iteration core (:class:`_Core`) on real half
+spectra (``rfft`` modes 0..n/2, see :mod:`tlwaves.grid`) that
+builds the symbols, determinants and inverse coefficients once per solve.
+The products N(x_k) of each iterate are formed once and serve three uses:
+the residual check of x_k, and the stabilizing factor and right-hand side
+of the next step.  One iteration costs 2 ``rfft`` (the products) and 3
+``irfft`` (zeta, v and u, the last two from the same v-hat).  The step
+helpers below (:func:`petviashvili_step`, :func:`stabilizing_factor`,
 :func:`residual_norm`, ...) are the plain reference the core is tested
 against.
 """
@@ -52,7 +52,8 @@ from .grid import (
     SpectralGrid,
     coarse_half_spectrum,
     fine_grid_values,
-    forward_transform,
+    half_spectrum,
+    helmholtz_apply,
     helmholtz_symbol,
     padded_product,
 )
@@ -82,8 +83,7 @@ class WaveState:
         v = np.asarray(v, dtype=float)
         if zeta.shape != (grid.n,) or v.shape != (grid.n,):
             raise ValueError(f"state components must have shape ({grid.n},)")
-        u = np.fft.irfft(_half_spectrum(grid, helmholtz_symbol(grid, params)) * np.fft.rfft(v), grid.n)
-        return cls(grid=grid, zeta=zeta, v=v, u=u)
+        return cls(grid=grid, zeta=zeta, v=v, u=helmholtz_apply(grid, params, v))
 
 
 @dataclass(frozen=True)
@@ -140,16 +140,8 @@ class SolveReport:
         }
 
 
-def _half_spectrum(grid: SpectralGrid, symbol: np.ndarray) -> np.ndarray:
-    """The rfft entries (modes 0..n/2) of a symbol even in k given in FFT layout.
-
-    Entry n/2 is mode -n/2, whose symbol equals that of +n/2.
-    """
-    return symbol[: grid.n // 2 + 1]
-
-
 def mode_determinants(grid: SpectralGrid, params: ModelParameters, speed: float) -> np.ndarray:
-    """det(k) = c_s^2 (1 + beta k'^2) - c_crit^2 per mode; positive iff supersonic."""
+    """det(k) = c_s^2 (1 + beta k'^2) - c_crit^2 per rfft mode 0..n/2; positive iff supersonic."""
     return speed**2 * helmholtz_symbol(grid, params) - params.c_crit**2
 
 
@@ -157,22 +149,9 @@ def _checked_determinants(grid: SpectralGrid, params: ModelParameters, speed: fl
     det = mode_determinants(grid, params, speed)
     worst = np.min(np.abs(det))
     if worst < 1e-14:
-        k_bad = grid.mode_numbers[int(np.argmin(np.abs(det)))]
+        k_bad = int(np.argmin(np.abs(det)))
         raise SingularModeError(f"mode k = {k_bad} is singular (|det| = {worst:.3e}) at speed {speed}")
     return det
-
-
-def apply_linear_lhs(
-    grid: SpectralGrid, params: ModelParameters, speed: float, state: WaveState
-) -> tuple[np.ndarray, np.ndarray]:
-    """Spectra of the linear operator applied to (zeta, v)."""
-    _checked_determinants(grid, params, speed)
-    sym = helmholtz_symbol(grid, params)
-    zh = forward_transform(grid, state.zeta)
-    vh = forward_transform(grid, state.v)
-    row1 = speed * zh - vh / (params.delta + params.gamma)
-    row2 = (params.gamma - 1.0) * zh + speed * sym * vh
-    return row1, row2
 
 
 def nonlinear_rhs(
@@ -189,10 +168,8 @@ def nonlinear_rhs(
 
 
 def _lhs_physical(grid, params, speed, state):
-    sym = helmholtz_symbol(grid, params)
-    u = np.fft.ifft(sym * np.fft.fft(state.v)).real
     row1 = speed * state.zeta - state.v / (params.delta + params.gamma)
-    row2 = (params.gamma - 1.0) * state.zeta + speed * u
+    row2 = (params.gamma - 1.0) * state.zeta + speed * helmholtz_apply(grid, params, state.v)
     return row1, row2
 
 
@@ -229,14 +206,14 @@ def petviashvili_step(
     det = _checked_determinants(grid, params, speed)
     m = stabilizing_factor(grid, params, speed, state, dealias=config.dealias)
     n1, n2 = nonlinear_rhs(params, state, dealias=config.dealias)
-    r1 = m * m * np.fft.fft(n1)
-    r2 = m * m * np.fft.fft(n2)
+    r1 = m * m * half_spectrum(grid, n1)
+    r2 = m * m * half_spectrum(grid, n2)
     sym = helmholtz_symbol(grid, params)
     # closed-form 2x2 inverse per mode
     zh = (speed * sym * r1 + r2 / (params.delta + params.gamma)) / det
     vh = ((1.0 - params.gamma) * r1 + speed * r2) / det
-    zeta = np.fft.ifft(zh).real
-    v = np.fft.ifft(vh).real
+    zeta = np.fft.irfft(zh, grid.n)
+    v = np.fft.irfft(vh, grid.n)
     return WaveState.from_zeta_v(grid, params, zeta, v), m
 
 
@@ -254,7 +231,7 @@ class _Iterate:
 
 
 class _Core:
-    """Per-solve constants of the iteration, in rfft half-spectrum form.
+    """Per-solve constants of the iteration on the rfft modes 0..n/2.
 
     The singular-mode check runs once, here.  :meth:`step` costs 2 ``rfft``
     of the products and 3 ``irfft`` (zeta, v, and u from the same v-hat).
@@ -267,9 +244,9 @@ class _Core:
 
     def __init__(self, grid: SpectralGrid, params: ModelParameters, config: SolverConfig):
         speed = config.speed
-        det = _half_spectrum(grid, _checked_determinants(grid, params, speed))
+        det = _checked_determinants(grid, params, speed)
         self.grid, self.params, self.config = grid, params, config
-        self.sym = _half_spectrum(grid, helmholtz_symbol(grid, params))
+        self.sym = helmholtz_symbol(grid, params)
         # closed-form 2x2 inverse per mode, as in petviashvili_step
         self.a11 = speed * self.sym / det
         self.a12 = 1.0 / ((params.delta + params.gamma) * det)

@@ -462,3 +462,56 @@ def test_analyze_decay_rejects_a_header_grid_that_is_not_an_object(tmp_path, cap
     assert code == 1
     record = one_line_error(err)
     assert record["error"] == "InputFormatError" and "config.grid" in record["message"]
+
+
+def test_domain_warning_is_one_json_line_on_stderr(tmp_path):
+    done = run_module("-m", "tlwaves.cli", "solve", "--half-length", "16", "--out", "w.csv", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    record = json.loads(done.stderr)
+    assert done.stderr == json.dumps(record) + "\n"
+    assert set(record) == {"warning", "message"}
+    assert record["warning"] == "DomainTooSmallWarning" and "half-length 16.0" in record["message"]
+
+
+def test_dispersion_rejects_a_config_block_it_does_not_read(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"grid": {"modes": 7}}), encoding="utf-8")
+    out = tmp_path / "d.csv"
+    code, _, err = run_cli(capsys, "dispersion", "--config", str(cfg), "--out", str(out))
+    assert code == 1
+    record = one_line_error(err)
+    assert record["error"] == "InputFormatError" and "'grid'" in record["message"]
+    assert not out.exists()
+
+
+def test_oracle_header_holds_only_the_config_it_reads(tmp_path, capsys):
+    profile = tmp_path / "o.csv"
+    code, _, _ = run_cli(capsys, "oracle", "--x-max", "20", "--out", str(profile))
+    assert code == 0
+    meta, _ = read_table(profile)
+    assert set(meta["config"]) == {"params", "solver", "oracle"}
+    assert set(meta["config"]["solver"]) == {"cs"}
+    # without a grid in the header, the default space window ends at 0.8 max(x)
+    code, _, _ = run_cli(capsys, "analyze", "decay", "--in", str(profile), "--out", str(tmp_path / "a.csv"))
+    assert code == 0
+    assert json.loads((tmp_path / "a.fit.json").read_text())["fit"]["window"] == [5.0, 16.0]
+
+
+def test_oracle_rejects_a_solver_key_it_does_not_read(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"solver": {"cs": 0.7, "tol_residual": 1e-8}}), encoding="utf-8")
+    code, _, err = run_cli(capsys, "oracle", "--config", str(cfg), "--out", str(tmp_path / "o.csv"))
+    assert code == 1
+    record = one_line_error(err)
+    assert record["error"] == "InputFormatError" and "'tol_residual'" in record["message"]
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_dispersion_rejects_a_count_below_one(tmp_path, capsys, count):
+    out = tmp_path / "d.csv"
+    code, stdout, err = run_cli(capsys, "dispersion", "--count", count, "--out", str(out))
+    assert code == 1
+    record = one_line_error(err)
+    assert record["error"] == "ValueError" and "--count" in record["message"]
+    assert stdout == ""
+    assert not out.exists()

@@ -93,8 +93,19 @@ def test_evolve_conserves_per_mode_energy(symbols):
     before = mode_energy(symbols, g, zeta0, u0)
     zeta, u = evolve_linear(symbols, g, zeta0, u0, 5.0)
     after = mode_energy(symbols, g, zeta, u)
+    assert before.shape == (g.n // 2 + 1,)
     rel = np.abs(after - before) / np.max(before)
     assert np.max(rel) < 1e-12
+
+
+@pytest.mark.parametrize("t", [0.3, 1.0, 7.5, -2.0, 1e3])
+def test_evolve_holds_a_pure_nyquist_field(symbols, t):
+    # the Nyquist mode has no quadrature partner on the grid, so the propagator leaves it fixed
+    g = SpectralGrid(half_length=20.0, n=64)
+    nyquist = np.cos(np.pi * np.arange(g.n))
+    zeta, u = evolve_linear(symbols, g, nyquist, -2.0 * nyquist, t)
+    assert np.max(np.abs(zeta - nyquist)) < 1e-14
+    assert np.max(np.abs(u + 2.0 * nyquist)) < 1e-14
 
 
 def test_evolve_group_action(symbols):

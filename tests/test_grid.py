@@ -141,6 +141,17 @@ def test_helmholtz_symbol_at_least_one():
     assert np.all(helmholtz_symbol(g, p) >= 1.0)
 
 
+@pytest.mark.parametrize("half_length, n", [(np.pi, 8), (7.0, 128), (128.0, 1024), (2048.0, 16384)])
+def test_half_layout_is_bit_equal_to_the_full_layout_slice(half_length, n):
+    # the rfft modes 0..n/2 carry the wavenumbers and symbols of FFT entries 0..n/2 (entry n/2 is mode -n/2)
+    g = SpectralGrid(half_length=half_length, n=n)
+    p = make_parameters(0.5, 0.8)
+    half = n // 2 + 1
+    assert g.half_wavenumbers.shape == (half,)
+    assert g.half_wavenumbers.tobytes() == np.abs(g.wavenumbers[:half]).tobytes()
+    assert helmholtz_symbol(g, p).tobytes() == (1.0 + p.beta * g.wavenumbers[:half] ** 2).tobytes()
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
 def test_round_trip_property(seed):

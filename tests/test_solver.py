@@ -43,7 +43,7 @@ def test_singular_mode_at_critical_speed(elevation_params, small_grid):
         small_grid, elevation_params, np.zeros(small_grid.n), np.zeros(small_grid.n)
     )
     with pytest.raises(SingularModeError):
-        solver.apply_linear_lhs(small_grid, elevation_params, elevation_params.c_crit, state)
+        solver.petviashvili_step(small_grid, elevation_params, SolverConfig(speed=elevation_params.c_crit), state)
 
 
 def test_nonlinear_rhs_zero_state(elevation_params, small_grid):
