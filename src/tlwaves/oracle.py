@@ -42,9 +42,14 @@ from .params import ModelParameters
 
 _SERIES_CUTOFF = 1e-3  # |v/v_pole| below which log1p cancellation kicks in
 _PANELS = 256  # uniform z-panels of the coarse map x(z) that places the nodes
-_GAUSS_POINTS = 16  # Gauss-Legendre points per coarse panel
 _CREST_BAND = 0.2  # |v* - v| < 0.2 |v*|: -2U from the running integral of U'
-_BLOCK = 8192  # nodes evaluated per block, which bounds the temporaries
+_BLOCK = 2048  # nodes evaluated per block: the temporaries are about a dozen arrays of this length
+# the positive nodes and their weights of 16-point Gauss-Legendre on [-1, 1], as
+# numpy.polynomial.legendre.leggauss(16) gives them; the rule is exactly symmetric
+_GL_HALF_NODES = (0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+                  0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499)
+_GL_HALF_WEIGHTS = (0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+                    0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176)
 
 
 @dataclass(frozen=True)
@@ -115,7 +120,7 @@ class PotentialCurve:
             s[exact] = -v[exact] - pole * np.log1p(-r[exact])
         rs = r[small]
         s[small] = pole * (rs * rs * (1 / 2 + rs * (1 / 3 + rs * (1 / 4 + rs * (1 / 5 + rs * (1 / 6 + rs / 7))))))
-        out = K * v**3 / (6.0 * p.beta * cs) + c2 * s
+        out = K * (v * v * v) / (6.0 * p.beta * cs) + c2 * s
         return out if out.ndim else float(out)
 
     def U(self, v):
@@ -137,13 +142,18 @@ class PotentialCurve:
         # quadratic coefficient -lambda^2/2 is used without cancellation
         vs, rs = v[small], r[small]
         cubic = K / (6.0 * p.beta * cs) + c2 / (3.0 * pole**2)
-        tail = c2 * (rs**4 * (1 / 4 + rs * (1 / 5 + rs * (1 / 6 + rs / 7)))) * pole
-        out[small] = -0.5 * self.saddle_rate**2 * vs * vs + cubic * vs**3 + tail
+        tail = c2 * ((rs * rs) * (rs * rs) * (1 / 4 + rs * (1 / 5 + rs * (1 / 6 + rs / 7)))) * pole
+        out[small] = -0.5 * self.saddle_rate**2 * vs * vs + cubic * (vs * vs * vs) + tail
         return out if out.ndim else float(out)
 
     def ode_rhs(self, v):
         """Acceleration v'' = v/beta - G'(v)."""
         return v / self.problem.params.beta - self.G_prime(v)
+
+    def crest_dxdz(self) -> float:
+        """dx/dz = sqrt(2 v* / U'(v*)) at the crest, where v = v* exp(-z^2) (positive frame)."""
+        vstar = self.v_sign * self.turning_point
+        return math.sqrt(2.0 * vstar / -self.ode_rhs(vstar))
 
 
 def potential(problem: TravelingWaveProblem) -> PotentialCurve:
@@ -172,13 +182,13 @@ def potential(problem: TravelingWaveProblem) -> PotentialCurve:
     cubic = K / (6.0 * beta * cs) + c2 / (3.0 * pole**2)
 
     def U(v: float) -> float:
-        # PotentialCurve.U on one float: the branch its np.where selects, the same operations
-        # in the same order; powers and log1p go through numpy, whose last bit can differ
-        # from Python's ** and math.log1p
+        # PotentialCurve.U on one float: the branch it selects, the same operations in the same
+        # order; powers are products, and log1p goes through numpy, whose last bit can differ
+        # from math.log1p
         r = v / pole
-        v3 = float(np.power(v, 3))
+        v3 = v * v * v
         if abs(r) < _SERIES_CUTOFF:
-            tail = c2 * (float(np.power(r, 4)) * (1 / 4 + r * (1 / 5 + r * (1 / 6 + r / 7)))) * pole
+            tail = c2 * ((r * r) * (r * r) * (1 / 4 + r * (1 / 5 + r * (1 / 6 + r / 7)))) * pole
             return -0.5 * lam**2 * v * v + cubic * v3 + tail
         return -v * v / (2.0 * beta) + (K * v3 / (6.0 * beta * cs) + c2 * (-v - pole * float(np.log1p(-r))))
 
@@ -274,8 +284,6 @@ def integrate_profile(curve: PotentialCurve, x_max: float, step: float = 1e-3) -
     """
     if not (0.0 < x_max < math.inf and 0.0 < step < math.inf):
         raise ValueError("x_max and step must be positive and finite")
-    from numpy.polynomial.legendre import leggauss  # not imported by numpy itself; only this function needs it
-
     p = curve.problem.params
     lam = curve.saddle_rate
     vstar = curve.v_sign * curve.turning_point  # positive-frame turning point
@@ -298,26 +306,52 @@ def integrate_profile(curve: PotentialCurve, x_max: float, step: float = 1e-3) -
     # and z_end maps beyond the last node
     n = int(x_max / step) + 1
     z_end = math.sqrt(lam * (n + 1) * step)
-    gl_nodes, gl_weights = leggauss(_GAUSS_POINTS)
     z_edges = np.linspace(0.0, z_end, _PANELS + 1)
-    half = 0.5 * z_end / _PANELS
-    zc = np.concatenate([(z_edges[:-1, None] + half * (1.0 + gl_nodes)).ravel(), z_edges[1:]])
-    vc = vstar * np.exp(-zc * zc)
-    fc = 2.0 * zc / rate(vc, -2.0 * curve.U(vc))
-    f0 = math.sqrt(2.0 * vstar / u_prime(vstar))  # dx/dz at the crest, the limit z -> 0
-    x_edges = np.concatenate([[0.0], np.cumsum(half * (fc[:-_PANELS].reshape(_PANELS, -1) @ gl_weights))])
-    z_slopes = 1.0 / np.concatenate([[f0], fc[-_PANELS:]])
+    f0 = curve.crest_dxdz()  # the limit z -> 0
+
+    def coarse_map():
+        """x at the z-panel edges by Gauss-Legendre on each panel, and dz/dx there."""
+        gl_nodes = np.concatenate([-np.array(_GL_HALF_NODES[::-1]), _GL_HALF_NODES])
+        gl_weights = np.concatenate([_GL_HALF_WEIGHTS[::-1], _GL_HALF_WEIGHTS])
+        half = 0.5 * z_end / _PANELS
+        zc = np.concatenate([(z_edges[:-1, None] + half * (1.0 + gl_nodes)).ravel(), z_edges[1:]])
+        vc = vstar * np.exp(-zc * zc)
+        fc = 2.0 * zc / rate(vc, -2.0 * curve.U(vc))
+        x_edges = np.concatenate([[0.0], np.cumsum(half * (fc[:-_PANELS].reshape(_PANELS, -1) @ gl_weights))])
+        return x_edges, 1.0 / np.concatenate([[f0], fc[-_PANELS:]])
+
+    x_edges, z_slopes = coarse_map()
+
+    def abscissae(z, v, up, m, x):
+        """x[1:] from x[0] by the end-corrected trapezoid in z of f = dx/dz = 2 z / rate and its z-derivative."""
+        r = rate(v, m)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = 1.0 + up / v / (r * r)
+            q[np.abs(v) < linear] = 0.0
+            # the crest values are the limits z -> 0
+            f = np.where(z > 0.0, 2.0 * z / r, f0)
+            fp = np.where(z > 0.0, 2.0 / r * (1.0 - 2.0 * z * z * q), 0.0)
+        dz = np.diff(z)
+        x[1:] = x[0] + np.cumsum(0.5 * dz * (f[:-1] + f[1:]) + dz * dz / 12.0 * (fp[:-1] - fp[1:]))
+
+    def drift(x, v, vp, up):
+        """max |E| of the Hermite interpolant at the midpoints, with slopes v' and v'' = -U'(v)."""
+        h = np.diff(x)
+        v_mid = 0.5 * (v[:-1] + v[1:]) + 0.125 * h * (vp[:-1] - vp[1:])
+        vp_mid = 0.5 * (vp[:-1] + vp[1:]) + 0.125 * h * (up[1:] - up[:-1])
+        return np.max(np.abs(0.5 * vp_mid * vp_mid + curve.U(v_mid)))
 
     x_out, v_out, vp_out = np.empty(n + 1), np.empty(n + 1), np.empty(n + 1)
     band = _CREST_BAND * abs(vstar)
     x_last = m_last = 0.0
-    drift, depth = [], []
+    drifts, depth = [], []
     for i0 in range(1, n + 1, _BLOCK):
         i1 = min(i0 + _BLOCK, n + 1)
         # node i0 - 1 (the crest for the first block) again, then the block's nodes: the C1 Hermite
         # inverse z(x) places them at x ~ i * step, and the same t gives the same z in both blocks
         z = _hermite(x_edges, z_edges, z_slopes, np.arange(i0 - 1, i1) * step)
-        v = vstar * np.exp(-z * z)
+        x, v, vp = x_out[i0 - 1 : i1], v_out[i0 - 1 : i1], vp_out[i0 - 1 : i1]  # the block writes in place
+        np.multiply(vstar, np.exp(-z * z), out=v)
         up = u_prime(v)
         # m = -2U(v); inside the crest band U cancels, so m = 2 int_v^v* U' by the end-corrected trapezoid
         m = np.empty_like(z)
@@ -328,32 +362,20 @@ def integrate_profile(curve: PotentialCurve, x_max: float, step: float = 1e-3) -
             h = w[:-1] - w[1:]
             m[1:c] = m_last + np.cumsum(h * (up[: c - 1] + up[1:c]) + h * h / 6.0 * (upp[1:] - upp[:-1]))
         m[c:] = -2.0 * curve.U(v[c:])
-        # f = dx/dz = 2 z / rate and its z-derivative; the crest values are the limits z -> 0
-        r = rate(v, m)
-        tail = np.abs(v) < linear
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q = 1.0 + up / v / (r * r)
-            q[tail] = 0.0
-            f = np.where(z > 0.0, 2.0 * z / r, f0)
-            fp = np.where(z > 0.0, 2.0 / r * (1.0 - 2.0 * z * z * q), 0.0)
-        # x by the end-corrected trapezoid in z
-        dz = np.diff(z)
-        x = np.empty_like(z)
-        x[0] = x_last
-        x[1:] = x_last + np.cumsum(0.5 * dz * (f[:-1] + f[1:]) + dz * dz / 12.0 * (fp[:-1] - fp[1:]))
-        vp = -crest_sign * np.sqrt(m)
-        vp[tail] = -lam * v[tail]
-        # energy of the Hermite interpolant at the midpoints, with slopes v' and v'' = -U'(v)
-        h = np.diff(x)
-        v_mid = 0.5 * (v[:-1] + v[1:]) + 0.125 * h * (vp[:-1] - vp[1:])
-        vp_mid = 0.5 * (vp[:-1] + vp[1:]) + 0.125 * h * (up[1:] - up[:-1])
-        drift.append(np.max(np.abs(0.5 * vp_mid * vp_mid + curve.U(v_mid))))
         depth.append(np.max(m))
-        x_out[i0 - 1 : i1], v_out[i0 - 1 : i1], vp_out[i0 - 1 : i1] = x, v, vp
+        x[0] = x_last
+        abscissae(z, v, up, m, x)
+        with np.errstate(invalid="ignore"):  # m < 0 close to the pole: the NaN fails the energy check
+            np.sqrt(m, out=vp)
+        vp *= -crest_sign
+        tail = np.abs(v) < linear
+        vp[tail] = -lam * v[tail]
         x_last, m_last = x[-1], m[-1]
+        del z, m, tail  # freed before the drift's temporaries, which set the peak memory of a block
+        drifts.append(drift(x, v, vp, up))
     vp_out[0] = 0.0
 
-    energy_max = float(np.max(drift))
+    energy_max = float(np.max(drifts))
     scale = max(1.0, 0.5 * float(np.max(depth)))  # max |U| = max(-2U) / 2 on the orbit
     if not energy_max <= 1e-10 * scale:  # NaN-safe: NaN fails the comparison
         raise StepSizeTooLargeError(

@@ -123,6 +123,7 @@ class SolveReport:
     wall_time: float = 0.0
     boundary_ratio: float = 0.0
     warnings: list = field(default_factory=list)
+    seed: str = "given"  # "sech2" when solve built its default seed; callers label the seed they passed
 
     @property
     def m_final(self) -> float:
@@ -137,6 +138,7 @@ class SolveReport:
             "m_final": self.m_final if self.m_history else None,
             "boundary_ratio": self.boundary_ratio,
             "warnings": list(self.warnings),
+            "seed": self.seed,
         }
 
 
@@ -306,21 +308,26 @@ def auto_initial_guess(grid: SpectralGrid, params: ModelParameters, speed: float
     return WaveState.from_zeta_v(grid, params, zeta, v)
 
 
-def solve(grid: SpectralGrid, params: ModelParameters, config: SolverConfig) -> tuple[WaveState, SolveReport]:
-    """Run the iteration to the dual residual/update tolerance.
+def oracle_initial_guess(grid: SpectralGrid, params: ModelParameters, speed: float) -> WaveState:
+    """The ODE oracle's solitary profile at the grid nodes, zeta by the first-row algebra.
 
-    Raises
-    ------
-    NoSolitaryWaveError
-        If c_s^2 <= c_crit^2 or the nonlinearity coefficient is zero.
-    NotConvergedError
-        If max_iter is reached, or at the first non-finite stabilizing
-        factor or residual; the partial report rides on the exception.
-    DomainTooSmallError
-        Under ``strict_domain`` when the converged profile does not decay
-        below ``BOUNDARY_DECAY_TOL`` (relative) at the boundary.
+    The profile is integrated to x_max = min(l, 20/lambda), beyond which its exponential
+    tail continuation is exact to v(x_max)^2, with nodes 0.004 of the decay length 1/lambda
+    or of the crest's dx/dz apart, whichever is shorter, and at most 20000 of them: close
+    to the pole dx/dz at the crest tends to 0.  Raises what the oracle raises, a
+    :class:`WaveError` (``StepSizeTooLargeError`` close to the pole).
     """
-    speed = config.speed
+    curve = oracle.potential(oracle.TravelingWaveProblem(params=params, speed=speed))
+    lam = curve.saddle_rate
+    x_max = min(grid.half_length, 20.0 / lam)
+    step = max(0.004 * min(1.0 / lam, curve.crest_dxdz()), x_max / 20000)
+    profile = oracle.integrate_profile(curve, x_max=x_max, step=step)
+    v = profile.sample_v(grid.nodes)
+    return WaveState.from_zeta_v(grid, params, oracle.reconstruct_zeta(curve, v), v)
+
+
+def check_speed(params: ModelParameters, speed: float) -> None:
+    """Raise unless the solver can compute a wave at this speed (see :func:`solve`)."""
     if params.k_coeff == 0.0:
         raise NoSolitaryWaveError("nonlinearity coefficient is zero (delta^2 == gamma)")
     if not speed**2 > params.c_crit**2:
@@ -332,10 +339,32 @@ def solve(grid: SpectralGrid, params: ModelParameters, config: SolverConfig) -> 
             "solver computes right-moving waves; map the result with oracle.negative_speed_map for c_s < 0"
         )
 
+
+def solve(grid: SpectralGrid, params: ModelParameters, config: SolverConfig) -> tuple[WaveState, SolveReport]:
+    """Run the iteration to the dual residual/update tolerance.
+
+    Raises
+    ------
+    NoSolitaryWaveError
+        If c_s^2 <= c_crit^2 or the nonlinearity coefficient is zero.
+    ValueError
+        If c_s < 0.
+    NotConvergedError
+        If max_iter is reached, or at the first non-finite stabilizing
+        factor or residual; the partial report rides on the exception.
+    DomainTooSmallError
+        Under ``strict_domain`` when the converged profile does not decay
+        below ``BOUNDARY_DECAY_TOL`` (relative) at the boundary.
+    """
+    speed = config.speed
+    check_speed(params, speed)
+
     started = time.perf_counter()
+    report = SolveReport()
     state = config.initial_guess
     if state is None:
         state = auto_initial_guess(grid, params, speed)
+        report.seed = "sech2"
     else:
         # a given guess is checked against the grid and its u rebuilt from v
         state = WaveState.from_zeta_v(grid, params, state.zeta, state.v)
@@ -343,7 +372,6 @@ def solve(grid: SpectralGrid, params: ModelParameters, config: SolverConfig) -> 
     n = grid.n
     core = _Core(grid, params, config)
     x = core.evaluate(state)
-    report = SolveReport()
     cycle = config.mpe_cycle
     if cycle is not None:
         # iterates are written straight into the rows extrapolate reads

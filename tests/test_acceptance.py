@@ -9,8 +9,10 @@ import pytest
 
 from conftest import REF_OFFSET, record_criterion
 from tlwaves import analysis, oracle, solver
+from tlwaves.cli import _seeded_solve
 from tlwaves.dispersion import DispersionSymbols, evolve_linear, mode_energy, propagator, sigma_order
 from tlwaves.errors import NoSolitaryWaveError
+from tlwaves.evolve import evolve
 from tlwaves.extrapolation import extrapolate
 from tlwaves.grid import (
     SpectralGrid,
@@ -306,5 +308,32 @@ def test_criterion_10_property_suite(elevation_params, default_grid):
         ok,
         f"fft {fft_rt:.1e}, helmholtz {helm_rt:.1e}, homogeneity {homog:.1e}, "
         f"evenness {evenness:.1e}, mpe {mpe_err:.1e}",
+    )
+    assert ok
+
+
+def test_criterion_11_time_dependent_steadiness(elevation_params, depression_params, default_grid):
+    # the CLI-seeded waves, evolved by the time-dependent system in the frame moving at c_s, stay put
+    def shape_error(params, speed, state, dt):
+        end = evolve(params, state, speed, 20.0, dt)
+        return max(float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+                   for a, b in ((end.zeta, state.zeta), (end.v, state.v)))
+
+    rows = []
+    for label, params in (("elevation", elevation_params), ("depression", depression_params)):
+        speed = params.c_crit + REF_OFFSET
+        state, report = _seeded_solve(default_grid, params, SolverConfig(speed=speed))
+        assert report.seed == "oracle"
+        coarse, fine = (shape_error(params, speed, state, dt) for dt in (0.1, 0.05))
+        scaled = WaveState.from_zeta_v(default_grid, params, 1.001 * state.zeta, 1.001 * state.v)
+        drift = shape_error(params, speed, scaled, 0.05)
+        rows.append((label, fine, coarse / fine, drift))
+    ok = all(fine <= 1e-9 and ratio >= 10.0 and drift >= 1e-5 for _, fine, ratio, drift in rows)
+    record_criterion(
+        11,
+        "the CLI-seeded waves are steady under the time-dependent system (integrating-factor RK4, T = 20)",
+        ok,
+        ", ".join(f"{label} {fine:.1e} at dt 0.05, ratio {ratio:.1f}, 1.001x drift {drift:.1e}"
+                  for label, fine, ratio, drift in rows),
     )
     assert ok

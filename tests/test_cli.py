@@ -1,15 +1,18 @@
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tlwaves import oracle, solver
-from tlwaves.cli import main, read_table, write_table
-from tlwaves.errors import InputFormatError
+from tlwaves.cli import _seeded_solve, main, read_table, write_table
+from tlwaves.errors import DomainTooSmallWarning, InputFormatError
+from tlwaves.grid import SpectralGrid
 from tlwaves.params import make_parameters
 
 
@@ -43,6 +46,7 @@ def test_solve_writes_profile_and_is_deterministic(tmp_path, capsys):
     assert set(cols) == {"x", "zeta", "v", "u"}
     assert meta["config"]["params"] == {"gamma": 0.5, "delta": 0.8}
     assert meta["report"]["converged"] is True
+    assert meta["report"]["seed"] == "oracle"
     assert "wall_time" not in meta["report"]
     code, _, _ = run_cli(capsys, *args)
     assert code == 0
@@ -91,8 +95,9 @@ def test_subsonic_speed_exits_1(tmp_path, capsys):
 
 
 def test_nonconvergence_exits_2(tmp_path, capsys):
+    # the oracle seed converges within 2 iterations, so the tolerance is made unreachable
     code, _, err = run_cli(capsys, "solve", "--gamma", "0.5", "--delta", "0.8",
-                           "--half-length", "64", "--modes", "512", "--max-iter", "2",
+                           "--half-length", "64", "--modes", "512", "--max-iter", "2", "--tol", "1e-30",
                            "--out", str(tmp_path / "x.csv"))
     assert code == 2
     assert json.loads(err.strip().splitlines()[-1])["error"] == "NotConvergedError"
@@ -217,6 +222,7 @@ def test_reproduce_fig2a(tmp_path, capsys):
     for f in files:
         meta, cols = read_table(f)
         assert meta["report"]["converged"] is True
+        assert meta["report"]["seed"] == "oracle"
         peaks.append((meta["config"]["solver"]["cs"], cols["zeta"].max()))
     peaks.sort()
     assert peaks[0][1] < peaks[1][1] < peaks[2][1]
@@ -347,7 +353,8 @@ def test_reproduce_solves_each_configuration_once(tmp_path, capsys, monkeypatch)
     real_solve = solver.solve
 
     def counted(grid, params, config):
-        keys.append((grid, params, config))
+        # the config carries the oracle seed, a WaveState, which is not hashable
+        keys.append((grid, params, dataclasses.replace(config, initial_guess=None)))
         return real_solve(grid, params, config)
 
     monkeypatch.setattr(solver, "solve", counted)
@@ -515,3 +522,55 @@ def test_dispersion_rejects_a_count_below_one(tmp_path, capsys, count):
     assert record["error"] == "ValueError" and "--count" in record["message"]
     assert stdout == ""
     assert not out.exists()
+
+
+def test_cli_solve_and_oracle_load_no_numpy_polynomial(tmp_path):
+    # the oracle's Gauss-Legendre rule is literal, so no process pays for importing numpy.polynomial
+    code = ("import sys; from tlwaves.cli import main; "
+            "main(['solve', '--half-length', '64', '--modes', '512', '--out', 's.csv']); "
+            "main(['oracle', '--x-max', '20', '--out', 'o.csv']); "
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))")
+    done = run_module("-c", code, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("gamma, delta", [(0.5, 0.8), (0.5, 0.5)], ids=["elevation", "depression"])
+@pytest.mark.parametrize("offset", [0.01, 0.3])
+def test_sweep_ends_use_the_oracle_seed(gamma, delta, offset):
+    # at the sweep's spacing h = 0.25 with MPE(6), as the large sweep runs; the tall waves take the most
+    grid = SpectralGrid(half_length=128.0, n=1024)
+    params = make_parameters(gamma, delta)
+    config = solver.SolverConfig(speed=params.c_crit + offset, mpe_cycle=6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DomainTooSmallWarning)  # the widest wave reaches 5.6e-10 at l=128
+        _, report = _seeded_solve(grid, params, config)
+    assert report.seed == "oracle"
+    assert report.converged and report.iterations <= 12
+
+
+def test_solve_near_the_pole_falls_back_to_the_sech2_seed(tmp_path, capsys):
+    # v*/v_pole >= 0.93: the oracle's energy check fails, the sech^2-seeded solve converges
+    params = make_parameters(0.95, 0.8)
+    out = tmp_path / "pole.csv"
+    code, _, err = run_cli(capsys, "solve", "--gamma", "0.95", "--delta", "0.8", "--cs", repr(params.c_crit + 1.0),
+                           "--out", str(out))
+    assert code == 0, err
+    assert "RuntimeWarning" not in err  # the oracle's NaN slopes there fail its energy check quietly
+    meta, _ = read_table(out)
+    assert meta["report"]["seed"] == "sech2"
+    assert meta["report"]["converged"] is True
+
+
+@pytest.mark.parametrize("argv, error, message", [
+    (("--cs", "0.1"), "NoSolitaryWaveError", "speed 0.1 is not supersonic: c_s^2 <= c_crit^2"),
+    (("--gamma", "0.25", "--delta", "0.5"), "NoSolitaryWaveError", "nonlinearity coefficient is zero"),
+    (("--cs", "-1.0"), "ValueError", "solver computes right-moving waves"),
+], ids=["subsonic", "zero-K", "negative-speed"])
+def test_seeded_solve_keeps_the_solver_errors(tmp_path, capsys, argv, error, message):
+    code, _, err = run_cli(capsys, "solve", *argv, "--half-length", "64", "--modes", "512",
+                           "--out", str(tmp_path / "x.csv"))
+    assert code == 1
+    payload = one_line_error(err)
+    assert payload["error"] == error
+    assert payload["message"].startswith(message)

@@ -96,11 +96,11 @@ def _where_G_U(curve, v):
     with np.errstate(invalid="ignore"):
         s_exact = -v - pole * np.log1p(-r)
     s_series = pole * (r * r * (1 / 2 + r * (1 / 3 + r * (1 / 4 + r * (1 / 5 + r * (1 / 6 + r / 7))))))
-    G = K * v**3 / (6.0 * p.beta * cs) + c2 * np.where(small, s_series, s_exact)
+    G = K * (v * v * v) / (6.0 * p.beta * cs) + c2 * np.where(small, s_series, s_exact)
     u_exact = -v * v / (2.0 * p.beta) + G
     cubic = K / (6.0 * p.beta * cs) + c2 / (3.0 * pole**2)
-    tail = c2 * (r**4 * (1 / 4 + r * (1 / 5 + r * (1 / 6 + r / 7)))) * pole
-    u_series = -0.5 * curve.saddle_rate**2 * v * v + cubic * v**3 + tail
+    tail = c2 * ((r * r) * (r * r) * (1 / 4 + r * (1 / 5 + r * (1 / 6 + r / 7)))) * pole
+    u_series = -0.5 * curve.saddle_rate**2 * v * v + cubic * (v * v * v) + tail
     return G, np.where(small, u_series, u_exact)
 
 
@@ -417,3 +417,13 @@ def test_turning_point_matches_vectorised_bisection():
                         assert oracle.potential(problem).turning_point == _reference_turning_point(problem)
                         checked += 1
     assert checked == 250
+
+
+def test_gauss_legendre_literals_are_leggauss():
+    # the coarse map's rule, mirrored from its positive half, is numpy's 16-point rule bit for bit
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(16)
+    half_nodes, half_weights = np.array(oracle._GL_HALF_NODES), np.array(oracle._GL_HALF_WEIGHTS)
+    assert np.concatenate([-half_nodes[::-1], half_nodes]).tobytes() == nodes.tobytes()
+    assert np.concatenate([half_weights[::-1], half_weights]).tobytes() == weights.tobytes()

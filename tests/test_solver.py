@@ -289,3 +289,33 @@ def test_non_finite_seed_fails_at_first_iteration(elevation_params, small_grid):
         solver.solve(small_grid, elevation_params, cfg)
     assert excinfo.value.report.iterations == 1
     assert not excinfo.value.report.converged
+
+
+@pytest.mark.parametrize("gamma, delta", [(0.5, 0.8), (0.5, 0.5)], ids=["elevation", "depression"])
+@pytest.mark.parametrize("offset", [0.02, 0.05, 0.10])
+def test_oracle_seed_reaches_the_sech2_seeded_wave(default_grid, gamma, delta, offset):
+    # the two seeds converge to the same wave within the tolerance scale (worst: depression at 0.02)
+    params = make_parameters(gamma, delta)
+    cs = params.c_crit + offset
+    sech2, _ = solver.solve(default_grid, params, SolverConfig(speed=cs))
+    seed = solver.oracle_initial_guess(default_grid, params, cs)
+    seeded, report = solver.solve(default_grid, params, SolverConfig(speed=cs, initial_guess=seed))
+    assert report.converged and report.iterations <= 2
+    assert report.seed == "given"
+    for name in ("zeta", "v", "u"):
+        a, b = getattr(seeded, name), getattr(sech2, name)
+        assert np.max(np.abs(a - b)) <= 5e-10 * np.max(np.abs(b))
+
+
+def test_oracle_seed_is_the_oracle_profile(default_grid, elevation_params, elevation_curve, elevation_oracle_profile):
+    # the seed's short integration agrees with the oracle at x_max = l, step 1e-3 on every node
+    seed = solver.oracle_initial_guess(default_grid, elevation_params, elevation_curve.problem.speed)
+    v = elevation_oracle_profile.sample_v(default_grid.nodes)
+    assert np.max(np.abs(seed.v - v)) <= 1e-12 * abs(elevation_curve.turning_point)
+    assert np.array_equal(seed.zeta, oracle.reconstruct_zeta(elevation_curve, seed.v))
+
+
+def test_default_seed_is_labelled_sech2(elevation_params, small_grid):
+    _, report = solver.solve(small_grid, elevation_params, SolverConfig(speed=elevation_params.c_crit + 0.05))
+    assert report.seed == "sech2"
+    assert report.to_dict()["seed"] == "sech2"
