@@ -225,24 +225,9 @@ def _build_run(args, keys: dict = _CONFIG_KEYS) -> tuple:
 # subcommands
 
 
-def _seeded_solve(grid: SpectralGrid, params, config: SolverConfig):
-    """solver.solve from the oracle's profile on the grid, or from the default sech^2 seed where the oracle fails.
-
-    The solver's own checks of the speed run first, so their errors are the solver's.
-    """
-    solver.check_speed(params, config.speed)
-    try:
-        seed = solver.oracle_initial_guess(grid, params, config.speed)
-    except WaveError:
-        return solver.solve(grid, params, config)
-    state, report = solver.solve(grid, params, dataclasses.replace(config, initial_guess=seed))
-    report.seed = "oracle"
-    return state, report
-
-
 def cmd_solve(args) -> int:
     params, grid, config, described = _build_run(args)
-    state, report = _seeded_solve(grid, params, config)
+    state, report = solver.solve(grid, params, config)
     meta = _meta("solve", described, {"report": report.to_dict()})
     write_table(Path(args.out), meta, {"x": grid.nodes, "zeta": state.zeta, "v": state.v, "u": state.u})
     if args.spectrum_out:
@@ -277,7 +262,7 @@ def cmd_sweep(args) -> int:
     params, grid, config, described = _build_run(args)
     if args.count < 4:
         raise InsufficientDataError("sweep needs at least 4 speeds for the power fit")
-    columns = _sweep(_seeded_solve, grid, params, config, np.linspace(args.offset_min, args.offset_max, args.count))
+    columns = _sweep(solver.solve, grid, params, config, np.linspace(args.offset_min, args.offset_max, args.count))
 
     described["sweep"] = {"offset_min": args.offset_min, "offset_max": args.offset_max, "count": args.count}
     meta = _meta("sweep", described)
@@ -421,8 +406,7 @@ def cmd_reproduce(args) -> int:
     # each distinct (grid, params, config) is solved once per command: fig2a, fig3c, fig4 and
     # fig5/fig6/table1 share the elevation wave at offset 0.05, fig2b, fig3c and fig4 the
     # depression wave there, and fig3a and fig3b the sweep.  Callers only read the cached states.
-    # The memo is keyed on the configs without a seed; the seed is built inside.
-    solve = functools.cache(_seeded_solve)
+    solve = functools.cache(solver.solve)
 
     def wave(pair, offset):
         params = make_parameters(*pair)
@@ -601,7 +585,7 @@ def main(argv=None) -> int:
     except NotConvergedError as exc:
         _stderr_record("error", type(exc).__name__, exc)
         return 2
-    except (WaveError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (WaveError, ValueError, OSError, MemoryError, json.JSONDecodeError) as exc:
         _stderr_record("error", type(exc).__name__, exc)
         return 1
 

@@ -43,6 +43,17 @@ def _rotation(symbols: DispersionSymbols, k, t: float):
     return np.cos(phase), np.sin(phase), np.sqrt(om / (1.0 - gamma))
 
 
+def _linear_flow(symbols: DispersionSymbols, speed: float, k: np.ndarray, sym, t: float):
+    """The linear flow over time t in the frame moving at ``speed``, on stacked (zeta_hat, v_hat) of shape (2, modes).
+
+    exp(i k speed t) times the propagator, with u_hat = sym v_hat; sym = 1 flows (zeta_hat, u_hat).
+    """
+    c, s, r = _rotation(symbols, k, t)
+    shift = np.exp(1j * speed * k * t)
+    diagonal, upper, lower = shift * c, -1j * shift * r * s * sym, -1j * shift * s / (r * sym)
+    return lambda x: np.array([diagonal * x[0] + upper * x[1], lower * x[0] + diagonal * x[1]])
+
+
 def propagator(symbols: DispersionSymbols, k: float, t: float) -> np.ndarray:
     """2x2 propagator matrix exp(-i k A(k) t) for a single mode.
 
@@ -73,12 +84,11 @@ def evolve_linear(
     rotate into, so it is held fixed (same convention as the odd-order
     pseudospectral derivative).
     """
-    c, s, r = _rotation(symbols, grid.half_wavenumbers, t)
-    c[-1], s[-1] = 1.0, 0.0
-    zh, uh = half_spectrum(grid, zeta0), half_spectrum(grid, u0)
-    zh_t = c * zh - 1j * r * s * uh
-    uh_t = -1j * s / r * zh + c * uh
-    return np.fft.irfft(zh_t, grid.n), np.fft.irfft(uh_t, grid.n)
+    k = grid.half_wavenumbers.copy()
+    k[-1] = 0.0
+    flow = _linear_flow(symbols, 0.0, k, 1.0, t)
+    zh, uh = flow(np.array([half_spectrum(grid, zeta0), half_spectrum(grid, u0)]))
+    return np.fft.irfft(zh, grid.n), np.fft.irfft(uh, grid.n)
 
 
 def mode_energy(symbols: DispersionSymbols, grid: SpectralGrid, zeta: np.ndarray, u: np.ndarray) -> np.ndarray:

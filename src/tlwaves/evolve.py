@@ -11,8 +11,9 @@ with u_hat = (1 + beta k^2) v_hat and A(k) the matrix of
 steady state here, so evolving a computed wave checks it against the
 time-dependent system without the solver or the oracle.
 
-The linear part is integrated exactly: exp(i k c_s t) times the closed-form
-propagator of :mod:`tlwaves.dispersion`, written for (zeta_hat, v_hat).
+The linear part is integrated exactly by the flow that
+:func:`tlwaves.dispersion.evolve_linear` also runs: exp(i k c_s t) times the
+closed-form propagator, written for (zeta_hat, v_hat).
 The quadratic part goes through the integrating-factor RK4 scheme (Cox &
 Matthews, J. Comput. Phys. 176 (2002); Kassam & Trefethen, SIAM J. Sci.
 Comput. 26 (2005)).  The Nyquist mode gets no odd derivative, as in
@@ -24,18 +25,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dispersion import DispersionSymbols, _rotation
+from .dispersion import DispersionSymbols, _linear_flow
 from .grid import half_spectrum, helmholtz_symbol
 from .params import ModelParameters
 from .solver import WaveState
-
-
-def _linear_flow(params: ModelParameters, speed: float, k: np.ndarray, sym: np.ndarray, t: float):
-    """The linear part's flow over time t, on stacked (zeta_hat, v_hat) of shape (2, modes)."""
-    c, s, r = _rotation(DispersionSymbols(params), k, t)
-    shift = np.exp(1j * speed * k * t)
-    diagonal, upper, lower = shift * c, -1j * shift * r * s * sym, -1j * shift * s / (r * sym)
-    return lambda x: np.array([diagonal * x[0] + upper * x[1], lower * x[0] + diagonal * x[1]])
 
 
 def evolve(params: ModelParameters, state: WaveState, speed: float, t_end: float, dt: float) -> WaveState:
@@ -48,7 +41,8 @@ def evolve(params: ModelParameters, state: WaveState, speed: float, t_end: float
     k = grid.half_wavenumbers.copy()
     k[-1] = 0.0  # Nyquist: no odd derivative
     sym = helmholtz_symbol(grid, params)
-    half, full = (_linear_flow(params, speed, k, sym, t) for t in (0.5 * dt, dt))
+    symbols = DispersionSymbols(params)
+    half, full = (_linear_flow(symbols, speed, k, sym, t) for t in (0.5 * dt, dt))
     coeff = -1j * dt * params.k_coeff * k
     coeff_v = 0.5 * coeff / sym
 

@@ -46,6 +46,7 @@ from .errors import (
     NoSolitaryWaveError,
     NotConvergedError,
     SingularModeError,
+    WaveError,
 )
 from .extrapolation import extrapolate
 from .grid import (
@@ -92,8 +93,9 @@ class SolverConfig:
 
     ``mpe_cycle = None`` runs the plain iteration; an integer K >= 2
     restarts from a minimal-polynomial extrapolation every K + 1 steps.
-    ``initial_guess = None`` builds the scaled sech^2 seed from the ODE
-    oracle's turning point.
+    ``initial_guess = None`` starts from the ODE oracle's profile at the
+    grid nodes, or from the scaled sech^2 seed where the oracle fails (see
+    :func:`solve`).
     """
 
     speed: float
@@ -123,7 +125,7 @@ class SolveReport:
     wall_time: float = 0.0
     boundary_ratio: float = 0.0
     warnings: list = field(default_factory=list)
-    seed: str = "given"  # "sech2" when solve built its default seed; callers label the seed they passed
+    seed: str = "given"  # "oracle" or "sech2" when solve built the seed, "given" for a caller's initial_guess
 
     @property
     def m_final(self) -> float:
@@ -291,7 +293,8 @@ class _Core:
 
 
 def auto_initial_guess(grid: SpectralGrid, params: ModelParameters, speed: float) -> WaveState:
-    """sech^2 seed scaled from the ODE oracle's turning point.
+    """sech^2 seed scaled from the ODE oracle's turning point: :func:`solve`'s fallback
+    where :func:`oracle_initial_guess` raises.
 
     Amplitude |zeta_s(v*)|, width 1/lambda from the saddle rate, and the
     long-wave proportionality v = c_s (gamma + delta) zeta.
@@ -326,22 +329,13 @@ def oracle_initial_guess(grid: SpectralGrid, params: ModelParameters, speed: flo
     return WaveState.from_zeta_v(grid, params, oracle.reconstruct_zeta(curve, v), v)
 
 
-def check_speed(params: ModelParameters, speed: float) -> None:
-    """Raise unless the solver can compute a wave at this speed (see :func:`solve`)."""
-    if params.k_coeff == 0.0:
-        raise NoSolitaryWaveError("nonlinearity coefficient is zero (delta^2 == gamma)")
-    if not speed**2 > params.c_crit**2:
-        raise NoSolitaryWaveError(
-            f"speed {speed} is not supersonic: c_s^2 <= c_crit^2 = {params.c_crit ** 2:.6g}"
-        )
-    if speed < 0.0:
-        raise ValueError(
-            "solver computes right-moving waves; map the result with oracle.negative_speed_map for c_s < 0"
-        )
-
-
 def solve(grid: SpectralGrid, params: ModelParameters, config: SolverConfig) -> tuple[WaveState, SolveReport]:
     """Run the iteration to the dual residual/update tolerance.
+
+    Without ``config.initial_guess`` the iteration starts from
+    :func:`oracle_initial_guess`, or from :func:`auto_initial_guess` where
+    the oracle raises a :class:`WaveError`; ``SolveReport.seed`` records
+    which (``"oracle"`` or ``"sech2"``).
 
     Raises
     ------
@@ -357,14 +351,27 @@ def solve(grid: SpectralGrid, params: ModelParameters, config: SolverConfig) -> 
         below ``BOUNDARY_DECAY_TOL`` (relative) at the boundary.
     """
     speed = config.speed
-    check_speed(params, speed)
+    if params.k_coeff == 0.0:
+        raise NoSolitaryWaveError("nonlinearity coefficient is zero (delta^2 == gamma)")
+    if not speed**2 > params.c_crit**2:
+        raise NoSolitaryWaveError(
+            f"speed {speed} is not supersonic: c_s^2 <= c_crit^2 = {params.c_crit ** 2:.6g}"
+        )
+    if speed < 0.0:
+        raise ValueError(
+            "solver computes right-moving waves; map the result with oracle.negative_speed_map for c_s < 0"
+        )
 
     started = time.perf_counter()
     report = SolveReport()
     state = config.initial_guess
     if state is None:
-        state = auto_initial_guess(grid, params, speed)
-        report.seed = "sech2"
+        try:
+            state = oracle_initial_guess(grid, params, speed)
+            report.seed = "oracle"
+        except WaveError:
+            state = auto_initial_guess(grid, params, speed)
+            report.seed = "sech2"
     else:
         # a given guess is checked against the grid and its u rebuilt from v
         state = WaveState.from_zeta_v(grid, params, state.zeta, state.v)

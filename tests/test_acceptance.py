@@ -9,7 +9,6 @@ import pytest
 
 from conftest import REF_OFFSET, record_criterion
 from tlwaves import analysis, oracle, solver
-from tlwaves.cli import _seeded_solve
 from tlwaves.dispersion import DispersionSymbols, evolve_linear, mode_energy, propagator, sigma_order
 from tlwaves.errors import NoSolitaryWaveError
 from tlwaves.evolve import evolve
@@ -29,12 +28,15 @@ def test_criterion_1_solver_convergence(elevation_params, default_grid, elevatio
     state, report = elevation_solution
     residual = report.residual_history[-1]
     m_err = abs(report.m_final - 1.0)
+    # from the sech^2 seed, as the plain solve of the fixture
+    speed = elevation_params.c_crit + REF_OFFSET
     cfg = SolverConfig(
-        speed=elevation_params.c_crit + REF_OFFSET,
+        speed=speed,
         tol_residual=1e-10,
         tol_update=1e-10,
         max_iter=300,
         mpe_cycle=6,
+        initial_guess=solver.auto_initial_guess(default_grid, elevation_params, speed),
     )
     _, mpe_report = solver.solve(default_grid, elevation_params, cfg)
     ok = (
@@ -313,7 +315,7 @@ def test_criterion_10_property_suite(elevation_params, default_grid):
 
 
 def test_criterion_11_time_dependent_steadiness(elevation_params, depression_params, default_grid):
-    # the CLI-seeded waves, evolved by the time-dependent system in the frame moving at c_s, stay put
+    # the oracle-seeded waves, evolved by the time-dependent system in the frame moving at c_s, stay put
     def shape_error(params, speed, state, dt):
         end = evolve(params, state, speed, 20.0, dt)
         return max(float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
@@ -322,7 +324,7 @@ def test_criterion_11_time_dependent_steadiness(elevation_params, depression_par
     rows = []
     for label, params in (("elevation", elevation_params), ("depression", depression_params)):
         speed = params.c_crit + REF_OFFSET
-        state, report = _seeded_solve(default_grid, params, SolverConfig(speed=speed))
+        state, report = solver.solve(default_grid, params, SolverConfig(speed=speed))
         assert report.seed == "oracle"
         coarse, fine = (shape_error(params, speed, state, dt) for dt in (0.1, 0.05))
         scaled = WaveState.from_zeta_v(default_grid, params, 1.001 * state.zeta, 1.001 * state.v)
@@ -331,7 +333,7 @@ def test_criterion_11_time_dependent_steadiness(elevation_params, depression_par
     ok = all(fine <= 1e-9 and ratio >= 10.0 and drift >= 1e-5 for _, fine, ratio, drift in rows)
     record_criterion(
         11,
-        "the CLI-seeded waves are steady under the time-dependent system (integrating-factor RK4, T = 20)",
+        "the oracle-seeded waves are steady under the time-dependent system (integrating-factor RK4, T = 20)",
         ok,
         ", ".join(f"{label} {fine:.1e} at dt 0.05, ratio {ratio:.1f}, 1.001x drift {drift:.1e}"
                   for label, fine, ratio, drift in rows),

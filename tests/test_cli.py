@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import subprocess
@@ -9,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tlwaves import oracle, solver
-from tlwaves.cli import _seeded_solve, main, read_table, write_table
+from tlwaves import analysis, oracle, solver
+from tlwaves.cli import _FIG3C_DELTAS, main, read_table, write_table
 from tlwaves.errors import DomainTooSmallWarning, InputFormatError
 from tlwaves.grid import SpectralGrid
 from tlwaves.params import make_parameters
@@ -137,6 +136,17 @@ def test_oracle_rejects_a_bad_sampling_setting(tmp_path, capsys, flag, value):
     code, stdout, err = run_cli(capsys, "oracle", "--x-max", "10", flag, value, "--out", str(out))
     assert code == 1
     assert one_line_error(err)["error"] == "ValueError"
+    assert stdout == ""
+    assert not out.exists()
+
+
+def test_oracle_that_does_not_fit_in_memory_exits_1(tmp_path, capsys):
+    # 1e15 nodes: numpy refuses the 7 PiB request at once, so nothing is allocated
+    out = tmp_path / "oracle.csv"
+    code, stdout, err = run_cli(capsys, "oracle", "--x-max", "1e9", "--step", "1e-6", "--out", str(out))
+    assert code == 1
+    assert "Traceback" not in err
+    assert one_line_error(err)["error"].endswith("MemoryError")
     assert stdout == ""
     assert not out.exists()
 
@@ -353,8 +363,7 @@ def test_reproduce_solves_each_configuration_once(tmp_path, capsys, monkeypatch)
     real_solve = solver.solve
 
     def counted(grid, params, config):
-        # the config carries the oracle seed, a WaveState, which is not hashable
-        keys.append((grid, params, dataclasses.replace(config, initial_guess=None)))
+        keys.append((grid, params, config))
         return real_solve(grid, params, config)
 
     monkeypatch.setattr(solver, "solve", counted)
@@ -544,7 +553,7 @@ def test_sweep_ends_use_the_oracle_seed(gamma, delta, offset):
     config = solver.SolverConfig(speed=params.c_crit + offset, mpe_cycle=6)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DomainTooSmallWarning)  # the widest wave reaches 5.6e-10 at l=128
-        _, report = _seeded_solve(grid, params, config)
+        _, report = solver.solve(grid, params, config)
     assert report.seed == "oracle"
     assert report.converged and report.iterations <= 12
 
@@ -567,10 +576,21 @@ def test_solve_near_the_pole_falls_back_to_the_sech2_seed(tmp_path, capsys):
     (("--gamma", "0.25", "--delta", "0.5"), "NoSolitaryWaveError", "nonlinearity coefficient is zero"),
     (("--cs", "-1.0"), "ValueError", "solver computes right-moving waves"),
 ], ids=["subsonic", "zero-K", "negative-speed"])
-def test_seeded_solve_keeps_the_solver_errors(tmp_path, capsys, argv, error, message):
+def test_solve_keeps_the_solver_errors(tmp_path, capsys, argv, error, message):
     code, _, err = run_cli(capsys, "solve", *argv, "--half-length", "64", "--modes", "512",
                            "--out", str(tmp_path / "x.csv"))
     assert code == 1
     payload = one_line_error(err)
     assert payload["error"] == error
     assert payload["message"].startswith(message)
+
+
+def test_default_study_equals_reproduce_fig3c(tmp_path, capsys):
+    # the library's default seed is the command line's, so the two give the same bits
+    code, _, _ = run_cli(capsys, "reproduce", "fig3c", "--half-length", "64", "--modes", "512",
+                         "--out-dir", str(tmp_path))
+    assert code == 0
+    _, cols = read_table(tmp_path / "fig3c_amplitude_vs_k.csv")
+    study = analysis.amplitude_vs_k_study(0.5, _FIG3C_DELTAS, 0.05, grid=SpectralGrid(half_length=64.0, n=512))
+    assert np.array_equal(study.k_values(), cols["k_coeff"])
+    assert np.array_equal(study.amplitudes(), cols["zeta_max"])

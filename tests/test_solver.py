@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -184,7 +186,8 @@ def test_solve_rejects_negative_speed(elevation_params, small_grid):
 
 
 def test_not_converged_carries_report(elevation_params, small_grid):
-    cfg = SolverConfig(speed=elevation_params.c_crit + 0.05, max_iter=3)
+    cs = elevation_params.c_crit + 0.05
+    cfg = SolverConfig(speed=cs, max_iter=3, initial_guess=solver.auto_initial_guess(small_grid, elevation_params, cs))
     with pytest.raises(NotConvergedError) as excinfo:
         solver.solve(small_grid, elevation_params, cfg)
     assert excinfo.value.report.iterations == 3
@@ -218,12 +221,14 @@ def test_dealias_option_reaches_same_wave(elevation_params, small_grid):
 
 def test_mpe_accelerates(elevation_params, default_grid, elevation_solution):
     _, plain_report = elevation_solution
+    cs = elevation_params.c_crit + 0.05
     cfg = SolverConfig(
-        speed=elevation_params.c_crit + 0.05,
+        speed=cs,
         tol_residual=1e-10,
         tol_update=1e-10,
         max_iter=300,
         mpe_cycle=6,
+        initial_guess=solver.auto_initial_guess(default_grid, elevation_params, cs),
     )
     _, mpe_report = solver.solve(default_grid, elevation_params, cfg)
     assert mpe_report.converged
@@ -269,7 +274,9 @@ def _reference_solve(grid, params, config):
 
 @pytest.mark.parametrize("options", [{}, {"mpe_cycle": 6}, {"dealias": True}], ids=["plain", "mpe6", "dealias"])
 def test_core_matches_reference_iteration(elevation_params, default_grid, options):
-    cfg = SolverConfig(speed=elevation_params.c_crit + 0.05, max_iter=300, **options)
+    cs = elevation_params.c_crit + 0.05
+    seed = solver.auto_initial_guess(default_grid, elevation_params, cs)
+    cfg = SolverConfig(speed=cs, max_iter=300, initial_guess=seed, **options)
     state, report = solver.solve(default_grid, elevation_params, cfg)
     ref_state, ref_residuals, ref_ms = _reference_solve(default_grid, elevation_params, cfg)
     assert report.iterations == len(ref_residuals)
@@ -297,7 +304,8 @@ def test_oracle_seed_reaches_the_sech2_seeded_wave(default_grid, gamma, delta, o
     # the two seeds converge to the same wave within the tolerance scale (worst: depression at 0.02)
     params = make_parameters(gamma, delta)
     cs = params.c_crit + offset
-    sech2, _ = solver.solve(default_grid, params, SolverConfig(speed=cs))
+    sech2_seed = solver.auto_initial_guess(default_grid, params, cs)
+    sech2, _ = solver.solve(default_grid, params, SolverConfig(speed=cs, initial_guess=sech2_seed))
     seed = solver.oracle_initial_guess(default_grid, params, cs)
     seeded, report = solver.solve(default_grid, params, SolverConfig(speed=cs, initial_guess=seed))
     assert report.converged and report.iterations <= 2
@@ -315,7 +323,15 @@ def test_oracle_seed_is_the_oracle_profile(default_grid, elevation_params, eleva
     assert np.array_equal(seed.zeta, oracle.reconstruct_zeta(elevation_curve, seed.v))
 
 
-def test_default_seed_is_labelled_sech2(elevation_params, small_grid):
-    _, report = solver.solve(small_grid, elevation_params, SolverConfig(speed=elevation_params.c_crit + 0.05))
-    assert report.seed == "sech2"
-    assert report.to_dict()["seed"] == "sech2"
+@pytest.mark.parametrize("gamma, delta, speed, seed", [
+    (0.5, 0.8, make_parameters(0.5, 0.8).c_crit + 0.05, "oracle"),
+    # v*/v_pole >= 0.93: the oracle's energy check fails and the solve falls back to sech^2
+    (0.95, 0.8, 1.2, "sech2"),
+], ids=["reference", "near-pole"])
+def test_default_seed_is_labelled_oracle(default_grid, gamma, delta, speed, seed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DomainTooSmallWarning)  # the near-pole wave reaches 5.5e-10 at l=128
+        _, report = solver.solve(default_grid, make_parameters(gamma, delta), SolverConfig(speed=speed))
+    assert report.converged
+    assert report.seed == seed
+    assert report.to_dict()["seed"] == seed
