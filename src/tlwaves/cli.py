@@ -120,18 +120,40 @@ def _meta(command: str, config: dict, extra: dict | None = None) -> dict:
 # configuration plumbing
 
 
-# the keys each block of a --config file may hold, as _build_run reads them; oracle and
-# dispersion read fewer, and their files and headers hold only those
-_CONFIG_KEYS = {
-    "params": ("gamma", "delta"),
-    "grid": ("half_length", "modes"),
-    "solver": ("cs", "tol_residual", "tol_update", "max_iter", "extrapolation", "dealias", "strict"),
+# One entry per setting of a run, by block and key: its flag, the type its --config value
+# must have, its default and its help.  A default of None is worked out by _build_run.
+_SETTINGS = {
+    "params": {
+        "gamma": ("--gamma", float, 0.5, "density ratio rho1/rho2"),
+        "delta": ("--delta", float, 0.8, "depth ratio d1/d2"),
+    },
+    "grid": {
+        "half_length": ("--half-length", float, 128.0, "domain half-length l"),
+        "modes": ("--modes", int, 1024, "collocation points N (even)"),
+    },
+    "solver": {
+        "cs": ("--cs", float, None, "traveling-wave speed (default c_crit + 0.05)"),
+        "tol_residual": ("--tol", float, 1e-10, "residual tolerance (max norm)"),
+        "tol_update": ("--tol-update", float, None, "update tolerance (max norm, default --tol)"),
+        "max_iter": ("--max-iter", int, 500, "iteration cap"),
+        "extrapolation": ("--extrapolation", str, "off", "off or mpe:K (default off)"),
+        "dealias": ("--dealias", bool, False, "zero-padded quadratic products"),
+        "strict": ("--strict", bool, False, "escalate the boundary-decay warning to an error"),
+    },
 }
-_ORACLE_KEYS = {"params": _CONFIG_KEYS["params"], "solver": ("cs",)}
-_DISPERSION_KEYS = {"params": _CONFIG_KEYS["params"]}
+# the JSON values a --config file may give a setting of each type; a boolean is never a number
+_JSON_TYPES = {float: ((int, float), "a number"), int: (int, "an integer"), bool: (bool, "true or false"),
+               str: (str, "a string")}
+
+# the settings each command reads, as blocks of keys: its flags, and the keys its --config may hold
+_RUN_KEYS = {block: tuple(entries) for block, entries in _SETTINGS.items()}
+_ORACLE_KEYS = {"params": ("gamma", "delta"), "solver": ("cs",)}
+_DISPERSION_KEYS = {"params": ("gamma", "delta")}
+_REPRODUCE_KEYS = {"grid": ("half_length", "modes"), "solver": ("tol_residual",)}
 
 
 def _load_config_file(path: str | None, keys: dict) -> dict:
+    """The blocks of a --config file, each value checked against and converted to its setting's type."""
     if not path:
         return {}
     config = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -147,19 +169,17 @@ def _load_config_file(path: str | None, keys: dict) -> dict:
             raise InputFormatError(
                 f"config file {path}: unknown key(s) {unknown} in block {name!r}; it takes {list(keys[name])}"
             )
+        for key, value in block.items():
+            kind = _SETTINGS[name][key][1]
+            types, described = _JSON_TYPES[kind]
+            if not isinstance(value, types) or isinstance(value, bool) != (kind is bool):
+                raise InputFormatError(f"config file {path}: {name}.{key} must be {described}, got {json.dumps(value)}")
+            block[key] = kind(value)
     return config
 
 
-def _merged(file_block: dict, **flags) -> dict:
-    merged = dict(file_block)
-    for key, value in flags.items():
-        if value is not None:
-            merged[key] = value
-    return merged
-
-
-def _parse_extrapolation(text: str | None) -> int | None:
-    if text is None or text == "off":
+def _parse_extrapolation(text: str) -> int | None:
+    if text == "off":
         return None
     if text == "mpe":
         return 6
@@ -168,57 +188,38 @@ def _parse_extrapolation(text: str | None) -> int | None:
     raise ValueError(f"unknown extrapolation setting {text!r}; use off or mpe:K")
 
 
-def _build_run(args, keys: dict = _CONFIG_KEYS) -> tuple:
+def _build_run(args) -> tuple:
     """Validate every block of the run configuration up front.
 
-    ``keys`` names the blocks and keys the command reads: a config file may hold
-    only those, and the returned description records only those.
+    Each setting comes from its flag, else from the --config file, else from its default.
+    ``args.settings`` names the settings the command reads: its config file may hold only
+    those, and the returned description records only those.
     """
+    keys = args.settings
     filecfg = _load_config_file(getattr(args, "config", None), keys)
-    pblock = _merged(filecfg.get("params", {}), gamma=args.gamma, delta=args.delta)
-    gblock = _merged(
-        filecfg.get("grid", {}),
-        half_length=getattr(args, "half_length", None),
-        modes=getattr(args, "modes", None),
-    )
-    sblock = _merged(
-        filecfg.get("solver", {}),
-        cs=getattr(args, "cs", None),
-        tol_residual=getattr(args, "tol", None),
-        tol_update=getattr(args, "tol_update", None),
-        max_iter=getattr(args, "max_iter", None),
-        extrapolation=getattr(args, "extrapolation", None),
-        dealias=True if getattr(args, "dealias", False) else None,
-        strict=True if getattr(args, "strict", False) else None,
-    )
-    params = make_parameters(pblock.get("gamma", 0.5), pblock.get("delta", 0.8))
-    grid = SpectralGrid(half_length=float(gblock.get("half_length", 128.0)), n=int(gblock.get("modes", 1024)))
-    speed = sblock.get("cs")
-    if speed is None:
-        speed = params.c_crit + 0.05
+    run = {block: {} for block in _SETTINGS}
+    for block, entries in _SETTINGS.items():
+        for key, (_, _, default, _) in entries.items():
+            flag = getattr(args, key, None)
+            run[block][key] = filecfg.get(block, {}).get(key, default) if flag is None else flag
+    p, g, s = run["params"], run["grid"], run["solver"]
+    params = make_parameters(p["gamma"], p["delta"])
+    grid = SpectralGrid(half_length=g["half_length"], n=g["modes"])
+    if s["cs"] is None:
+        s["cs"] = params.c_crit + 0.05
+    if s["tol_update"] is None:
+        s["tol_update"] = s["tol_residual"]
     config = SolverConfig(
-        speed=float(speed),
-        tol_residual=float(sblock.get("tol_residual", 1e-10)),
-        tol_update=float(sblock.get("tol_update", sblock.get("tol_residual", 1e-10))),
-        max_iter=int(sblock.get("max_iter", 500)),
-        mpe_cycle=_parse_extrapolation(sblock.get("extrapolation")),
-        dealias=bool(sblock.get("dealias", False)),
-        strict_domain=bool(sblock.get("strict", False)),
+        speed=s["cs"],
+        tol_residual=s["tol_residual"],
+        tol_update=s["tol_update"],
+        max_iter=s["max_iter"],
+        mpe_cycle=_parse_extrapolation(s["extrapolation"]),
+        dealias=s["dealias"],
+        strict_domain=s["strict"],
     )
-    described = {
-        "params": params_to_config(params),
-        "grid": {"half_length": grid.half_length, "modes": grid.n},
-        "solver": {
-            "cs": config.speed,
-            "tol_residual": config.tol_residual,
-            "tol_update": config.tol_update,
-            "max_iter": config.max_iter,
-            "extrapolation": "off" if config.mpe_cycle is None else f"mpe:{config.mpe_cycle}",
-            "dealias": config.dealias,
-            "strict": config.strict_domain,
-        },
-    }
-    return params, grid, config, {name: {key: described[name][key] for key in keys[name]} for name in keys}
+    s["extrapolation"] = "off" if config.mpe_cycle is None else f"mpe:{config.mpe_cycle}"
+    return params, grid, config, {block: {key: run[block][key] for key in keys[block]} for block in keys}
 
 
 # ----------------------------------------------------------------------
@@ -277,7 +278,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    params, _, config, described = _build_run(args, _ORACLE_KEYS)
+    params, _, config, described = _build_run(args)
     if not 0.0 < args.dx < np.inf:
         raise ValueError(f"--dx must be positive and finite, got {args.dx}")
     problem = oracle.TravelingWaveProblem(params=params, speed=config.speed)
@@ -304,7 +305,9 @@ def cmd_oracle(args) -> int:
 def cmd_dispersion(args) -> int:
     if args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
-    params, _, _, described = _build_run(args, _DISPERSION_KEYS)
+    if not (np.isfinite(args.k_min) and np.isfinite(args.k_max)):
+        raise ValueError(f"--k-min and --k-max must be finite, got {args.k_min} and {args.k_max}")
+    params, _, _, described = _build_run(args)
     symbols = dispersion.DispersionSymbols(params)
     ks = np.linspace(args.k_min, args.k_max, args.count)
     described["dispersion"] = {"k_min": args.k_min, "k_max": args.k_max, "count": args.count}
@@ -316,6 +319,8 @@ def cmd_dispersion(args) -> int:
 
 def _grid_from_profile(x: np.ndarray) -> SpectralGrid:
     """Rebuild the periodic grid a solver profile was written on."""
+    if x.size < 8:
+        raise WaveError(f"input holds {x.size} nodes; a periodic solver profile has at least 8")
     spacing = float(x[1] - x[0])
     half = spacing * x.size / 2.0
     if x.size % 2 or abs(float(x[0]) + half) > 1e-9 * max(1.0, half):
@@ -400,9 +405,8 @@ def cmd_analyze(args) -> int:
 def cmd_reproduce(args) -> int:
     outdir = Path(args.out_dir)
     targets = _TARGETS if args.target == "all" else (args.target,)
-    grid = SpectralGrid(half_length=args.half_length, n=args.modes)
-    # the speed is set per wave; building the config here rejects a bad tolerance before any file is written
-    config = SolverConfig(speed=0.0, tol_residual=args.tol, tol_update=args.tol)
+    # the speed is set per wave; building the run here rejects a bad setting before any file is written
+    _, grid, config, _ = _build_run(args)
     # each distinct (grid, params, config) is solved once per command: fig2a, fig3c, fig4 and
     # fig5/fig6/table1 share the elevation wave at offset 0.05, fig2b, fig3c and fig4 the
     # depression wave there, and fig3a and fig3b the sweep.  Callers only read the cached states.
@@ -457,7 +461,7 @@ def cmd_reproduce(args) -> int:
             "fit": _speed_fit(columns).to_dict(),
         })
     if "fig3c" in targets:
-        study = analysis.amplitude_vs_k_study(0.5, _FIG3C_DELTAS, 0.05, grid=grid, tol=args.tol, solve=solve)
+        study = analysis.amplitude_vs_k_study(0.5, _FIG3C_DELTAS, 0.05, grid=grid, tol=config.tol_residual, solve=solve)
         meta = _meta("reproduce-fig3c", {"gamma": 0.5, "deltas": list(_FIG3C_DELTAS), "offset": 0.05},
                      {"skipped": list(study.skipped)})
         save("fig3c_amplitude_vs_k.csv", write_table, meta, {
@@ -497,22 +501,16 @@ def cmd_reproduce(args) -> int:
 # parser
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file; flags override its blocks")
-    p.add_argument("--gamma", type=float, help="density ratio rho1/rho2")
-    p.add_argument("--delta", type=float, help="depth ratio d1/d2")
-
-
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--cs", type=float, help="traveling-wave speed (default c_crit + 0.05)")
-    p.add_argument("--half-length", dest="half_length", type=float, help="domain half-length l")
-    p.add_argument("--modes", type=int, help="collocation points N (even)")
-    p.add_argument("--tol", type=float, help="residual tolerance (max norm)")
-    p.add_argument("--tol-update", dest="tol_update", type=float, help="update tolerance (max norm)")
-    p.add_argument("--max-iter", dest="max_iter", type=int, help="iteration cap")
-    p.add_argument("--extrapolation", help="off or mpe:K (default off)")
-    p.add_argument("--dealias", action="store_true", help="zero-padded quadratic products")
-    p.add_argument("--strict", action="store_true", help="escalate the boundary-decay warning to an error")
+def _add_settings(p: argparse.ArgumentParser, keys: dict, config_file: bool = True) -> None:
+    """The flags of the settings ``keys`` names, and --config unless ``config_file`` is false."""
+    if config_file:
+        p.add_argument("--config", help="JSON config file; flags override its blocks")
+    for block, names in keys.items():
+        for key in names:
+            flag, kind, _, text = _SETTINGS[block][key]
+            typed = {"action": "store_const", "const": True} if kind is bool else {"type": kind}
+            p.add_argument(flag, dest=key, help=text, **typed)
+    p.set_defaults(settings=keys)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -520,16 +518,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="compute one solitary wave profile")
-    _add_common(p)
-    _add_solver_flags(p)
+    _add_settings(p, _RUN_KEYS)
     p.add_argument("--out", required=True, help="output file (.csv or .json)")
     p.add_argument("--spectrum-out", dest="spectrum_out",
                    help="also write the full (k, k', re, im) spectrum of zeta")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("sweep", help="speed sweep with amplitude extraction and power fit")
-    _add_common(p)
-    _add_solver_flags(p)
+    _add_settings(p, _RUN_KEYS)
     p.add_argument("--offset-min", type=float, default=0.01)
     p.add_argument("--offset-max", type=float, default=0.3)
     p.add_argument("--count", type=int, default=10)
@@ -537,8 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("oracle", help="ODE-based solitary profile (independent of the spectral solver)")
-    _add_common(p)
-    p.add_argument("--cs", type=float, help="traveling-wave speed")
+    _add_settings(p, _ORACLE_KEYS)
     p.add_argument("--x-max", dest="x_max", type=float, default=60.0)
     p.add_argument("--step", type=float, default=1e-3)
     p.add_argument("--dx", type=float, default=0.25, help="output sampling interval")
@@ -546,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("dispersion", help="linear symbols omega(k), sigma(k) over a wavenumber range")
-    _add_common(p)
+    _add_settings(p, _DISPERSION_KEYS)
     p.add_argument("--k-min", dest="k_min", type=float, default=0.0)
     p.add_argument("--k-max", dest="k_max", type=float, default=50.0)
     p.add_argument("--count", type=int, default=501)
@@ -563,9 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce", help="regenerate the reference figure and table data")
     p.add_argument("target", choices=[*_TARGETS, "all"])
     p.add_argument("--out-dir", dest="out_dir", default="results")
-    p.add_argument("--half-length", dest="half_length", type=float, default=128.0)
-    p.add_argument("--modes", type=int, default=1024)
-    p.add_argument("--tol", type=float, default=1e-10)
+    _add_settings(p, _REPRODUCE_KEYS, config_file=False)
     p.set_defaults(func=cmd_reproduce)
 
     return parser

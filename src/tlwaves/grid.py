@@ -52,6 +52,8 @@ class SpectralGrid:
     def __post_init__(self) -> None:
         if not self.half_length > 0.0:
             raise ValueError(f"half_length must be positive, got {self.half_length}")
+        if not self.half_length < np.inf:
+            raise ValueError(f"half_length must be finite, got {self.half_length}")
         if self.n % 2 != 0 or self.n < 8:
             raise ValueError(f"mode count n must be even and >= 8, got {self.n}")
         h = 2.0 * self.half_length / self.n
@@ -120,11 +122,6 @@ def helmholtz_apply(grid: SpectralGrid, params: ModelParameters, values: np.ndar
 def helmholtz_solve(grid: SpectralGrid, params: ModelParameters, values: np.ndarray) -> np.ndarray:
     """Invert 1 - beta*d_xx, i.e. smooth u into v."""
     return np.fft.irfft(half_spectrum(grid, values) / helmholtz_symbol(grid, params), grid.n)
-
-
-def grid_function_columns(grid: SpectralGrid, values: np.ndarray) -> dict:
-    """(x_j, value) columns for CSV serialization."""
-    return {"x": grid.nodes.copy(), "value": _check_size(grid, values).astype(float).copy()}
 
 
 def spectrum_columns(grid: SpectralGrid, spectrum: np.ndarray) -> dict:

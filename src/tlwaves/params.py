@@ -18,7 +18,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 from .errors import ParameterDomainError
 
@@ -86,12 +85,3 @@ def params_to_config(params: ModelParameters) -> dict:
     """JSON-ready config block. Derived fields are never serialized."""
     return {"gamma": params.gamma, "delta": params.delta}
 
-
-def params_from_config(config: Mapping) -> ModelParameters:
-    """Rebuild parameters from a config block, recomputing derived fields."""
-    try:
-        gamma = config["gamma"]
-        delta = config["delta"]
-    except KeyError as exc:
-        raise ParameterDomainError(f"config block missing key {exc}") from exc
-    return make_parameters(gamma, delta)

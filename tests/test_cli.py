@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tlwaves import analysis, oracle, solver
+from tlwaves import analysis, cli, oracle, solver
 from tlwaves.cli import _FIG3C_DELTAS, main, read_table, write_table
 from tlwaves.errors import DomainTooSmallWarning, InputFormatError
 from tlwaves.grid import SpectralGrid
@@ -222,6 +222,18 @@ def test_analyze_rejects_non_periodic_input(tmp_path, capsys):
     assert "periodic" in json.loads(err.strip().splitlines()[-1])["message"]
 
 
+@pytest.mark.parametrize("mode", ["spectrum", "phase"])
+def test_analyze_a_one_row_table_exits_1(tmp_path, capsys, mode):
+    table = tmp_path / "one.csv"
+    write_table(table, {}, {"x": [0.0], "zeta": [1.0], "v": [1.0]})
+    out = tmp_path / "a.csv"
+    code, _, err = run_cli(capsys, "analyze", mode, "--in", str(table), "--out", str(out))
+    assert code == 1
+    record = one_line_error(err)
+    assert record["error"] == "WaveError" and "at least 8" in record["message"]
+    assert not out.exists()
+
+
 def test_reproduce_fig2a(tmp_path, capsys):
     code, stdout, _ = run_cli(capsys, "reproduce", "fig2a", "--out-dir", str(tmp_path),
                               "--half-length", "64", "--modes", "512")
@@ -326,6 +338,35 @@ def test_config_unknown_keys_exit_1(tmp_path, capsys, config, named):
     assert code == 1
     record = one_line_error(err)
     assert record["error"] == "InputFormatError" and repr(named) in record["message"]
+
+
+@pytest.mark.parametrize("config, named", [
+    ({"solver": {"extrapolation": 6}}, "solver.extrapolation"),
+    ({"params": {"gamma": None}}, "params.gamma"),
+    ({"solver": {"cs": {}}}, "solver.cs"),
+    ({"solver": {"dealias": "false"}}, "solver.dealias"),
+    ({"grid": {"modes": 512.9}}, "grid.modes"),
+    ({"solver": {"max_iter": True}}, "solver.max_iter"),
+], ids=["int-extrapolation", "null-number", "object-number", "string-flag", "float-integer", "boolean-integer"])
+def test_config_value_of_the_wrong_type_exits_1(tmp_path, capsys, config, named):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "x.csv"
+    code, stdout, err = run_cli(capsys, "solve", "--config", str(cfg), "--half-length", "64", "--out", str(out))
+    assert code == 1
+    record = one_line_error(err)
+    assert record["error"] == "InputFormatError" and named in record["message"]
+    assert stdout == ""
+    assert not out.exists()
+
+
+def test_solve_rejects_a_non_finite_half_length(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code, stdout, err = run_cli(capsys, "solve", "--half-length", "inf", "--out", str(out))
+    assert code == 1
+    assert one_line_error(err) == {"error": "ValueError", "message": "half_length must be finite, got inf"}
+    assert stdout == ""
+    assert not out.exists()
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -533,6 +574,17 @@ def test_dispersion_rejects_a_count_below_one(tmp_path, capsys, count):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--k-max", "inf"), ("--k-min", "nan")])
+def test_dispersion_rejects_a_non_finite_wavenumber(tmp_path, capsys, flag, value):
+    out = tmp_path / "d.csv"
+    code, stdout, err = run_cli(capsys, "dispersion", flag, value, "--out", str(out))
+    assert code == 1
+    record = one_line_error(err)
+    assert record["error"] == "ValueError" and flag in record["message"]
+    assert stdout == ""
+    assert not out.exists()
+
+
 def test_cli_solve_and_oracle_load_no_numpy_polynomial(tmp_path):
     # the oracle's Gauss-Legendre rule is literal, so no process pays for importing numpy.polynomial
     code = ("import sys; from tlwaves.cli import main; "
@@ -594,3 +646,60 @@ def test_default_study_equals_reproduce_fig3c(tmp_path, capsys):
     study = analysis.amplitude_vs_k_study(0.5, _FIG3C_DELTAS, 0.05, grid=SpectralGrid(half_length=64.0, n=512))
     assert np.array_equal(study.k_values(), cols["k_coeff"])
     assert np.array_equal(study.amplitudes(), cols["zeta_max"])
+
+
+# a value other than the default for each setting of the table; a number may be a JSON integer
+SETTING_SAMPLES = {
+    ("params", "gamma"): 0.45,
+    ("params", "delta"): 0.85,
+    ("grid", "half_length"): 72,
+    ("grid", "modes"): 256,
+    ("solver", "cs"): 0.7,
+    ("solver", "tol_residual"): 1e-9,
+    ("solver", "tol_update"): 1e-8,
+    ("solver", "max_iter"): 300,
+    ("solver", "extrapolation"): "mpe:4",
+    ("solver", "dealias"): True,
+    ("solver", "strict"): True,
+}
+# the settings each command reads, and the flags every run of it takes (a small grid keeps solve quick)
+COMMAND_READS = {
+    "solve": (set(SETTING_SAMPLES), ("--half-length", "64", "--modes", "512")),
+    "oracle": ({("params", "gamma"), ("params", "delta"), ("solver", "cs")}, ("--x-max", "20")),
+    "dispersion": ({("params", "gamma"), ("params", "delta")}, ("--count", "11")),
+}
+
+
+def _header_config(capsys, tmp_path, name, command, *argv):
+    out = tmp_path / f"{name}.csv"
+    code, _, err = run_cli(capsys, command, *argv, "--out", str(out))
+    assert code == 0, err
+    return read_table(out)[0]["config"]
+
+
+@pytest.mark.parametrize("setting", [(block, key) for block in cli._SETTINGS for key in cli._SETTINGS[block]],
+                         ids=lambda setting: ".".join(setting))
+@pytest.mark.parametrize("command", list(COMMAND_READS))
+def test_settings_table_flag_and_config_file_agree(tmp_path, capsys, command, setting):
+    reads, common = COMMAND_READS[command]
+    block, key = setting
+    flag, kind, _, _ = cli._SETTINGS[block][key]
+    value = SETTING_SAMPLES[setting]
+    by_flag = (flag,) if kind is bool else (flag, str(value))
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({block: {key: value}}), encoding="utf-8")
+    if setting not in reads:
+        code, _, err = run_cli(capsys, command, *common, "--config", str(cfg), "--out", str(tmp_path / "x.csv"))
+        assert code == 1 and one_line_error(err)["error"] == "InputFormatError"
+        with pytest.raises(SystemExit):
+            main([command, *common, *by_flag, "--out", str(tmp_path / "x.csv")])
+        return
+    # the setting under test replaces its own flag among the common ones
+    base = [arg for pair in zip(common[::2], common[1::2]) if pair[0] != flag for arg in pair]
+    from_flag = _header_config(capsys, tmp_path, "flag", command, *base, *by_flag)
+    from_file = _header_config(capsys, tmp_path, "file", command, *base, "--config", str(cfg))
+    assert json.dumps(from_flag, sort_keys=True) == json.dumps(from_file, sort_keys=True)
+    assert from_flag[block][key] == value
+    own_block = set(from_flag) - {name for name, _ in reads}
+    assert {(name, k) for name in from_flag if name not in own_block for k in from_flag[name]} == reads
+    assert own_block == (set() if command == "solve" else {command})

@@ -7,7 +7,6 @@ from tlwaves.grid import (
     SpectralGrid,
     differentiate,
     forward_transform,
-    grid_function_columns,
     helmholtz_apply,
     helmholtz_solve,
     helmholtz_symbol,
@@ -28,7 +27,7 @@ def test_grid_layout():
     assert np.allclose(g.wavenumbers, np.pi * g.mode_numbers / 10.0)
 
 
-@pytest.mark.parametrize("half_length,n", [(0.0, 16), (-1.0, 16), (10.0, 15), (10.0, 4)])
+@pytest.mark.parametrize("half_length,n", [(0.0, 16), (-1.0, 16), (np.inf, 16), (10.0, 15), (10.0, 4)])
 def test_grid_validation(half_length, n):
     with pytest.raises(ValueError):
         SpectralGrid(half_length=half_length, n=n)
@@ -165,9 +164,6 @@ def test_round_trip_property(seed):
 def test_serialization_columns():
     g = SpectralGrid(half_length=4.0, n=16)
     f = np.sin(np.pi * g.nodes / 4.0)
-    cols = grid_function_columns(g, f)
-    assert list(cols) == ["x", "value"]
-    assert np.array_equal(cols["x"], g.nodes)
     spec = forward_transform(g, f)
     scols = spectrum_columns(g, spec)
     assert list(scols) == ["k", "kp", "re", "im"]

@@ -8,7 +8,6 @@ from tlwaves.errors import ParameterDomainError
 from tlwaves.params import (
     WaveType,
     make_parameters,
-    params_from_config,
     params_to_config,
     wave_type,
 )
@@ -77,10 +76,4 @@ def test_config_round_trip():
     p = make_parameters(0.37, 1.25)
     block = params_to_config(p)
     assert set(block) == {"gamma", "delta"}
-    q = params_from_config(block)
-    assert q == p
-
-
-def test_config_missing_key():
-    with pytest.raises(ParameterDomainError):
-        params_from_config({"gamma": 0.5})
+    assert make_parameters(**block) == p
