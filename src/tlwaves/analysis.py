@@ -18,11 +18,9 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from . import solver as _solver
 from .errors import InsufficientDataError, NoBracketError, SignChangeError, WaveError
 from .grid import SpectralGrid, differentiate, half_spectrum
 from .params import make_parameters
-from .solver import SolverConfig, WaveState
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # the interval of exponents B the speed-amplitude fit searches
@@ -67,8 +65,8 @@ def _goodness(y: np.ndarray, y_fit: np.ndarray) -> tuple[float, float, float]:
     return sse, r2, rmse
 
 
-def amplitude(state: WaveState) -> tuple[float, float, float]:
-    """Signed extremum of largest magnitude for (zeta, v, u)."""
+def amplitude(state) -> tuple[float, float, float]:
+    """Signed extremum of largest magnitude for (zeta, v, u) of a ``solver.WaveState``."""
 
     def signed_extremum(f: np.ndarray) -> float:
         return float(f[int(np.argmax(np.abs(f)))]) if f.size else 0.0
@@ -238,8 +236,10 @@ def amplitude_vs_k_study(
     Each depth ratio is solved at c_s = c_crit(gamma, delta) + speed_offset;
     failures are recorded and skipped rather than aborting the sweep.
     ``solve`` replaces :func:`solver.solve` (same signature), e.g. with a
-    memo that shares solves with other computations.
+    memo that shares solves with other computations.  This is the one
+    function here that imports :mod:`solver`, so the fits load without it.
     """
+    from . import solver as _solver
     if solve is None:
         solve = _solver.solve
     points = []
@@ -247,7 +247,7 @@ def amplitude_vs_k_study(
     for delta in deltas:
         try:
             params = make_parameters(gamma, delta)
-            config = SolverConfig(
+            config = _solver.SolverConfig(
                 speed=params.c_crit + speed_offset,
                 tol_residual=tol,
                 tol_update=tol,
@@ -261,6 +261,6 @@ def amplitude_vs_k_study(
     return StudyResult(points=tuple(points), skipped=tuple(skipped))
 
 
-def phase_portrait(state: WaveState, grid: SpectralGrid) -> np.ndarray:
-    """(v, v') sample pairs using pseudospectral differentiation."""
+def phase_portrait(state, grid: SpectralGrid) -> np.ndarray:
+    """(v, v') sample pairs of a ``solver.WaveState`` using pseudospectral differentiation."""
     return np.column_stack([state.v, differentiate(grid, state.v, 1)])

@@ -10,6 +10,17 @@ numbers go to the console log instead.
 Exit codes: 0 success, 1 validation failure, 2 non-convergence.  Errors
 and warnings are emitted as one-line JSON on stderr,
 ``{"error": <type>, "message": ...}`` and ``{"warning": <category>, "message": ...}``.
+
+Each subcommand imports the tlwaves modules it runs, inside its function:
+with no bytecode cache every imported line is compiled again in each
+process, so a module a command never calls is pure startup cost.  At
+module level this file imports only the standard library, numpy,
+``errors`` and ``params``.  Besides those, ``oracle`` loads ``oracle``;
+``dispersion`` loads ``dispersion`` and ``grid``; ``analyze decay`` and
+``analyze spectrum`` load ``analysis`` and ``grid`` (``phase`` adds
+``solver`` for its state); ``solve`` loads ``solver`` with ``oracle``,
+``extrapolation`` and ``grid``; ``sweep`` and ``reproduce`` load those
+and ``analysis``.
 """
 
 from __future__ import annotations
@@ -24,11 +35,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, analysis, dispersion, oracle, solver
+from . import __version__
 from .errors import InputFormatError, InsufficientDataError, NotConvergedError, WaveError
-from .grid import SpectralGrid, forward_transform, spectrum_columns
 from .params import make_parameters, params_to_config, wave_type
-from .solver import SolverConfig
 
 _ELEVATION_PAIR = (0.5, 0.8)
 _DEPRESSION_PAIR = (0.5, 0.5)
@@ -193,7 +202,11 @@ def _build_run(args) -> tuple:
 
     Each setting comes from its flag, else from the --config file, else from its default.
     ``args.settings`` names the settings the command reads: its config file may hold only
-    those, and the returned description records only those.
+    those, and the returned description records only those.  Returns the parameters, the
+    grid and solver configuration, and the description.  The grid and configuration are
+    built only for a command that reads the grid block, as the commands that solve do;
+    ``oracle`` and ``dispersion`` get None for both and read their settings from the
+    description.
     """
     keys = args.settings
     filecfg = _load_config_file(getattr(args, "config", None), keys)
@@ -204,21 +217,25 @@ def _build_run(args) -> tuple:
             run[block][key] = filecfg.get(block, {}).get(key, default) if flag is None else flag
     p, g, s = run["params"], run["grid"], run["solver"]
     params = make_parameters(p["gamma"], p["delta"])
-    grid = SpectralGrid(half_length=g["half_length"], n=g["modes"])
     if s["cs"] is None:
         s["cs"] = params.c_crit + 0.05
     if s["tol_update"] is None:
         s["tol_update"] = s["tol_residual"]
-    config = SolverConfig(
-        speed=s["cs"],
-        tol_residual=s["tol_residual"],
-        tol_update=s["tol_update"],
-        max_iter=s["max_iter"],
-        mpe_cycle=_parse_extrapolation(s["extrapolation"]),
-        dealias=s["dealias"],
-        strict_domain=s["strict"],
-    )
-    s["extrapolation"] = "off" if config.mpe_cycle is None else f"mpe:{config.mpe_cycle}"
+    grid = config = None
+    if "grid" in keys:
+        from .grid import SpectralGrid
+        from .solver import SolverConfig
+        grid = SpectralGrid(half_length=g["half_length"], n=g["modes"])
+        config = SolverConfig(
+            speed=s["cs"],
+            tol_residual=s["tol_residual"],
+            tol_update=s["tol_update"],
+            max_iter=s["max_iter"],
+            mpe_cycle=_parse_extrapolation(s["extrapolation"]),
+            dealias=s["dealias"],
+            strict_domain=s["strict"],
+        )
+        s["extrapolation"] = "off" if config.mpe_cycle is None else f"mpe:{config.mpe_cycle}"
     return params, grid, config, {block: {key: run[block][key] for key in keys[block]} for block in keys}
 
 
@@ -227,6 +244,8 @@ def _build_run(args) -> tuple:
 
 
 def cmd_solve(args) -> int:
+    from . import solver
+    from .grid import forward_transform, spectrum_columns
     params, grid, config, described = _build_run(args)
     state, report = solver.solve(grid, params, config)
     meta = _meta("solve", described, {"report": report.to_dict()})
@@ -242,8 +261,9 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _sweep(solve, grid: SpectralGrid, params, config: SolverConfig, offsets: np.ndarray) -> dict:
+def _sweep(solve, grid, params, config, offsets: np.ndarray) -> dict:
     """The cs, zeta_max, v_max and u_max columns of one solve at each speed c_crit + offset."""
+    from . import analysis
     speeds = params.c_crit + offsets
 
     def solve_one(speed: float):
@@ -254,15 +274,19 @@ def _sweep(solve, grid: SpectralGrid, params, config: SolverConfig, offsets: np.
     return {"cs": speeds, "zeta_max": amps[:, 0], "v_max": amps[:, 1], "u_max": amps[:, 2]}
 
 
-def _speed_fit(columns: dict) -> analysis.FitResult:
-    """The power law of |zeta_max| against cs over the columns of a sweep."""
+def _speed_fit(columns: dict):
+    """The power law of |zeta_max| against cs over the columns of a sweep, an ``analysis.FitResult``."""
+    from . import analysis
     return analysis.fit_speed_amplitude(list(zip(columns["cs"], np.abs(columns["zeta_max"]))))
 
 
 def cmd_sweep(args) -> int:
+    from . import solver
     params, grid, config, described = _build_run(args)
     if args.count < 4:
         raise InsufficientDataError("sweep needs at least 4 speeds for the power fit")
+    if not (np.isfinite(args.offset_min) and np.isfinite(args.offset_max)):
+        raise ValueError(f"--offset-min and --offset-max must be finite, got {args.offset_min} and {args.offset_max}")
     columns = _sweep(solver.solve, grid, params, config, np.linspace(args.offset_min, args.offset_max, args.count))
 
     described["sweep"] = {"offset_min": args.offset_min, "offset_max": args.offset_max, "count": args.count}
@@ -278,10 +302,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    params, _, config, described = _build_run(args)
+    from . import oracle
+    params, _, _, described = _build_run(args)
     if not 0.0 < args.dx < np.inf:
         raise ValueError(f"--dx must be positive and finite, got {args.dx}")
-    problem = oracle.TravelingWaveProblem(params=params, speed=config.speed)
+    problem = oracle.TravelingWaveProblem(params=params, speed=described["solver"]["cs"])
     curve = oracle.potential(problem)
     profile = oracle.integrate_profile(curve, x_max=args.x_max, step=args.step)
     xs = np.arange(0.0, args.x_max + 0.5 * args.dx, args.dx)
@@ -303,6 +328,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_dispersion(args) -> int:
+    from . import dispersion
     if args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
     if not (np.isfinite(args.k_min) and np.isfinite(args.k_max)):
@@ -317,8 +343,9 @@ def cmd_dispersion(args) -> int:
     return 0
 
 
-def _grid_from_profile(x: np.ndarray) -> SpectralGrid:
-    """Rebuild the periodic grid a solver profile was written on."""
+def _grid_from_profile(x: np.ndarray):
+    """Rebuild the periodic ``SpectralGrid`` a solver profile was written on."""
+    from .grid import SpectralGrid
     if x.size < 8:
         raise WaveError(f"input holds {x.size} nodes; a periodic solver profile has at least 8")
     spacing = float(x[1] - x[0])
@@ -341,15 +368,20 @@ def _profile_values(cols: dict, source, name: str | None = None) -> tuple[np.nda
     return cols["x"], cols[name]
 
 
-def _decay_fit(mode: str, x: np.ndarray, values: np.ndarray, window=None, half_length=None, grid=None):
+def _decay_fit(mode: str, x: np.ndarray, values: np.ndarray, window=None, half_length=None, grid=None,
+               source="the profile"):
     """The decay law fitted to ``values`` in space (mode "decay") or to their half spectrum.
 
     In space the abscissae are the nodes x > 0, and the default window ends at most at
     0.8 ``half_length``; the spectrum is taken on ``grid``, else on the periodic grid of
-    the nodes x.  Returns the windowed abscissae, values and fitted curve, and the fit.
+    the nodes x.  ``source`` names the profile in errors.  Returns the windowed abscissae,
+    values and fitted curve, and the fit.
     """
+    from . import analysis
     if mode == "decay":
         t, values = x[x > 0.0], values[x > 0.0]
+        if not t.size:
+            raise InputFormatError(f"{source} has no node at x > 0 to fit the decay on")
         window = window or analysis.default_space_window(t, values, half_length)
         fit = analysis.fit_decay_space(t, values, window)
     else:
@@ -366,6 +398,7 @@ def cmd_analyze(args) -> int:
     out = Path(args.out)
 
     if args.mode == "phase":
+        from . import analysis, solver
         x, v = _profile_values(cols, args.infile, "v")
         grid = _grid_from_profile(x)
         pairs = analysis.phase_portrait(
@@ -389,7 +422,7 @@ def cmd_analyze(args) -> int:
                 f"{args.infile} header: config.grid must be a JSON object and its half_length a number"
             )
         half_length = float(half_length)
-    t, values, fitted, fit = _decay_fit(args.mode, x, y, window, half_length)
+    t, values, fitted, fit = _decay_fit(args.mode, x, y, window, half_length, source=args.infile)
     label = f"analyze-{args.mode}"
     meta = _meta(label, {"input": str(args.infile), "window": list(fit.window), "source": meta_in.get("config", {})})
     write_table(out, meta, {"x" if args.mode == "decay" else "k": t, "value": values, "fitted": fitted})
@@ -403,6 +436,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
+    from . import analysis, solver
     outdir = Path(args.out_dir)
     targets = _TARGETS if args.target == "all" else (args.target,)
     # the speed is set per wave; building the run here rejects a bad setting before any file is written

@@ -234,6 +234,21 @@ def test_analyze_a_one_row_table_exits_1(tmp_path, capsys, mode):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("x", [[0.0], [-2.0, -1.0, 0.0]], ids=["one-row", "no-positive-x"])
+def test_analyze_decay_without_a_node_at_positive_x_exits_1(tmp_path, capsys, x):
+    table = tmp_path / "left.csv"
+    write_table(table, {}, {"x": x, "zeta": np.ones(len(x))})
+    out = tmp_path / "a.csv"
+    code, stdout, err = run_cli(capsys, "analyze", "decay", "--in", str(table), "--out", str(out))
+    assert code == 1
+    assert one_line_error(err) == {
+        "error": "InputFormatError",
+        "message": f"{table} has no node at x > 0 to fit the decay on",
+    }
+    assert stdout == ""
+    assert not out.exists()
+
+
 def test_reproduce_fig2a(tmp_path, capsys):
     code, stdout, _ = run_cli(capsys, "reproduce", "fig2a", "--out-dir", str(tmp_path),
                               "--half-length", "64", "--modes", "512")
@@ -585,6 +600,18 @@ def test_dispersion_rejects_a_non_finite_wavenumber(tmp_path, capsys, flag, valu
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--offset-max", "inf"), ("--offset-min", "nan")])
+def test_sweep_rejects_a_non_finite_offset(tmp_path, capsys, flag, value):
+    out = tmp_path / "w.csv"
+    code, stdout, err = run_cli(capsys, "sweep", "--half-length", "64", "--modes", "512", "--count", "4",
+                                flag, value, "--out", str(out))
+    assert code == 1
+    record = one_line_error(err)
+    assert record["error"] == "ValueError" and flag in record["message"]
+    assert stdout == ""
+    assert not out.exists()
+
+
 def test_cli_solve_and_oracle_load_no_numpy_polynomial(tmp_path):
     # the oracle's Gauss-Legendre rule is literal, so no process pays for importing numpy.polynomial
     code = ("import sys; from tlwaves.cli import main; "
@@ -703,3 +730,37 @@ def test_settings_table_flag_and_config_file_agree(tmp_path, capsys, command, se
     own_block = set(from_flag) - {name for name, _ in reads}
     assert {(name, k) for name in from_flag if name not in own_block for k in from_flag[name]} == reads
     assert own_block == (set() if command == "solve" else {command})
+
+
+# the modules every process of the command line loads; each command adds only the modules it runs
+CLI_CORE = {"tlwaves", "tlwaves.cli", "tlwaves.errors", "tlwaves.params"}
+COMMAND_MODULES = {
+    "oracle": (("oracle", "--x-max", "20", "--out", "o.csv"), {"oracle"}),
+    "dispersion": (("dispersion", "--count", "11", "--out", "d.csv"), {"dispersion", "grid"}),
+    "analyze-spectrum": (("analyze", "spectrum", "--in", "wave.csv", "--out", "a.csv"), {"analysis", "grid"}),
+    "solve": (("solve", "--half-length", "64", "--modes", "512", "--out", "s.csv"),
+              {"solver", "oracle", "extrapolation", "grid"}),
+}
+
+
+def _tlwaves_modules(tmp_path, statement):
+    """The tlwaves modules in sys.modules of a fresh interpreter after ``statement``."""
+    code = (f"import json, sys; {statement}; "
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'tlwaves')))")
+    done = run_module("-c", code, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stdout.strip().splitlines()[-1]))
+
+
+def test_cli_import_loads_only_the_core_modules(tmp_path):
+    assert _tlwaves_modules(tmp_path, "import tlwaves.cli") == CLI_CORE
+
+
+@pytest.mark.parametrize("command", list(COMMAND_MODULES))
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, command):
+    argv, modules = COMMAND_MODULES[command]
+    # a periodic profile on l = 32, N = 256 for analyze, written here so no solve runs in the process
+    x = SpectralGrid(half_length=32.0, n=256).nodes
+    write_table(tmp_path / "wave.csv", {}, {"x": x, "zeta": 1.0 / np.cosh(x / 4.0) ** 2})
+    statement = f"from tlwaves.cli import main; code = main({list(argv)!r}); assert code == 0, code"
+    assert _tlwaves_modules(tmp_path, statement) == CLI_CORE | {f"tlwaves.{name}" for name in modules}
