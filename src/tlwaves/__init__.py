@@ -2,8 +2,9 @@
 
 Spectral traveling-wave solver (Fourier pseudospectral collocation plus a
 stabilized fixed-point iteration with optional vector extrapolation),
-cross-validated against an independent ODE shooting oracle, with the
-linear dispersion theory and amplitude/decay analyses built in.
+cross-validated against an independent oracle (a quadrature of the
+traveling-wave ODE's first integral), with the linear dispersion theory
+and amplitude/decay analyses built in.
 """
 
 __version__ = "0.1.0"

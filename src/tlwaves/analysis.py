@@ -13,7 +13,7 @@ least-squares solve; goodness of fit is always reported in the original
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -228,31 +228,22 @@ def amplitude_vs_k_study(
     deltas: Iterable[float],
     speed_offset: float,
     grid: SpectralGrid,
-    tol: float = 1e-10,
-    solve: Callable | None = None,
+    config,
+    solve: Callable,
 ) -> StudyResult:
     """Amplitude against the nonlinearity coefficient at fixed speed offset.
 
-    Each depth ratio is solved at c_s = c_crit(gamma, delta) + speed_offset;
-    failures are recorded and skipped rather than aborting the sweep.
-    ``solve`` replaces :func:`solver.solve` (same signature), e.g. with a
-    memo that shares solves with other computations.  This is the one
-    function here that imports :mod:`solver`, so the fits load without it.
+    Each depth ratio is solved by ``solve`` (the signature of
+    :func:`solver.solve`) with the caller's ``config`` at the speed
+    c_s = c_crit(gamma, delta) + speed_offset; failures are recorded and
+    skipped rather than aborting the sweep.
     """
-    from . import solver as _solver
-    if solve is None:
-        solve = _solver.solve
     points = []
     skipped = []
     for delta in deltas:
         try:
             params = make_parameters(gamma, delta)
-            config = _solver.SolverConfig(
-                speed=params.c_crit + speed_offset,
-                tol_residual=tol,
-                tol_update=tol,
-            )
-            state, _ = solve(grid, params, config)
+            state, _ = solve(grid, params, replace(config, speed=params.c_crit + speed_offset))
             zeta_max, _, _ = amplitude(state)
             points.append(StudyPoint(delta=float(delta), k_coeff=params.k_coeff, zeta_max=zeta_max))
         except WaveError as exc:
@@ -261,6 +252,6 @@ def amplitude_vs_k_study(
     return StudyResult(points=tuple(points), skipped=tuple(skipped))
 
 
-def phase_portrait(state, grid: SpectralGrid) -> np.ndarray:
-    """(v, v') sample pairs of a ``solver.WaveState`` using pseudospectral differentiation."""
-    return np.column_stack([state.v, differentiate(grid, state.v, 1)])
+def phase_portrait(v: np.ndarray, grid: SpectralGrid) -> np.ndarray:
+    """(v, v') sample pairs of a velocity profile on ``grid`` using pseudospectral differentiation."""
+    return np.column_stack([v, differentiate(grid, v, 1)])

@@ -16,9 +16,8 @@ with no bytecode cache every imported line is compiled again in each
 process, so a module a command never calls is pure startup cost.  At
 module level this file imports only the standard library, numpy,
 ``errors`` and ``params``.  Besides those, ``oracle`` loads ``oracle``;
-``dispersion`` loads ``dispersion`` and ``grid``; ``analyze decay`` and
-``analyze spectrum`` load ``analysis`` and ``grid`` (``phase`` adds
-``solver`` for its state); ``solve`` loads ``solver`` with ``oracle``,
+``dispersion`` loads ``dispersion`` and ``grid``; ``analyze`` loads
+``analysis`` and ``grid``; ``solve`` loads ``solver`` with ``oracle``,
 ``extrapolation`` and ``grid``; ``sweep`` and ``reproduce`` load those
 and ``analysis``.
 """
@@ -52,13 +51,12 @@ _TARGETS = ("fig2a", "fig2b", "fig3a", "fig3b", "fig3c", "fig4", "fig5", "fig6",
 
 def write_table(path: Path, meta: dict, columns: dict) -> None:
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     names = list(columns)
     arrays = [np.asarray(columns[name], dtype=float) for name in names]
     if path.suffix == ".json":
-        payload = {"meta": meta, "columns": {n: [float(v) for v in a] for n, a in zip(names, arrays)}}
-        path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        write_json(path, {"meta": meta, "columns": {n: [float(v) for v in a] for n, a in zip(names, arrays)}})
         return
+    path.parent.mkdir(parents=True, exist_ok=True)
     header = "# " + json.dumps(meta, sort_keys=True) + "\n# columns: " + ",".join(names) + "\n"
     # the body in one formatting pass: '%.17g' % x equals format(x, '.17g') for every double
     table = np.column_stack(arrays)
@@ -75,7 +73,13 @@ def read_table(path: Path) -> tuple[dict, dict]:
         meta = payload.get("meta", {})
         if not isinstance(meta, dict):
             raise InputFormatError(f"{path}: 'meta' must be a JSON object")
-        return meta, {n: np.asarray(v, dtype=float) for n, v in payload["columns"].items()}
+        columns = payload["columns"]
+        # a column that is not a flat array of JSON numbers (booleans excluded) counts as empty
+        lengths = {len(c) if isinstance(c, list) and all(type(v) in (int, float) for v in c) else 0
+                   for c in columns.values()}
+        if len(lengths) != 1 or 0 in lengths:
+            raise InputFormatError(f"{path}: the columns must be arrays of numbers, all of one length >= 1")
+        return meta, {n: np.asarray(v, dtype=float) for n, v in columns.items()}
     meta: dict = {}
     names: list[str] = []
     rows: list[str] = []
@@ -142,8 +146,7 @@ _SETTINGS = {
     },
     "solver": {
         "cs": ("--cs", float, None, "traveling-wave speed (default c_crit + 0.05)"),
-        "tol_residual": ("--tol", float, 1e-10, "residual tolerance (max norm)"),
-        "tol_update": ("--tol-update", float, None, "update tolerance (max norm, default --tol)"),
+        "tol_residual": ("--tol", float, 1e-10, "tolerance of the residual and the update (max norm)"),
         "max_iter": ("--max-iter", int, 500, "iteration cap"),
         "extrapolation": ("--extrapolation", str, "off", "off or mpe:K (default off)"),
         "dealias": ("--dealias", bool, False, "zero-padded quadratic products"),
@@ -193,7 +196,10 @@ def _parse_extrapolation(text: str) -> int | None:
     if text == "mpe":
         return 6
     if text.startswith("mpe:"):
-        return int(text.split(":", 1)[1])
+        try:
+            return int(text[len("mpe:"):])
+        except ValueError:
+            pass
     raise ValueError(f"unknown extrapolation setting {text!r}; use off or mpe:K")
 
 
@@ -219,8 +225,6 @@ def _build_run(args) -> tuple:
     params = make_parameters(p["gamma"], p["delta"])
     if s["cs"] is None:
         s["cs"] = params.c_crit + 0.05
-    if s["tol_update"] is None:
-        s["tol_update"] = s["tol_residual"]
     grid = config = None
     if "grid" in keys:
         from .grid import SpectralGrid
@@ -229,7 +233,6 @@ def _build_run(args) -> tuple:
         config = SolverConfig(
             speed=s["cs"],
             tol_residual=s["tol_residual"],
-            tol_update=s["tol_update"],
             max_iter=s["max_iter"],
             mpe_cycle=_parse_extrapolation(s["extrapolation"]),
             dealias=s["dealias"],
@@ -398,12 +401,10 @@ def cmd_analyze(args) -> int:
     out = Path(args.out)
 
     if args.mode == "phase":
-        from . import analysis, solver
+        from . import analysis
         x, v = _profile_values(cols, args.infile, "v")
         grid = _grid_from_profile(x)
-        pairs = analysis.phase_portrait(
-            solver.WaveState(grid=grid, zeta=cols.get("zeta", v), v=v, u=cols.get("u", v)), grid
-        )
+        pairs = analysis.phase_portrait(v, grid)
         meta = _meta("analyze-phase", {"input": str(args.infile), "source": meta_in.get("config", {})})
         write_table(out, meta, {"v": pairs[:, 0], "v_prime": pairs[:, 1]})
         print(f"analyze phase: {grid.n} samples -> {out}")
@@ -495,7 +496,7 @@ def cmd_reproduce(args) -> int:
             "fit": _speed_fit(columns).to_dict(),
         })
     if "fig3c" in targets:
-        study = analysis.amplitude_vs_k_study(0.5, _FIG3C_DELTAS, 0.05, grid=grid, tol=config.tol_residual, solve=solve)
+        study = analysis.amplitude_vs_k_study(0.5, _FIG3C_DELTAS, 0.05, grid, config, solve)
         meta = _meta("reproduce-fig3c", {"gamma": 0.5, "deltas": list(_FIG3C_DELTAS), "offset": 0.05},
                      {"skipped": list(study.skipped)})
         save("fig3c_amplitude_vs_k.csv", write_table, meta, {
@@ -506,7 +507,7 @@ def cmd_reproduce(args) -> int:
     if "fig4" in targets:
         for label, pair in (("elevation", _ELEVATION_PAIR), ("depression", _DEPRESSION_PAIR)):
             params, wave_config, state, _ = wave(pair, 0.05)
-            pairs = analysis.phase_portrait(state, grid)
+            pairs = analysis.phase_portrait(state.v, grid)
             meta = _meta("reproduce-fig4", {"params": params_to_config(params), "cs": wave_config.speed})
             save(f"fig4_{label}.csv", write_table, meta, {"v": pairs[:, 0], "v_prime": pairs[:, 1]})
     if "fig5" in targets:

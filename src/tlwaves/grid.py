@@ -166,14 +166,13 @@ def coarse_half_spectrum(grid: SpectralGrid, fine_values: np.ndarray) -> np.ndar
 def padded_product(grid: SpectralGrid, f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Pointwise product with 3/2-rule zero padding (alias-free quadratics).
 
-    Optional alternative to the plain Hadamard product in the solver's
-    nonlinearity; off by default since the profiles of interest decay far
-    below round-off in spectrum before the Nyquist mode.  f and g are moved
-    to the 3n/2 grid by :func:`fine_grid_values`, multiplied there, and the
-    product's modes 0..n/2 are kept by :func:`coarse_half_spectrum`; those
-    two state the Nyquist convention.  ``g is f`` transforms f once.  A
-    caller that holds the half spectra already (the solver) calls the two
-    helpers directly.
+    The physical-space reference of the dealiased product: the solver's
+    iteration core holds the half spectra already and calls the two helpers
+    below directly, while :func:`solver.nonlinear_rhs` (which the acceptance
+    gate and the tests check the core against) calls this.  f and g are
+    moved to the 3n/2 grid by :func:`fine_grid_values`, multiplied there,
+    and the product's modes 0..n/2 are kept by :func:`coarse_half_spectrum`;
+    those two state the Nyquist convention.  ``g is f`` transforms f once.
     """
     f = _check_size(grid, f)
     g = _check_size(grid, g)

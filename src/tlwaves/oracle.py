@@ -37,8 +37,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoSolitaryWaveError, PoleProximityError, StepSizeTooLargeError, WaveError
-from .params import ModelParameters
+from .errors import PoleProximityError, StepSizeTooLargeError, WaveError
+from .params import ModelParameters, require_solitary_wave
 
 _SERIES_CUTOFF = 1e-3  # |v/v_pole| below which log1p cancellation kicks in
 _PANELS = 256  # uniform z-panels of the coarse map x(z) that places the nodes
@@ -166,13 +166,8 @@ def potential(problem: TravelingWaveProblem) -> PotentialCurve:
         nonlinearity coefficient vanishes.
     """
     p = problem.params
+    require_solitary_wave(p, problem.speed)
     cs = abs(problem.speed)
-    if p.k_coeff == 0.0:
-        raise NoSolitaryWaveError("nonlinearity coefficient is zero (delta^2 == gamma)")
-    if not cs * cs > p.c_crit**2:
-        raise NoSolitaryWaveError(
-            f"speed {problem.speed} is not supersonic: c_s^2 = {cs * cs:.6g} <= c_crit^2 = {p.c_crit ** 2:.6g}"
-        )
 
     pole = cs / p.k_coeff
     lam = math.sqrt((cs * cs - p.c_crit**2) / (p.beta * cs * cs))

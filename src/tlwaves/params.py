@@ -9,7 +9,8 @@ computed here once:
 * ``k_coeff`` quadratic nonlinearity coefficient, (delta^2 - gamma) / (delta + gamma)^2
 * ``c_crit``  critical wave speed, sqrt((1 - gamma) / (delta + gamma))
 
-Solitary waves exist only for speeds with ``c_s^2 > c_crit^2``, and their
+Solitary waves exist only for speeds with ``c_s^2 > c_crit^2`` and a
+nonzero ``k_coeff`` (:func:`require_solitary_wave` checks both), and their
 polarity (elevation vs. depression) is the sign of ``k_coeff``.
 """
 
@@ -19,7 +20,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import ParameterDomainError
+from .errors import NoSolitaryWaveError, ParameterDomainError
 
 
 class WaveType(enum.Enum):
@@ -79,6 +80,16 @@ def wave_type(params: ModelParameters) -> WaveType:
     if params.k_coeff < 0.0:
         return WaveType.DEPRESSION
     return WaveType.DEGENERATE
+
+
+def require_solitary_wave(params: ModelParameters, speed: float) -> None:
+    """Raise :class:`NoSolitaryWaveError` unless k_coeff != 0 and c_s^2 > c_crit^2 (either direction)."""
+    if params.k_coeff == 0.0:
+        raise NoSolitaryWaveError("nonlinearity coefficient is zero (delta^2 == gamma)")
+    if not speed**2 > params.c_crit**2:
+        raise NoSolitaryWaveError(
+            f"speed {speed} is not supersonic: c_s^2 <= c_crit^2 = {params.c_crit ** 2:.6g}"
+        )
 
 
 def params_to_config(params: ModelParameters) -> dict:

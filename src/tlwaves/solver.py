@@ -44,7 +44,6 @@ from .errors import (
     DegenerateInnerProductError,
     DomainTooSmallError,
     DomainTooSmallWarning,
-    NoSolitaryWaveError,
     NotConvergedError,
     SingularModeError,
     WaveError,
@@ -58,7 +57,7 @@ from .grid import (
     helmholtz_symbol,
     padded_product,
 )
-from .params import ModelParameters
+from .params import ModelParameters, require_solitary_wave
 
 # a converged profile warns (or, under strict_domain, fails) when its boundary value exceeds
 # this fraction of its peak
@@ -91,6 +90,7 @@ class WaveState:
 class SolverConfig:
     """Iteration controls.
 
+    ``tol_residual`` bounds both the residual and the last update (max norm).
     ``mpe_cycle = None`` runs the plain iteration; an integer K >= 2
     restarts from a minimal-polynomial extrapolation every K + 1 steps.
     ``initial_guess = None`` starts from the ODE oracle's profile at the
@@ -100,7 +100,6 @@ class SolverConfig:
 
     speed: float
     tol_residual: float = 1e-10
-    tol_update: float = 1e-10
     max_iter: int = 500
     mpe_cycle: int | None = None
     initial_guess: WaveState | None = None
@@ -108,8 +107,8 @@ class SolverConfig:
     strict_domain: bool = False
 
     def __post_init__(self) -> None:
-        if not (self.tol_residual > 0.0 and self.tol_update > 0.0):
-            raise ValueError("tolerances must be positive")
+        if not self.tol_residual > 0.0:
+            raise ValueError("tolerance must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if self.mpe_cycle is not None and self.mpe_cycle < 2:
@@ -303,7 +302,7 @@ def oracle_initial_guess(grid: SpectralGrid, params: ModelParameters, speed: flo
 
 
 def solve(grid: SpectralGrid, params: ModelParameters, config: SolverConfig) -> tuple[WaveState, SolveReport]:
-    """Run the iteration to the dual residual/update tolerance.
+    """Run the iteration until both the residual and the update are within ``tol_residual``.
 
     Without ``config.initial_guess`` the iteration starts from
     :func:`oracle_initial_guess`, or from :func:`auto_initial_guess` where
@@ -324,12 +323,7 @@ def solve(grid: SpectralGrid, params: ModelParameters, config: SolverConfig) -> 
         below ``BOUNDARY_DECAY_TOL`` (relative) at the boundary.
     """
     speed = config.speed
-    if params.k_coeff == 0.0:
-        raise NoSolitaryWaveError("nonlinearity coefficient is zero (delta^2 == gamma)")
-    if not speed**2 > params.c_crit**2:
-        raise NoSolitaryWaveError(
-            f"speed {speed} is not supersonic: c_s^2 <= c_crit^2 = {params.c_crit ** 2:.6g}"
-        )
+    require_solitary_wave(params, speed)
     if speed < 0.0:
         raise ValueError(
             "solver computes right-moving waves; map the result with oracle.negative_speed_map for c_s < 0"
@@ -375,7 +369,7 @@ def solve(grid: SpectralGrid, params: ModelParameters, config: SolverConfig) -> 
             failure = f"non-finite iterate at iteration {report.iterations} (m {m:.3e}, residual {new.residual:.3e})"
             break
         x = new
-        if x.residual <= config.tol_residual and upd <= config.tol_update:
+        if x.residual <= config.tol_residual and upd <= config.tol_residual:
             converged = True
             break
         if cycle is not None:

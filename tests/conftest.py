@@ -34,7 +34,6 @@ def _sech2_seeded_solution(params, grid):
     config = solver.SolverConfig(
         speed=speed,
         tol_residual=1e-10,
-        tol_update=1e-10,
         max_iter=300,
         initial_guess=solver.auto_initial_guess(grid, params, speed),
     )

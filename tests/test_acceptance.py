@@ -33,7 +33,6 @@ def test_criterion_1_solver_convergence(elevation_params, default_grid, elevatio
     cfg = SolverConfig(
         speed=speed,
         tol_residual=1e-10,
-        tol_update=1e-10,
         max_iter=300,
         mpe_cycle=6,
         initial_guess=solver.auto_initial_guess(default_grid, elevation_params, speed),
@@ -143,7 +142,7 @@ def test_criterion_6_monotone_amplitude_and_power_fit(elevation_params, default_
         state, _ = solver.solve(
             default_grid,
             elevation_params,
-            SolverConfig(speed=float(speed), tol_residual=1e-10, tol_update=1e-10),
+            SolverConfig(speed=float(speed), tol_residual=1e-10),
         )
         amps.append(analysis.amplitude(state))
     amps = np.asarray(amps)
@@ -283,7 +282,7 @@ def test_criterion_10_property_suite(elevation_params, default_grid):
     homog_ok = homog <= 1e-12
 
     state, _ = solver.solve(
-        default_grid, elevation_params, SolverConfig(speed=cs, tol_residual=1e-10, tol_update=1e-10)
+        default_grid, elevation_params, SolverConfig(speed=cs, tol_residual=1e-10)
     )
     evenness = max(
         float(np.max(np.abs(c[1:] - c[:0:-1]))) / float(np.max(np.abs(c)))

@@ -16,7 +16,10 @@ from tlwaves.analysis import (
 )
 from tlwaves.errors import InsufficientDataError, NoBracketError, SignChangeError
 from tlwaves.grid import SpectralGrid
-from tlwaves.solver import WaveState
+from tlwaves.solver import SolverConfig, WaveState
+
+# the study replaces the speed of this configuration with each wave's own
+STUDY_CONFIG = SolverConfig(speed=1.0)
 
 
 def test_amplitude_zero_state(elevation_params):
@@ -174,7 +177,7 @@ def test_amplitude_vs_k_study(default_grid):
     # at fixed speed offset the amplitude scales like 1/K: signed amplitude
     # shares the sign of K, and the magnitude grows as |K| shrinks on
     # either branch (cross-checked against the ODE oracle turning points)
-    study = amplitude_vs_k_study(0.5, [0.55, 0.6, 0.8, 0.9, 1.0], 0.05, grid=default_grid)
+    study = amplitude_vs_k_study(0.5, [0.55, 0.6, 0.8, 0.9, 1.0], 0.05, default_grid, STUDY_CONFIG, solver.solve)
     assert len(study.points) == 5
     ks = study.k_values()
     amps = study.amplitudes()
@@ -189,13 +192,13 @@ def test_amplitude_vs_k_study(default_grid):
 
 
 def test_amplitude_vs_k_single_point(default_grid):
-    study = amplitude_vs_k_study(0.5, [0.8], 0.05, grid=default_grid)
+    study = amplitude_vs_k_study(0.5, [0.8], 0.05, default_grid, STUDY_CONFIG, solver.solve)
     assert len(study.points) == 1
     assert study.points[0].k_coeff > 0
 
 
 def test_amplitude_vs_k_includes_depression(default_grid):
-    study = amplitude_vs_k_study(0.5, [0.5, 0.8], 0.05, grid=default_grid)
+    study = amplitude_vs_k_study(0.5, [0.5, 0.8], 0.05, default_grid, STUDY_CONFIG, solver.solve)
     ks = study.k_values()
     amps = study.amplitudes()
     assert ks[0] < 0 < ks[1]
@@ -203,7 +206,7 @@ def test_amplitude_vs_k_includes_depression(default_grid):
 
 
 def test_amplitude_vs_k_records_failures(default_grid):
-    study = amplitude_vs_k_study(0.25, [0.5, 0.8], 0.05, grid=default_grid)
+    study = amplitude_vs_k_study(0.25, [0.5, 0.8], 0.05, default_grid, STUDY_CONFIG, solver.solve)
     assert len(study.points) == 1
     assert len(study.skipped) == 1
     assert study.skipped[0][0] == 0.5  # the degenerate depth ratio
@@ -212,14 +215,14 @@ def test_amplitude_vs_k_records_failures(default_grid):
 def test_phase_portrait_zero_state(elevation_params):
     g = SpectralGrid(half_length=10.0, n=64)
     state = WaveState.from_zeta_v(g, elevation_params, np.zeros(g.n), np.zeros(g.n))
-    pairs = phase_portrait(state, g)
+    pairs = phase_portrait(state.v, g)
     assert pairs.shape == (g.n, 2)
     assert np.all(pairs == 0.0)
 
 
 def test_phase_portrait_symmetry_and_peak(elevation_solution, elevation_curve, default_grid):
     state, _ = elevation_solution
-    pairs = phase_portrait(state, default_grid)
+    pairs = phase_portrait(state.v, default_grid)
     v, vp = pairs[:, 0], pairs[:, 1]
     assert v.max() == pytest.approx(elevation_curve.turning_point, abs=1e-6)
     # even profile: mirrored nodes carry opposite slopes
@@ -229,7 +232,7 @@ def test_phase_portrait_symmetry_and_peak(elevation_solution, elevation_curve, d
 
 def test_phase_portrait_zero_energy(elevation_solution, elevation_curve, default_grid):
     state, _ = elevation_solution
-    pairs = phase_portrait(state, default_grid)
+    pairs = phase_portrait(state.v, default_grid)
     energy = 0.5 * pairs[:, 1] ** 2 + np.asarray(elevation_curve.U(pairs[:, 0]))
     assert np.max(np.abs(energy)) <= 1e-6
 

@@ -345,6 +345,7 @@ def test_config_that_is_not_an_object_exits_1(tmp_path, capsys):
     ({"grid": {"half_lenght": 16}}, "half_lenght"),
     ({"solver": {"extrapolation": "mpe:6", "tol": 1e-8}}, "tol"),
     ({"grids": {"modes": 512}}, "grids"),
+    ({"solver": {"tol_update": 1e-8}}, "tol_update"),
 ])
 def test_config_unknown_keys_exit_1(tmp_path, capsys, config, named):
     cfg = tmp_path / "run.json"
@@ -525,6 +526,40 @@ def test_analyze_bad_token_exits_1(tmp_path, capsys):
     assert "abc" in one_line_error(err)["message"]
 
 
+@pytest.mark.parametrize("columns", [
+    {"x": list(range(1, 11)), "zeta": [1, 2, 3]},
+    {"x": 5, "zeta": [1.0]},
+    {"x": [[1.0, 2.0]], "zeta": [1.0]},
+    {"x": ["1"], "zeta": [1.0]},
+    {"x": [True], "zeta": [1.0]},
+    {"x": [], "zeta": []},
+    {},
+], ids=["ragged", "scalar", "nested", "string", "boolean", "empty", "no-columns"])
+def test_analyze_a_malformed_json_table_exits_1(tmp_path, capsys, columns):
+    table = tmp_path / "bad.json"
+    table.write_text(json.dumps({"meta": {}, "columns": columns}), encoding="utf-8")
+    code, stdout, err = run_cli(capsys, "analyze", "decay", "--in", str(table), "--out", str(tmp_path / "a.csv"))
+    assert code == 1
+    record = one_line_error(err)
+    assert record["error"] == "InputFormatError" and str(table) in record["message"]
+    assert stdout == ""
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_a_malformed_extrapolation_cycle_names_the_setting(tmp_path, capsys, source):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"solver": {"extrapolation": "mpe:abc"}}), encoding="utf-8")
+    given = ("--extrapolation", "mpe:abc") if source == "flag" else ("--config", str(cfg))
+    out = tmp_path / "x.csv"
+    code, stdout, err = run_cli(capsys, "solve", *given, "--out", str(out))
+    assert code == 1
+    record = one_line_error(err)
+    assert record["error"] == "ValueError"
+    assert record["message"] == "unknown extrapolation setting 'mpe:abc'; use off or mpe:K"
+    assert stdout == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("header", ['{"config": "x"}', '{"config": {"grid": 3}}'])
 def test_analyze_decay_rejects_a_header_grid_that_is_not_an_object(tmp_path, capsys, header):
     table = tmp_path / "t.csv"
@@ -664,13 +699,28 @@ def test_solve_keeps_the_solver_errors(tmp_path, capsys, argv, error, message):
     assert payload["message"].startswith(message)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--cs", "0.1"), "speed 0.1 is not supersonic: c_s^2 <= c_crit^2"),
+    (("--gamma", "0.25", "--delta", "0.5"), "nonlinearity coefficient is zero"),
+], ids=["subsonic", "zero-K"])
+def test_oracle_reports_the_solver_existence_errors(tmp_path, capsys, argv, message):
+    out = tmp_path / "o.csv"
+    code, _, err = run_cli(capsys, "oracle", *argv, "--x-max", "20", "--out", str(out))
+    assert code == 1
+    payload = one_line_error(err)
+    assert payload["error"] == "NoSolitaryWaveError"
+    assert payload["message"].startswith(message)
+    assert not out.exists()
+
+
 def test_default_study_equals_reproduce_fig3c(tmp_path, capsys):
-    # the library's default seed is the command line's, so the two give the same bits
-    code, _, _ = run_cli(capsys, "reproduce", "fig3c", "--half-length", "64", "--modes", "512",
-                         "--out-dir", str(tmp_path))
+    # the study of reproduce's run configuration, solved without its memo, gives the same bits
+    argv = ["reproduce", "fig3c", "--half-length", "64", "--modes", "512"]
+    code, _, _ = run_cli(capsys, *argv, "--out-dir", str(tmp_path))
     assert code == 0
     _, cols = read_table(tmp_path / "fig3c_amplitude_vs_k.csv")
-    study = analysis.amplitude_vs_k_study(0.5, _FIG3C_DELTAS, 0.05, grid=SpectralGrid(half_length=64.0, n=512))
+    _, grid, config, _ = cli._build_run(cli.build_parser().parse_args(argv))
+    study = analysis.amplitude_vs_k_study(0.5, _FIG3C_DELTAS, 0.05, grid, config, solver.solve)
     assert np.array_equal(study.k_values(), cols["k_coeff"])
     assert np.array_equal(study.amplitudes(), cols["zeta_max"])
 
@@ -683,7 +733,6 @@ SETTING_SAMPLES = {
     ("grid", "modes"): 256,
     ("solver", "cs"): 0.7,
     ("solver", "tol_residual"): 1e-9,
-    ("solver", "tol_update"): 1e-8,
     ("solver", "max_iter"): 300,
     ("solver", "extrapolation"): "mpe:4",
     ("solver", "dealias"): True,
@@ -738,6 +787,7 @@ COMMAND_MODULES = {
     "oracle": (("oracle", "--x-max", "20", "--out", "o.csv"), {"oracle"}),
     "dispersion": (("dispersion", "--count", "11", "--out", "d.csv"), {"dispersion", "grid"}),
     "analyze-spectrum": (("analyze", "spectrum", "--in", "wave.csv", "--out", "a.csv"), {"analysis", "grid"}),
+    "analyze-phase": (("analyze", "phase", "--in", "wave.csv", "--out", "p.csv"), {"analysis", "grid"}),
     "solve": (("solve", "--half-length", "64", "--modes", "512", "--out", "s.csv"),
               {"solver", "oracle", "extrapolation", "grid"}),
 }
@@ -761,6 +811,28 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, command):
     argv, modules = COMMAND_MODULES[command]
     # a periodic profile on l = 32, N = 256 for analyze, written here so no solve runs in the process
     x = SpectralGrid(half_length=32.0, n=256).nodes
-    write_table(tmp_path / "wave.csv", {}, {"x": x, "zeta": 1.0 / np.cosh(x / 4.0) ** 2})
+    zeta = 1.0 / np.cosh(x / 4.0) ** 2
+    write_table(tmp_path / "wave.csv", {}, {"x": x, "zeta": zeta, "v": 0.5 * zeta})
     statement = f"from tlwaves.cli import main; code = main({list(argv)!r}); assert code == 0, code"
     assert _tlwaves_modules(tmp_path, statement) == CLI_CORE | {f"tlwaves.{name}" for name in modules}
+
+
+def test_analysis_runs_its_study_and_portrait_without_the_solver(tmp_path):
+    # the study solves through the caller's solve and configuration, and the portrait takes v itself
+    statement = "\n".join([
+        "import dataclasses, types, numpy as np",
+        "from tlwaves import analysis",
+        "from tlwaves.grid import SpectralGrid",
+        "from tlwaves.params import make_parameters",
+        "Config = dataclasses.make_dataclass('Config', ['speed'], frozen=True)",
+        "def solve(grid, params, config):",
+        "    wave = np.full(grid.n, config.speed)",
+        "    return types.SimpleNamespace(zeta=wave, v=wave, u=wave), None",
+        "grid = SpectralGrid(half_length=8.0, n=16)",
+        "study = analysis.amplitude_vs_k_study(0.5, [0.8], 0.05, grid, Config(speed=0.0), solve)",
+        "assert study.amplitudes().tolist() == [make_parameters(0.5, 0.8).c_crit + 0.05]",
+        "assert analysis.phase_portrait(np.zeros(grid.n), grid).shape == (grid.n, 2)",
+    ])
+    assert _tlwaves_modules(tmp_path, statement) == {
+        "tlwaves", "tlwaves.analysis", "tlwaves.errors", "tlwaves.grid", "tlwaves.params"
+    }

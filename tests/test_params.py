@@ -1,14 +1,16 @@
 import math
+import re
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tlwaves.errors import ParameterDomainError
+from tlwaves.errors import NoSolitaryWaveError, ParameterDomainError
 from tlwaves.params import (
     WaveType,
     make_parameters,
     params_to_config,
+    require_solitary_wave,
     wave_type,
 )
 
@@ -77,3 +79,19 @@ def test_config_round_trip():
     block = params_to_config(p)
     assert set(block) == {"gamma", "delta"}
     assert make_parameters(**block) == p
+
+
+@pytest.mark.parametrize("gamma, delta, speed, message", [
+    (0.5, 0.8, 0.6, "speed 0.6 is not supersonic: c_s^2 <= c_crit^2"),
+    (0.5, 0.8, -0.6, "speed -0.6 is not supersonic: c_s^2 <= c_crit^2"),
+    (0.25, 0.5, 2.0, "nonlinearity coefficient is zero"),
+], ids=["subsonic", "subsonic-leftward", "zero-K"])
+def test_require_solitary_wave_rejects(gamma, delta, speed, message):
+    with pytest.raises(NoSolitaryWaveError, match=re.escape(message)):
+        require_solitary_wave(make_parameters(gamma, delta), speed)
+
+
+def test_require_solitary_wave_accepts_either_direction():
+    p = make_parameters(0.5, 0.8)
+    for speed in (1.01 * p.c_crit, -1.01 * p.c_crit):
+        require_solitary_wave(p, speed)

@@ -134,7 +134,6 @@ def test_tight_residual_forces_m_to_one(elevation_params, small_grid):
     cfg = SolverConfig(
         speed=elevation_params.c_crit + 0.05,
         tol_residual=1e-12,
-        tol_update=1e-12,
         max_iter=400,
     )
     state, report = solver.solve(small_grid, elevation_params, cfg)
@@ -249,7 +248,6 @@ def test_mpe_accelerates(elevation_params, default_grid, elevation_solution):
     cfg = SolverConfig(
         speed=cs,
         tol_residual=1e-10,
-        tol_update=1e-10,
         max_iter=300,
         mpe_cycle=6,
         initial_guess=solver.auto_initial_guess(default_grid, elevation_params, cs),
@@ -285,7 +283,7 @@ def _reference_solve(grid, params, config):
         residuals.append(res)
         ms.append(m)
         state = new_state
-        if res <= config.tol_residual and upd <= config.tol_update:
+        if res <= config.tol_residual and upd <= config.tol_residual:
             return state, residuals, ms
         if config.mpe_cycle is not None:
             history.append(np.concatenate([state.zeta, state.v]))
