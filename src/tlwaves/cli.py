@@ -20,6 +20,11 @@ module level this file imports only the standard library, numpy,
 ``analysis`` and ``grid``; ``solve`` loads ``solver`` with ``oracle``,
 ``extrapolation`` and ``grid``; ``sweep`` and ``reproduce`` load those
 and ``analysis``.
+
+``analyze`` takes a profile's grid from its nodes (``SpectralGrid.from_nodes``)
+and reads nothing from its header, which is a record only.  ``reproduce``
+runs the same fit call on its grid's nodes, so fig4-fig6 and table1 equal
+``analyze`` of the fig2 profiles on every grid.
 """
 
 from __future__ import annotations
@@ -38,8 +43,11 @@ from . import __version__
 from .errors import InputFormatError, InsufficientDataError, NotConvergedError, WaveError
 from .params import make_parameters, params_to_config, wave_type
 
+# the reference configuration: (gamma, delta), c_s - c_crit, and the sweep's np.linspace(first, last, count)
 _ELEVATION_PAIR = (0.5, 0.8)
 _DEPRESSION_PAIR = (0.5, 0.5)
+_REFERENCE_OFFSET = 0.05
+_SWEEP_OFFSETS = (0.01, 0.3, 10)
 _FIG2_OFFSETS = (0.02, 0.05, 0.10)
 _FIG3C_DELTAS = (0.5, 0.55, 0.6, 0.65, 0.8, 0.9, 1.0, 1.1, 1.2)
 _TARGETS = ("fig2a", "fig2b", "fig3a", "fig3b", "fig3c", "fig4", "fig5", "fig6", "table1")
@@ -137,15 +145,15 @@ def _meta(command: str, config: dict, extra: dict | None = None) -> dict:
 # must have, its default and its help.  A default of None is worked out by _build_run.
 _SETTINGS = {
     "params": {
-        "gamma": ("--gamma", float, 0.5, "density ratio rho1/rho2"),
-        "delta": ("--delta", float, 0.8, "depth ratio d1/d2"),
+        "gamma": ("--gamma", float, _ELEVATION_PAIR[0], "density ratio rho1/rho2"),
+        "delta": ("--delta", float, _ELEVATION_PAIR[1], "depth ratio d1/d2"),
     },
     "grid": {
         "half_length": ("--half-length", float, 128.0, "domain half-length l"),
         "modes": ("--modes", int, 1024, "collocation points N (even)"),
     },
     "solver": {
-        "cs": ("--cs", float, None, "traveling-wave speed (default c_crit + 0.05)"),
+        "cs": ("--cs", float, None, f"traveling-wave speed (default c_crit + {_REFERENCE_OFFSET:g})"),
         "tol_residual": ("--tol", float, 1e-10, "tolerance of the residual and the update (max norm)"),
         "max_iter": ("--max-iter", int, 500, "iteration cap"),
         "extrapolation": ("--extrapolation", str, "off", "off or mpe:K (default off)"),
@@ -224,7 +232,7 @@ def _build_run(args) -> tuple:
     p, g, s = run["params"], run["grid"], run["solver"]
     params = make_parameters(p["gamma"], p["delta"])
     if s["cs"] is None:
-        s["cs"] = params.c_crit + 0.05
+        s["cs"] = params.c_crit + _REFERENCE_OFFSET
     grid = config = None
     if "grid" in keys:
         from .grid import SpectralGrid
@@ -268,12 +276,8 @@ def _sweep(solve, grid, params, config, offsets: np.ndarray) -> dict:
     """The cs, zeta_max, v_max and u_max columns of one solve at each speed c_crit + offset."""
     from . import analysis
     speeds = params.c_crit + offsets
-
-    def solve_one(speed: float):
-        state, _ = solve(grid, params, dataclasses.replace(config, speed=float(speed)))
-        return analysis.amplitude(state)
-
-    amps = np.array([solve_one(speed) for speed in speeds])
+    amps = np.array([analysis.amplitude(solve(grid, params, dataclasses.replace(config, speed=float(speed)))[0])
+                     for speed in speeds])
     return {"cs": speeds, "zeta_max": amps[:, 0], "v_max": amps[:, 1], "u_max": amps[:, 2]}
 
 
@@ -346,49 +350,36 @@ def cmd_dispersion(args) -> int:
     return 0
 
 
-def _grid_from_profile(x: np.ndarray):
-    """Rebuild the periodic ``SpectralGrid`` a solver profile was written on."""
-    from .grid import SpectralGrid
-    if x.size < 8:
-        raise WaveError(f"input holds {x.size} nodes; a periodic solver profile has at least 8")
-    spacing = float(x[1] - x[0])
-    half = spacing * x.size / 2.0
-    if x.size % 2 or abs(float(x[0]) + half) > 1e-9 * max(1.0, half):
-        raise WaveError("input is not a periodic solver profile (expected nodes -l + j*h)")
-    if float(np.max(np.abs(np.diff(x) - spacing))) > 1e-9 * spacing:
-        raise WaveError("input grid is not uniformly spaced")
-    return SpectralGrid(half_length=half, n=x.size)
-
-
 def _profile_values(cols: dict, source, name: str | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The x column and a value column: ``name``, or zeta, or else the first column after x."""
+    """The x column and a value column: ``name``, or zeta, or else the first column after x; both finite."""
     if name is None:
         others = [column for column in cols if column != "x"]
         name = "zeta" if "zeta" in cols or not others else others[0]
-    missing = [column for column in ("x", name) if column not in cols]
-    if missing:
-        raise InputFormatError(f"{source} has no column {missing[0]!r}; its columns are {list(cols)}")
+    for column in ("x", name):
+        if column not in cols:
+            raise InputFormatError(f"{source} has no column {column!r}; its columns are {list(cols)}")
+        if not np.isfinite(cols[column]).all():
+            raise InputFormatError(f"{source}: column {column!r} holds a non-finite value")
     return cols["x"], cols[name]
 
 
-def _decay_fit(mode: str, x: np.ndarray, values: np.ndarray, window=None, half_length=None, grid=None,
-               source="the profile"):
-    """The decay law fitted to ``values`` in space (mode "decay") or to their half spectrum.
+def _decay_fit(mode: str, x: np.ndarray, values: np.ndarray, window=None, source="the profile"):
+    """The decay law fitted to ``values`` at the nodes ``x``, in space (mode "decay") or in their half spectrum.
 
-    In space the abscissae are the nodes x > 0, and the default window ends at most at
-    0.8 ``half_length``; the spectrum is taken on ``grid``, else on the periodic grid of
-    the nodes x.  ``source`` names the profile in errors.  Returns the windowed abscissae,
-    values and fitted curve, and the fit.
+    In space the abscissae are the nodes x > 0 and the default window ends at most at 0.8 max|x|
+    (0.8 l on a solver grid); the spectrum is taken on ``SpectralGrid.from_nodes(x)``.  ``source``
+    names the profile in errors.  Returns the windowed abscissae, values and fitted curve, and the fit.
     """
     from . import analysis
+    from .grid import SpectralGrid
     if mode == "decay":
         t, values = x[x > 0.0], values[x > 0.0]
         if not t.size:
             raise InputFormatError(f"{source} has no node at x > 0 to fit the decay on")
-        window = window or analysis.default_space_window(t, values, half_length)
+        window = window or analysis.default_space_window(t, values, float(np.max(np.abs(x))))
         fit = analysis.fit_decay_space(t, values, window)
     else:
-        t, values = analysis.spectrum_magnitudes(grid or _grid_from_profile(x), values)
+        t, values = analysis.spectrum_magnitudes(SpectralGrid.from_nodes(x), values)
         window = window or analysis.default_spectrum_window(t, values)
         fit = analysis.fit_decay_spectrum(t, values, window)
     mask = (t >= window[0]) & (t <= window[1])
@@ -397,35 +388,23 @@ def _decay_fit(mode: str, x: np.ndarray, values: np.ndarray, window=None, half_l
 
 
 def cmd_analyze(args) -> int:
+    from . import analysis
+    from .grid import SpectralGrid
     meta_in, cols = read_table(Path(args.infile))
     out = Path(args.out)
+    described = {"input": str(args.infile), "source": meta_in.get("config", {})}
 
     if args.mode == "phase":
-        from . import analysis
         x, v = _profile_values(cols, args.infile, "v")
-        grid = _grid_from_profile(x)
-        pairs = analysis.phase_portrait(v, grid)
-        meta = _meta("analyze-phase", {"input": str(args.infile), "source": meta_in.get("config", {})})
-        write_table(out, meta, {"v": pairs[:, 0], "v_prime": pairs[:, 1]})
-        print(f"analyze phase: {grid.n} samples -> {out}")
+        pairs = analysis.phase_portrait(v, SpectralGrid.from_nodes(x))
+        write_table(out, _meta("analyze-phase", described), {"v": pairs[:, 0], "v_prime": pairs[:, 1]})
+        print(f"analyze phase: {x.size} samples -> {out}")
         return 0
 
     x, y = _profile_values(cols, args.infile)
-    window = tuple(args.window) if args.window else None
-    half_length = None
-    if args.mode == "decay" and window is None:
-        # the default space window ends at 0.8 l of the source grid, else at 0.8 max(x)
-        config = meta_in.get("config", {})
-        grid = config.get("grid", {}) if isinstance(config, dict) else None
-        half_length = grid.get("half_length", np.max(x)) if isinstance(grid, dict) else None
-        if isinstance(half_length, bool) or not isinstance(half_length, (int, float)):
-            raise InputFormatError(
-                f"{args.infile} header: config.grid must be a JSON object and its half_length a number"
-            )
-        half_length = float(half_length)
-    t, values, fitted, fit = _decay_fit(args.mode, x, y, window, half_length, source=args.infile)
+    t, values, fitted, fit = _decay_fit(args.mode, x, y, args.window and tuple(args.window), source=args.infile)
     label = f"analyze-{args.mode}"
-    meta = _meta(label, {"input": str(args.infile), "window": list(fit.window), "source": meta_in.get("config", {})})
+    meta = _meta(label, {**described, "window": list(fit.window)})
     write_table(out, meta, {"x" if args.mode == "decay" else "k": t, "value": values, "fitted": fitted})
     write_json(out.with_suffix(".fit.json"), {"meta": meta, "fit": fit.to_dict()})
     print(f"{label}: c = {fit.coefficients['c']:.6g}, R^2 = {fit.r_squared:.8f} -> {out}")
@@ -443,7 +422,7 @@ def cmd_reproduce(args) -> int:
     # the speed is set per wave; building the run here rejects a bad setting before any file is written
     _, grid, config, _ = _build_run(args)
     # each distinct (grid, params, config) is solved once per command: fig2a, fig3c, fig4 and
-    # fig5/fig6/table1 share the elevation wave at offset 0.05, fig2b, fig3c and fig4 the
+    # fig5/fig6/table1 share the elevation wave at the reference offset, fig2b, fig3c and fig4 the
     # depression wave there, and fig3a and fig3b the sweep.  Callers only read the cached states.
     solve = functools.cache(solver.solve)
 
@@ -470,34 +449,33 @@ def cmd_reproduce(args) -> int:
                  {"x": grid.nodes, "zeta": state.zeta, "v": state.v, "u": state.u})
 
     def sweep():
+        """The columns of the sweep fig3a and fig3b describe, and its description."""
         params = make_parameters(*_ELEVATION_PAIR)
-        return params, _sweep(solve, grid, params, config, np.linspace(0.01, 0.3, 10))
+        return _sweep(solve, grid, params, config, np.linspace(*_SWEEP_OFFSETS)), {"params": params_to_config(params)}
 
     def elevation():
-        """The elevation wave at offset 0.05, whose decay fig5, fig6 and table1 describe, and its description."""
-        params, wave_config, state, _ = wave(_ELEVATION_PAIR, 0.05)
+        """The reference elevation wave, whose decay fig5, fig6 and table1 describe, and its description."""
+        params, wave_config, state, _ = wave(_ELEVATION_PAIR, _REFERENCE_OFFSET)
         return state, {"params": params_to_config(params), "cs": wave_config.speed}
 
     def decay(mode):
-        return _decay_fit(mode, grid.nodes, elevation()[0].zeta, half_length=grid.half_length, grid=grid)
+        return _decay_fit(mode, grid.nodes, elevation()[0].zeta)
 
     if "fig2a" in targets:
         profiles("fig2a", _ELEVATION_PAIR)
     if "fig2b" in targets:
         profiles("fig2b", _DEPRESSION_PAIR)
     if "fig3a" in targets:
-        params, columns = sweep()
-        save("fig3a_amplitudes.csv", write_table, _meta("reproduce-fig3a", {"params": params_to_config(params)}),
-             columns)
+        columns, described = sweep()
+        save("fig3a_amplitudes.csv", write_table, _meta("reproduce-fig3a", described), columns)
     if "fig3b" in targets:
-        params, columns = sweep()
-        save("fig3b_fit.json", write_json, {
-            "meta": _meta("reproduce-fig3b", {"params": params_to_config(params)}),
-            "fit": _speed_fit(columns).to_dict(),
-        })
+        columns, described = sweep()
+        save("fig3b_fit.json", write_json, {"meta": _meta("reproduce-fig3b", described),
+                                            "fit": _speed_fit(columns).to_dict()})
     if "fig3c" in targets:
-        study = analysis.amplitude_vs_k_study(0.5, _FIG3C_DELTAS, 0.05, grid, config, solve)
-        meta = _meta("reproduce-fig3c", {"gamma": 0.5, "deltas": list(_FIG3C_DELTAS), "offset": 0.05},
+        gamma = _ELEVATION_PAIR[0]
+        study = analysis.amplitude_vs_k_study(gamma, _FIG3C_DELTAS, _REFERENCE_OFFSET, grid, config, solve)
+        meta = _meta("reproduce-fig3c", {"gamma": gamma, "deltas": list(_FIG3C_DELTAS), "offset": _REFERENCE_OFFSET},
                      {"skipped": list(study.skipped)})
         save("fig3c_amplitude_vs_k.csv", write_table, meta, {
             "k_coeff": study.k_values(),
@@ -506,7 +484,7 @@ def cmd_reproduce(args) -> int:
         })
     if "fig4" in targets:
         for label, pair in (("elevation", _ELEVATION_PAIR), ("depression", _DEPRESSION_PAIR)):
-            params, wave_config, state, _ = wave(pair, 0.05)
+            params, wave_config, state, _ = wave(pair, _REFERENCE_OFFSET)
             pairs = analysis.phase_portrait(state.v, grid)
             meta = _meta("reproduce-fig4", {"params": params_to_config(params), "cs": wave_config.speed})
             save(f"fig4_{label}.csv", write_table, meta, {"v": pairs[:, 0], "v_prime": pairs[:, 1]})
@@ -561,9 +539,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="speed sweep with amplitude extraction and power fit")
     _add_settings(p, _RUN_KEYS)
-    p.add_argument("--offset-min", type=float, default=0.01)
-    p.add_argument("--offset-max", type=float, default=0.3)
-    p.add_argument("--count", type=int, default=10)
+    p.add_argument("--offset-min", type=float, default=_SWEEP_OFFSETS[0])
+    p.add_argument("--offset-max", type=float, default=_SWEEP_OFFSETS[1])
+    p.add_argument("--count", type=int, default=_SWEEP_OFFSETS[2])
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import WaveError
 from .params import ModelParameters
 
 
@@ -63,6 +64,20 @@ class SpectralGrid:
         object.__setattr__(self, "mode_numbers", modes)
         object.__setattr__(self, "wavenumbers", np.pi * modes / self.half_length)
         object.__setattr__(self, "half_wavenumbers", np.pi * np.arange(self.n // 2 + 1) / self.half_length)
+
+    @classmethod
+    def from_nodes(cls, x: np.ndarray) -> "SpectralGrid":
+        """The grid of the nodes x_j = -l + j*h: l = -x[0], exact for every profile the program
+        writes ('%.17g' round-trips it), and n = x.size.  Raises :class:`WaveError` for other nodes."""
+        if x.size < 8:
+            raise WaveError(f"input holds {x.size} nodes; a periodic solver profile has at least 8")
+        half_length = -float(x[0])
+        spacing = float(x[1] - x[0])
+        if x.size % 2 or abs(spacing * x.size / 2.0 - half_length) > 1e-9 * max(1.0, half_length):
+            raise WaveError("input is not a periodic solver profile (expected nodes -l + j*h)")
+        if float(np.max(np.abs(np.diff(x) - spacing))) > 1e-9 * spacing:
+            raise WaveError("input grid is not uniformly spaced")
+        return cls(half_length=half_length, n=x.size)
 
     @property
     def spacing(self) -> float:

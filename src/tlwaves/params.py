@@ -53,7 +53,7 @@ def make_parameters(gamma: float, delta: float) -> ModelParameters:
     Raises
     ------
     ParameterDomainError
-        If gamma is outside [0, 1) or delta <= 0.
+        If gamma is outside [0, 1), delta <= 0, or beta or k_coeff overflows.
     """
     gamma = float(gamma)
     delta = float(delta)
@@ -62,8 +62,13 @@ def make_parameters(gamma: float, delta: float) -> ModelParameters:
     if not (delta > 0.0) or not math.isfinite(delta):
         raise ParameterDomainError(f"depth ratio delta must be positive, got {delta}")
 
-    beta = (1.0 + gamma * delta) / (3.0 * delta * (gamma + delta))
-    k_coeff = (delta * delta - gamma) / (delta + gamma) ** 2
+    try:
+        beta = (1.0 + gamma * delta) / (3.0 * delta * (gamma + delta))
+        k_coeff = (delta * delta - gamma) / (delta + gamma) ** 2
+    except (OverflowError, ZeroDivisionError):
+        beta = k_coeff = math.inf
+    if not math.isfinite(beta + k_coeff):
+        raise ParameterDomainError(f"depth ratio delta = {delta} is out of range: beta or k_coeff overflows")
     c_crit = math.sqrt((1.0 - gamma) / (delta + gamma))
     return ModelParameters(gamma=gamma, delta=delta, beta=beta, k_coeff=k_coeff, c_crit=c_crit)
 
@@ -86,7 +91,11 @@ def require_solitary_wave(params: ModelParameters, speed: float) -> None:
     """Raise :class:`NoSolitaryWaveError` unless k_coeff != 0 and c_s^2 > c_crit^2 (either direction)."""
     if params.k_coeff == 0.0:
         raise NoSolitaryWaveError("nonlinearity coefficient is zero (delta^2 == gamma)")
-    if not speed**2 > params.c_crit**2:
+    try:
+        supersonic = speed**2 > params.c_crit**2
+    except OverflowError:
+        raise ParameterDomainError(f"speed {speed} is out of range: c_s^2 overflows") from None
+    if not supersonic:
         raise NoSolitaryWaveError(
             f"speed {speed} is not supersonic: c_s^2 <= c_crit^2 = {params.c_crit ** 2:.6g}"
         )

@@ -109,6 +109,8 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if not self.tol_residual > 0.0:
             raise ValueError("tolerance must be positive")
+        if not math.isfinite(self.tol_residual):
+            raise ValueError(f"tolerance must be finite, got {self.tol_residual}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if self.mpe_cycle is not None and self.mpe_cycle < 2:

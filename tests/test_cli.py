@@ -441,20 +441,27 @@ def test_reproduce_rejects_a_zero_setting(tmp_path, capsys, flag):
 
 
 def test_reproduce_agrees_with_sweep_and_analyze(tmp_path, capsys):
-    # reproduce computes fig3-fig6 and table1 with the code behind sweep and analyze: same rows, same fits
-    grid_flags = ("--half-length", "64", "--modes", "512")
+    # reproduce computes fig3-fig6 and table1 with the code behind sweep and analyze: same rows, same fits.
+    # At l = 64 the spacing of the written nodes gives l back bit for bit for N = 512, and not for N = 500.
+    for modes, exact in ((512, True), (500, False)):
+        _assert_reproduce_agrees(tmp_path / str(modes), capsys, ("--half-length", "64", "--modes", str(modes)))
+        x = read_table(tmp_path / str(modes) / "results" / "fig2a_offset0.05.csv")[1]["x"]
+        assert ((x[1] - x[0]) * modes / 2 == 64.0) == exact
+
+
+def _assert_reproduce_agrees(tmp_path, capsys, grid_flags):
     repro = tmp_path / "results"
     assert run_cli(capsys, "reproduce", "all", "--out-dir", str(repro), *grid_flags)[0] == 0
 
     def rows(path):
-        return np.column_stack(list(read_table(path)[1].values()))
+        return np.column_stack(list(read_table(path)[1].values())).tobytes()
 
     def fit_of(path):
         return json.loads(path.with_suffix(".fit.json").read_text())["fit"]
 
     sweep = tmp_path / "sweep.csv"
     assert run_cli(capsys, "sweep", *grid_flags, "--out", str(sweep))[0] == 0
-    assert np.array_equal(rows(repro / "fig3a_amplitudes.csv"), rows(sweep))
+    assert rows(repro / "fig3a_amplitudes.csv") == rows(sweep)
     assert json.loads((repro / "fig3b_fit.json").read_text())["fit"] == fit_of(sweep)
 
     made = {}
@@ -462,13 +469,13 @@ def test_reproduce_agrees_with_sweep_and_analyze(tmp_path, capsys):
         made[mode, family] = tmp_path / f"{mode}_{family}.csv"
         argv = ("analyze", mode, "--in", str(repro / f"{family}_offset0.05.csv"), "--out", str(made[mode, family]))
         assert run_cli(capsys, *argv)[0] == 0
-    assert np.array_equal(rows(repro / "fig4_elevation.csv"), rows(made["phase", "fig2a"]))
-    assert np.array_equal(rows(repro / "fig4_depression.csv"), rows(made["phase", "fig2b"]))
+    assert rows(repro / "fig4_elevation.csv") == rows(made["phase", "fig2a"])
+    assert rows(repro / "fig4_depression.csv") == rows(made["phase", "fig2b"])
     table1 = json.loads((repro / "table1.json").read_text())
     fits = (("fig5b_profile_fit", "decay", "space_fit"), ("fig6_spectrum_fit", "spectrum", "spectrum_fit"))
     for target, mode, key in fits:
         analyzed = made[mode, "fig2a"]
-        assert np.array_equal(rows(repro / f"{target}.csv"), rows(analyzed))
+        assert rows(repro / f"{target}.csv") == rows(analyzed)
         assert read_table(repro / f"{target}.csv")[0]["fit"] == fit_of(analyzed) == table1[key]
 
 
@@ -560,15 +567,73 @@ def test_a_malformed_extrapolation_cycle_names_the_setting(tmp_path, capsys, sou
     assert not out.exists()
 
 
-@pytest.mark.parametrize("header", ['{"config": "x"}', '{"config": {"grid": 3}}'])
-def test_analyze_decay_rejects_a_header_grid_that_is_not_an_object(tmp_path, capsys, header):
-    table = tmp_path / "t.csv"
-    x = np.linspace(0.0, 20.0, 41)
-    write_table(table, json.loads(header), {"x": x, "zeta": np.exp(-0.5 * x)})
-    code, _, err = run_cli(capsys, "analyze", "decay", "--in", str(table), "--out", str(tmp_path / "a.csv"))
+@pytest.mark.parametrize("header", [{"config": "x"}, {"config": {"grid": 3}}, {"config": {"grid": {"half_length": 9}}}])
+def test_analyze_reads_no_grid_from_the_header(tmp_path, capsys, header):
+    # the grid comes from the nodes, and the default space window ends at 0.8 max|x| = 0.8 l
+    x = SpectralGrid(half_length=32.0, n=256).nodes
+    columns = {"x": x, "zeta": 1.0 / np.cosh(x / 4.0) ** 2}
+    made = {}
+    for name, meta in (("plain", {}), ("headed", header)):
+        write_table(tmp_path / f"{name}.csv", meta, columns)
+        for mode in ("decay", "spectrum"):
+            out = made[mode, name] = tmp_path / f"{mode}_{name}.csv"
+            assert run_cli(capsys, "analyze", mode, "--in", str(tmp_path / f"{name}.csv"), "--out", str(out))[0] == 0
+    for mode in ("decay", "spectrum"):
+        plain, headed = made[mode, "plain"], made[mode, "headed"]
+        assert read_table(plain)[1]["value"].tobytes() == read_table(headed)[1]["value"].tobytes()
+        assert json.loads(plain.with_suffix(".fit.json").read_text())["fit"] == \
+            json.loads(headed.with_suffix(".fit.json").read_text())["fit"]
+    assert json.loads(made["decay", "headed"].with_suffix(".fit.json").read_text())["fit"]["window"] == [5.0, 25.6]
+
+
+@pytest.mark.parametrize("mode", ["decay", "spectrum", "phase"])
+@pytest.mark.parametrize("column", ["x", "value"])
+def test_analyze_rejects_a_non_finite_value(tmp_path, capsys, mode, column):
+    x = SpectralGrid(half_length=32.0, n=256).nodes.copy()
+    zeta = 1.0 / np.cosh(x / 4.0) ** 2
+    columns = {"x": x, "zeta": zeta, "v": 0.5 * zeta}
+    name = "x" if column == "x" else "v" if mode == "phase" else "zeta"
+    columns[name][200] = np.inf if column == "x" else np.nan
+    table, out = tmp_path / "bad.csv", tmp_path / "a.csv"
+    write_table(table, {}, columns)
+    code, stdout, err = run_cli(capsys, "analyze", mode, "--in", str(table), "--out", str(out))
+    assert code == 1
+    assert one_line_error(err) == {
+        "error": "InputFormatError",
+        "message": f"{table}: column {name!r} holds a non-finite value",
+    }
+    assert stdout == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, value", [
+    (("solve", "--cs", "1e300"), "speed 1e+300"),
+    (("oracle", "--cs", "1e300"), "speed 1e+300"),
+    *[((command, "--delta", "1e200"), "delta = 1e+200") for command in ("solve", "sweep", "oracle", "dispersion")],
+], ids=["solve-cs", "oracle-cs", "solve-delta", "sweep-delta", "oracle-delta", "dispersion-delta"])
+def test_an_overflowing_setting_exits_1_naming_it(tmp_path, capsys, argv, value):
+    out = tmp_path / "o.csv"
+    code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
     assert code == 1
     record = one_line_error(err)
-    assert record["error"] == "InputFormatError" and "config.grid" in record["message"]
+    assert record["error"] == "ParameterDomainError"
+    assert value in record["message"] and "overflows" in record["message"]
+    assert stdout == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_a_non_finite_tolerance_exits_1(tmp_path, capsys, source):
+    cfg = tmp_path / "c.json"
+    # JSON has no infinity; a number beyond the double range reads as one
+    cfg.write_text('{"solver": {"tol_residual": 1e999}}', encoding="utf-8")
+    setting = ("--tol", "inf") if source == "flag" else ("--config", str(cfg))
+    out = tmp_path / "w.csv"
+    code, stdout, err = run_cli(capsys, "solve", *setting, "--out", str(out))
+    assert code == 1
+    assert one_line_error(err) == {"error": "ValueError", "message": "tolerance must be finite, got inf"}
+    assert stdout == ""
+    assert not out.exists()
 
 
 def test_domain_warning_is_one_json_line_on_stderr(tmp_path):

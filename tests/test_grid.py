@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tlwaves.errors import WaveError
 from tlwaves.grid import (
     SpectralGrid,
     differentiate,
@@ -233,3 +234,31 @@ def test_padded_product_nyquist_convention():
     # the product keeps one mode of that pair, so f * 1 returns half of f's Nyquist component
     out = padded_product(g, nyquist, np.ones(g.n))
     assert np.max(np.abs(out - 0.5 * nyquist)) < 1e-14
+
+
+@pytest.mark.parametrize("half_length,n", [(64.0, 512), (64.0, 500), (100.0, 1000), (2048.0, 16384), (0.3, 10)])
+def test_from_nodes_rebuilds_the_grid_of_written_nodes(half_length, n):
+    grid = SpectralGrid(half_length=half_length, n=n)
+    # the nodes as a table holds them: '%.17g' round-trips every double
+    x = np.array(["%.17g" % v for v in grid.nodes], dtype=float)
+    rebuilt = SpectralGrid.from_nodes(x)
+    assert rebuilt == grid
+    assert np.array_equal(rebuilt.nodes, grid.nodes)
+    assert np.array_equal(rebuilt.half_wavenumbers, grid.half_wavenumbers)
+
+
+def _bumped(x, j, dx):
+    x = x.copy()
+    x[j] += dx
+    return x
+
+
+@pytest.mark.parametrize("x, message", [
+    (np.arange(6.0) - 3.0, "input holds 6 nodes; a periodic solver profile has at least 8"),
+    (np.arange(9.0) - 4.5, "input is not a periodic solver profile"),
+    (np.arange(8.0), "input is not a periodic solver profile"),
+    (_bumped(SpectralGrid(half_length=4.0, n=8).nodes, 5, 0.1), "input grid is not uniformly spaced"),
+], ids=["too-few", "odd-count", "from-zero", "non-uniform"])
+def test_from_nodes_rejects_nodes_of_no_periodic_grid(x, message):
+    with pytest.raises(WaveError, match=message):
+        SpectralGrid.from_nodes(x)

@@ -91,6 +91,19 @@ def test_require_solitary_wave_rejects(gamma, delta, speed, message):
         require_solitary_wave(make_parameters(gamma, delta), speed)
 
 
+@pytest.mark.parametrize("gamma, delta", [(0.5, 1e200), (0.5, 1e-310), (0.0, 1e-200)])
+def test_make_parameters_rejects_a_delta_whose_constants_overflow(gamma, delta):
+    # (delta + gamma)^2 overflows, beta's denominator is subnormal, and beta's denominator underflows to 0
+    with pytest.raises(ParameterDomainError, match=re.escape(f"depth ratio delta = {delta} is out of range")):
+        make_parameters(gamma, delta)
+
+
+@pytest.mark.parametrize("speed", [1e300, -1e300])
+def test_require_solitary_wave_rejects_a_speed_whose_square_overflows(speed):
+    with pytest.raises(ParameterDomainError, match=re.escape(f"speed {speed} is out of range: c_s^2 overflows")):
+        require_solitary_wave(make_parameters(0.5, 0.8), speed)
+
+
 def test_require_solitary_wave_accepts_either_direction():
     p = make_parameters(0.5, 0.8)
     for speed in (1.01 * p.c_crit, -1.01 * p.c_crit):

@@ -265,6 +265,8 @@ def test_wave_state_shape_validation(elevation_params, small_grid):
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(speed=1.0, tol_residual=0.0)
+    with pytest.raises(ValueError, match="tolerance must be finite, got inf"):
+        SolverConfig(speed=1.0, tol_residual=np.inf)
     with pytest.raises(ValueError):
         SolverConfig(speed=1.0, max_iter=0)
     with pytest.raises(ValueError):
