@@ -167,6 +167,8 @@ _JSON_TYPES = {float: ((int, float), "a number"), int: (int, "an integer"), bool
 
 # the settings each command reads, as blocks of keys: its flags, and the keys its --config may hold
 _RUN_KEYS = {block: tuple(entries) for block, entries in _SETTINGS.items()}
+# sweep solves at c_crit + each of its offsets, so it takes no cs
+_SWEEP_KEYS = {**_RUN_KEYS, "solver": tuple(key for key in _RUN_KEYS["solver"] if key != "cs")}
 _ORACLE_KEYS = {"params": ("gamma", "delta"), "solver": ("cs",)}
 _DISPERSION_KEYS = {"params": ("gamma", "delta")}
 _REPRODUCE_KEYS = {"grid": ("half_length", "modes"), "solver": ("tol_residual",)}
@@ -538,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("sweep", help="speed sweep with amplitude extraction and power fit")
-    _add_settings(p, _RUN_KEYS)
+    _add_settings(p, _SWEEP_KEYS)
     p.add_argument("--offset-min", type=float, default=_SWEEP_OFFSETS[0])
     p.add_argument("--offset-max", type=float, default=_SWEEP_OFFSETS[1])
     p.add_argument("--count", type=int, default=_SWEEP_OFFSETS[2])

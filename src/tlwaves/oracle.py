@@ -10,6 +10,13 @@ the origin.  The profile starts at the turning point v* (the nonzero root
 of U) with v'(0) = 0 and decays like exp(-lambda |x|) with
 lambda = sqrt((c_s^2 - c_crit^2) / (beta c_s^2)).
 
+:class:`PotentialCurve` derives its constants once and writes each branch
+of U once, valid on floats and arrays: a series for |v / v_pole| < 1e-3,
+where log1p cancels, and the closed form elsewhere.  ``U`` applies them to
+arrays, and :func:`potential` bisects for v* with them on floats, so the
+search and the profile evaluate one U.  U is never evaluated at the pole:
+if it keeps its sign up to (1 - 1e-15) v_pole, PoleProximityError.
+
 Numerical strategy: on the zero-energy orbit the first integral gives the
 slope exactly, v' = -sign(v*) sqrt(-2U(v)) for x > 0, and position is a
 quadrature, x(v) = int_v^{v*} dw / sqrt(-2U(w)).  The substitution
@@ -33,7 +40,7 @@ the interpolant that :class:`OracleProfile` samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -76,7 +83,8 @@ class PotentialCurve:
     All internal formulas live in the positive-speed frame; for
     problems with speed < 0 the velocity-like outputs are sign-flipped
     (see :func:`negative_speed_map`).  ``turning_point`` is reported in
-    the signed frame.
+    the signed frame.  ``cs`` = |c_s|, ``c2`` = c_crit^2 / (beta c_s K) and
+    ``cubic``, U's v^3 coefficient, are derived; ``r`` below is v / v_pole.
     """
 
     problem: TravelingWaveProblem
@@ -84,67 +92,50 @@ class PotentialCurve:
     turning_point: float
     saddle_rate: float
     v_sign: float = 1.0
+    cs: float = field(init=False, repr=False, compare=False)
+    c2: float = field(init=False, repr=False, compare=False)
+    cubic: float = field(init=False, repr=False, compare=False)
 
-    # -- scalar/vectorized potential algebra (positive frame) --------------
+    def __post_init__(self) -> None:
+        p, cs = self.problem.params, abs(self.problem.speed)
+        c2 = p.c_crit**2 / (p.beta * cs * p.k_coeff)
+        object.__setattr__(self, "cs", cs)
+        object.__setattr__(self, "c2", c2)
+        object.__setattr__(self, "cubic", p.k_coeff / (6.0 * p.beta * cs) + c2 / (3.0 * self.v_pole**2))
 
-    def _cs(self) -> float:
-        return abs(self.problem.speed)
+    def _series(self, v, r):
+        """U for |r| < _SERIES_CUTOFF: -lambda^2 v^2 / 2, the cubic, and the log's series from r^4 on."""
+        tail = self.c2 * ((r * r) * (r * r) * (1 / 4 + r * (1 / 5 + r * (1 / 6 + r / 7)))) * self.v_pole
+        return -0.5 * self.saddle_rate**2 * v * v + self.cubic * (v * v * v) + tail
 
-    def g(self, v):
-        """Force kernel g(v) = K v^2 / 2 + c_crit^2 v / (c_s - K v)."""
+    def _closed(self, v, r):
+        """U = -v^2 / (2 beta) + K v^3 / (6 beta c_s) + c2 (-v - v_pole log1p(-r)), NaN beyond the pole."""
         p = self.problem.params
-        cs = self._cs()
+        return -v * v / (2.0 * p.beta) + (
+            p.k_coeff * (v * v * v) / (6.0 * p.beta * self.cs) + self.c2 * (-v - self.v_pole * np.log1p(-r))
+        )
+
+    def U(self, v):
+        """Potential energy U(v) = -v^2/(2 beta) + G(v), each branch on its own samples."""
         v = np.asarray(v, dtype=float)
-        out = 0.5 * p.k_coeff * v * v + p.c_crit**2 * v / (cs - p.k_coeff * v)
+        r = v / self.v_pole
+        small = np.abs(r) < _SERIES_CUTOFF
+        out = np.empty_like(v)
+        with np.errstate(invalid="ignore"):
+            out[~small] = self._closed(v[~small], r[~small])
+        out[small] = self._series(v[small], r[small])
         return out if out.ndim else float(out)
 
     def G_prime(self, v):
-        """G'(v) = g(v) / (beta c_s)."""
+        """G'(v) = (K v^2 / 2 + c_crit^2 v / (c_s - K v)) / (beta c_s)."""
         p = self.problem.params
-        return self.g(v) / (p.beta * self._cs())
+        return (0.5 * p.k_coeff * v * v + p.c_crit**2 * v / (self.cs - p.k_coeff * v)) / (p.beta * self.cs)
 
-    def G(self, v):
-        """Antiderivative of G'; series branch avoids log cancellation."""
+    def U_second(self, v):
+        """U''(v) = -1/beta + (K v + c_crit^2 c_s / (c_s - K v)^2) / (beta c_s)."""
         p = self.problem.params
-        cs = self._cs()
-        K = p.k_coeff
-        pole = self.v_pole
-        c2 = p.c_crit**2 / (p.beta * cs * K)
-        v = np.asarray(v, dtype=float)
-        r = v / pole
-        small = np.abs(r) < _SERIES_CUTOFF
-        exact = ~small
-        # S(v) = -v - pole*log1p(-v/pole) = pole * sum_{n>=2} r^n / n; each branch on its own samples
-        s = np.empty_like(v)
-        with np.errstate(invalid="ignore"):
-            s[exact] = -v[exact] - pole * np.log1p(-r[exact])
-        rs = r[small]
-        s[small] = pole * (rs * rs * (1 / 2 + rs * (1 / 3 + rs * (1 / 4 + rs * (1 / 5 + rs * (1 / 6 + rs / 7))))))
-        out = K * (v * v * v) / (6.0 * p.beta * cs) + c2 * s
-        return out if out.ndim else float(out)
-
-    def U(self, v):
-        """Potential energy U(v) = -v^2/(2 beta) + G(v)."""
-        p = self.problem.params
-        cs = self._cs()
-        K = p.k_coeff
-        pole = self.v_pole
-        c2 = p.c_crit**2 / (p.beta * cs * K)
-        v = np.asarray(v, dtype=float)
-        r = v / pole
-        small = np.abs(r) < _SERIES_CUTOFF
-        exact = ~small
-        out = np.empty_like(v)
-        ve = v[exact]
-        with np.errstate(invalid="ignore"):
-            out[exact] = -ve * ve / (2.0 * p.beta) + self.G(ve)
-        # assemble the small-v branch from the series so that the exact
-        # quadratic coefficient -lambda^2/2 is used without cancellation
-        vs, rs = v[small], r[small]
-        cubic = K / (6.0 * p.beta * cs) + c2 / (3.0 * pole**2)
-        tail = c2 * ((rs * rs) * (rs * rs) * (1 / 4 + rs * (1 / 5 + rs * (1 / 6 + rs / 7)))) * pole
-        out[small] = -0.5 * self.saddle_rate**2 * vs * vs + cubic * (vs * vs * vs) + tail
-        return out if out.ndim else float(out)
+        K, cs = p.k_coeff, self.cs
+        return -1.0 / p.beta + (K * v + p.c_crit**2 * cs / (cs - K * v) ** 2) / (p.beta * cs)
 
     def ode_rhs(self, v):
         """Acceleration v'' = v/beta - G'(v)."""
@@ -164,53 +155,43 @@ def potential(problem: TravelingWaveProblem) -> PotentialCurve:
     NoSolitaryWaveError
         If c_s^2 <= c_crit^2 (the origin is not a saddle) or the
         nonlinearity coefficient vanishes.
+    PoleProximityError
+        If U does not change sign below 1 - 1e-15 of the pole: v* is then
+        closer to the pole than the profile can be resolved.
     """
     p = problem.params
     require_solitary_wave(p, problem.speed)
     cs = abs(problem.speed)
-
     pole = cs / p.k_coeff
-    lam = math.sqrt((cs * cs - p.c_crit**2) / (p.beta * cs * cs))
-    sign = 1.0 if problem.speed > 0 else -1.0
-    K, beta = p.k_coeff, p.beta
-    c2 = p.c_crit**2 / (beta * cs * K)
-    cubic = K / (6.0 * beta * cs) + c2 / (3.0 * pole**2)
-
-    def U(v: float) -> float:
-        # PotentialCurve.U on one float: the branch it selects, the same operations in the same
-        # order; powers are products, and log1p goes through numpy, whose last bit can differ
-        # from math.log1p
-        r = v / pole
-        v3 = v * v * v
-        if abs(r) < _SERIES_CUTOFF:
-            tail = c2 * ((r * r) * (r * r) * (1 / 4 + r * (1 / 5 + r * (1 / 6 + r / 7)))) * pole
-            return -0.5 * lam**2 * v * v + cubic * v3 + tail
-        return -v * v / (2.0 * beta) + (K * v3 / (6.0 * beta * cs) + c2 * (-v - pole * float(np.log1p(-r))))
-
-    # U(t*pole) changes sign exactly once on (0, 1): negative near the
-    # saddle, positive near the pole where G blows up logarithmically.
+    curve = PotentialCurve(
+        problem=problem, v_pole=pole, turning_point=math.nan,
+        saddle_rate=math.sqrt((cs * cs - p.c_crit**2) / (p.beta * cs * cs)),
+        v_sign=1.0 if problem.speed > 0 else -1.0,
+    )
+    series, closed = curve._series, curve._closed  # U's branches, bound once for the search on floats
+    # U(t*pole) changes sign once on (0, 1): negative near the saddle, positive near the pole where G
+    # blows up.  The bracket's ends are on either side of the cutoff; the midpoints take U's branch.
+    # Each evaluation at v = t*pole takes r = v / pole, as U does.
     lo, hi = 1e-12, 1.0 - 1e-9
-    f_lo = U(lo * pole)
-    f_hi = U(hi * pole)
-    bumps = 0
-    while f_hi <= 0.0 and bumps < 3:
+    f_lo = series(lo * pole, lo * pole / pole)
+    f_hi = closed(hi * pole, hi * pole / pole)
+    while f_hi <= 0.0 and hi < 1.0 - 1e-14:  # to 1 - 1e-12, then 1 - 1e-15; a third bump would round to 1
         hi = 1.0 - (1.0 - hi) * 1e-3
-        f_hi = U(hi * pole)
-        bumps += 1
-    if f_lo >= 0.0 or f_hi <= 0.0:
-        raise WaveError(
-            f"turning-point bracket failed: U({lo * pole:.3g}) = {f_lo:.3g}, U({hi * pole:.3g}) = {f_hi:.3g}"
-        )
+        f_hi = closed(hi * pole, hi * pole / pole)
+    if f_lo >= 0.0:
+        raise WaveError(f"turning-point bracket failed: U({lo * pole:.3g}) = {f_lo:.3g}, "
+                        f"U({hi * pole:.3g}) = {f_hi:.3g}")
+    if f_hi <= 0.0:
+        raise PoleProximityError(f"speed {problem.speed:g}: turning point within 1e-15 |v_pole| of v_pole = {pole:.6g}")
     while hi - lo > 1e-15:
         mid = 0.5 * (lo + hi)
-        if U(mid * pole) < 0.0:
+        v = mid * pole
+        r = v / pole
+        if (series(v, r) if abs(r) < _SERIES_CUTOFF else closed(v, r)) < 0.0:
             lo = mid
         else:
             hi = mid
-    vstar = 0.5 * (lo + hi) * pole
-    return PotentialCurve(
-        problem=problem, v_pole=pole, turning_point=sign * vstar, saddle_rate=lam, v_sign=sign
-    )
+    return replace(curve, turning_point=curve.v_sign * (0.5 * (lo + hi) * pole))
 
 
 def _hermite(x: np.ndarray, y: np.ndarray, dy: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -279,18 +260,10 @@ def integrate_profile(curve: PotentialCurve, x_max: float, step: float = 1e-3) -
     """
     if not (0.0 < x_max < math.inf and 0.0 < step < math.inf):
         raise ValueError("x_max and step must be positive and finite")
-    p = curve.problem.params
     lam = curve.saddle_rate
     vstar = curve.v_sign * curve.turning_point  # positive-frame turning point
     crest_sign = math.copysign(1.0, vstar)
-    K, beta, cs, ccrit2 = p.k_coeff, p.beta, abs(curve.problem.speed), p.c_crit**2
     linear = 1e-140 * abs(vstar)  # below this |v|, v'/v = -lam to round-off and v^2 may underflow
-
-    def u_prime(v):
-        return -curve.ode_rhs(v)
-
-    def u_second(v):
-        return -1.0 / beta + (K * v + ccrit2 * cs / (cs - K * v) ** 2) / (beta * cs)
 
     def rate(v, m):
         """|v'/v| on the orbit, from m = -2U(v) = v'^2."""
@@ -347,13 +320,13 @@ def integrate_profile(curve: PotentialCurve, x_max: float, step: float = 1e-3) -
         z = _hermite(x_edges, z_edges, z_slopes, np.arange(i0 - 1, i1) * step)
         x, v, vp = x_out[i0 - 1 : i1], v_out[i0 - 1 : i1], vp_out[i0 - 1 : i1]  # the block writes in place
         np.multiply(vstar, np.exp(-z * z), out=v)
-        up = u_prime(v)
+        up = -curve.ode_rhs(v)
         # m = -2U(v); inside the crest band U cancels, so m = 2 int_v^v* U' by the end-corrected trapezoid
         m = np.empty_like(z)
         m[0] = m_last
         c = 1 + np.count_nonzero(np.abs(v[1:] - vstar) < band)  # the band's nodes are a prefix
         if c > 1:
-            w, upp = v[:c], u_second(v[:c])
+            w, upp = v[:c], curve.U_second(v[:c])
             h = w[:-1] - w[1:]
             m[1:c] = m_last + np.cumsum(h * (up[: c - 1] + up[1:c]) + h * h / 6.0 * (upp[1:] - upp[:-1]))
         m[c:] = -2.0 * curve.U(v[c:])
@@ -381,6 +354,14 @@ def integrate_profile(curve: PotentialCurve, x_max: float, step: float = 1e-3) -
     return OracleProfile(curve=curve, x=x_out, v=v_out, v_prime=vp_out, energy_max=energy_max)
 
 
+def _positive_frame(curve: PotentialCurve, v_beta) -> np.ndarray:
+    """v_beta in the positive frame; raises PoleProximityError within 1e-12 of the pole."""
+    v_pos = np.asarray(v_beta, dtype=float) * curve.v_sign
+    if np.any(np.abs(v_pos - curve.v_pole) < 1e-12 * abs(curve.v_pole)):
+        raise PoleProximityError("velocity value within 1e-12 of the reconstruction pole")
+    return v_pos
+
+
 def reconstruct_zeta(curve: PotentialCurve, v_beta):
     """Interface deviation from the velocity profile (first-row algebra).
 
@@ -388,19 +369,12 @@ def reconstruct_zeta(curve: PotentialCurve, v_beta):
     sign map makes the result independent of the speed sign.
     """
     p = curve.problem.params
-    cs = abs(curve.problem.speed)
-    v_pos = np.asarray(v_beta, dtype=float) * curve.v_sign
-    if np.any(np.abs(v_pos - curve.v_pole) < 1e-12 * abs(curve.v_pole)):
-        raise PoleProximityError("velocity value within 1e-12 of the reconstruction pole")
-    out = v_pos / ((p.gamma + p.delta) * (cs - p.k_coeff * v_pos))
+    v_pos = _positive_frame(curve, v_beta)
+    out = v_pos / ((p.gamma + p.delta) * (curve.cs - p.k_coeff * v_pos))
     return out if out.ndim else float(out)
 
 
 def reconstruct_u(curve: PotentialCurve, v_beta):
     """Unsmoothed velocity u = beta * G'(v) along the orbit."""
-    p = curve.problem.params
-    v_pos = np.asarray(v_beta, dtype=float) * curve.v_sign
-    if np.any(np.abs(v_pos - curve.v_pole) < 1e-12 * abs(curve.v_pole)):
-        raise PoleProximityError("velocity value within 1e-12 of the reconstruction pole")
-    out = curve.v_sign * p.beta * np.asarray(curve.G_prime(v_pos))
+    out = curve.v_sign * curve.problem.params.beta * np.asarray(curve.G_prime(_positive_frame(curve, v_beta)))
     return out if out.ndim else float(out)

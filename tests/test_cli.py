@@ -622,6 +622,23 @@ def test_an_overflowing_setting_exits_1_naming_it(tmp_path, capsys, argv, value)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, speed", [
+    (("oracle", "--cs", "30"), "speed 30:"),
+    (("solve", "--cs", "30"), "speed 30:"),
+    (("solve", "--cs", "1e8"), "speed 1e+08:"),
+], ids=["oracle-30", "solve-30", "solve-1e8"])
+def test_a_turning_point_at_the_pole_exits_1(tmp_path, capsys, argv, speed):
+    # U keeps its sign up to 1 - 1e-15 of the pole: the turning-point search stops there, before U's log1p(-1)
+    out = tmp_path / "o.csv"
+    code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 1
+    record = one_line_error(err)
+    assert record["error"] == "PoleProximityError"
+    assert speed in record["message"] and "v_pole" in record["message"]
+    assert stdout == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_a_non_finite_tolerance_exits_1(tmp_path, capsys, source):
     cfg = tmp_path / "c.json"
@@ -806,6 +823,8 @@ SETTING_SAMPLES = {
 # the settings each command reads, and the flags every run of it takes (a small grid keeps solve quick)
 COMMAND_READS = {
     "solve": (set(SETTING_SAMPLES), ("--half-length", "64", "--modes", "512")),
+    "sweep": (set(SETTING_SAMPLES) - {("solver", "cs")},
+              ("--half-length", "64", "--modes", "512", "--offset-min", "0.05", "--offset-max", "0.3", "--count", "4")),
     "oracle": ({("params", "gamma"), ("params", "delta"), ("solver", "cs")}, ("--x-max", "20")),
     "dispersion": ({("params", "gamma"), ("params", "delta")}, ("--count", "11")),
 }

@@ -76,11 +76,14 @@ def test_saddle_curvature_matches_finite_differences(elev_curve):
 
 
 def test_potential_series_matches_closed_form(elev_curve):
-    # both branches of U and G agree where they meet
-    v = 1.1e-3 * elev_curve.v_pole  # just outside the series cutoff
-    w = 0.9e-3 * elev_curve.v_pole  # just inside
-    for val in (v, w):
-        direct = -val**2 / (2 * elev_curve.problem.params.beta) + elev_curve.G(val)
+    # both branches of U agree with the closed form where they meet
+    p = elev_curve.problem.params
+    beta, K, cs = p.beta, p.k_coeff, elev_curve.problem.speed
+    for val in (1.1e-3 * elev_curve.v_pole, 0.9e-3 * elev_curve.v_pole):  # just outside and just inside the cutoff
+        # G = int_0^v G' = K v^3 / (6 beta c_s) + c_crit^2 / (beta c_s) (-v / K - c_s / K^2 log(1 - K v / c_s))
+        log_term = -val / K - cs / K**2 * math.log1p(-K * val / cs)
+        G = K * val**3 / (6 * beta * cs) + p.c_crit**2 / (beta * cs) * log_term
+        direct = -val**2 / (2 * beta) + G
         assert elev_curve.U(val) == pytest.approx(direct, rel=1e-10, abs=1e-18)
 
 
@@ -106,19 +109,17 @@ def _where_G_U(curve, v):
 
 @pytest.mark.parametrize("curve_name", ["elev_curve", "depr_curve"])
 def test_potential_branches_match_where_formulation(request, curve_name):
-    # U and G evaluate each branch only on its own samples; the values are the bits of np.where over both
+    # U evaluates each branch only on its own samples; the values are the bits of np.where over both
     curve = request.getfixturevalue(curve_name)
     vstar = curve.turning_point
     v = vstar * np.logspace(-7, 0, 4001)  # from 1e-7 v* to the turning point, across the series cutoff
     assert np.any(np.abs(v / curve.v_pole) < oracle._SERIES_CUTOFF)
     assert np.any(np.abs(v / curve.v_pole) >= oracle._SERIES_CUTOFF)
-    G, U = _where_G_U(curve, v)
-    assert curve.G(v).tobytes() == G.tobytes()
+    _, U = _where_G_U(curve, v)
     assert curve.U(v).tobytes() == U.tobytes()
     for k in range(0, v.size, 97):
-        got_G, got_U = curve.G(v[k]), curve.U(v[k])
-        assert isinstance(got_G, float) and isinstance(got_U, float)
-        assert (got_G, got_U) == (G[k], U[k])
+        got_U = curve.U(v[k])
+        assert isinstance(got_U, float) and got_U == U[k]
 
 
 def test_profile_initial_conditions(elev_curve, elev_profile):
@@ -382,7 +383,8 @@ def test_halving_the_step_moves_the_profile_below_round_off(gamma, delta):
 
 
 def _reference_turning_point(problem):
-    """The turning-point bisection evaluated with the vectorised PotentialCurve.U."""
+    """The turning-point bisection evaluated with the vectorised PotentialCurve.U, or None where
+    its bracket reaches the pole (t = 1)."""
     p = problem.params
     cs = abs(problem.speed)
     pole = cs / p.k_coeff
@@ -393,6 +395,8 @@ def _reference_turning_point(problem):
         if curve.U(hi * pole) > 0.0:
             break
         hi = 1.0 - (1.0 - hi) * 1e-3
+        if hi == 1.0:
+            return None
     while hi - lo > 1e-15:
         mid = 0.5 * (lo + hi)
         if curve.U(mid * pole) < 0.0:
@@ -403,20 +407,27 @@ def _reference_turning_point(problem):
 
 
 def test_turning_point_matches_vectorised_bisection():
-    # potential() evaluates U on floats; the turning point must be the vectorised bisection's, bit for bit
-    checked = 0
-    with np.errstate(divide="ignore"):  # log1p(-1) = -inf once the bracket reaches the pole
-        for gamma in (0.02, 0.2, 0.45, 0.7, 0.95):
-            for delta in (0.2, 0.5, 0.8, 1.3, 2.0):
-                p = make_parameters(gamma, delta)
-                if p.k_coeff == 0.0:
-                    continue
-                for offset in (1e-4, 0.01, 0.05, 0.3, 2.0):
-                    for sign in (1.0, -1.0):
-                        problem = oracle.TravelingWaveProblem(params=p, speed=sign * (p.c_crit + offset))
-                        assert oracle.potential(problem).turning_point == _reference_turning_point(problem)
-                        checked += 1
+    # potential() evaluates U's branches on floats; the turning point must be the vectorised bisection's,
+    # bit for bit, and where that bisection's bracket reaches the pole potential() raises instead
+    checked, at_pole = 0, []
+    for gamma in (0.02, 0.2, 0.45, 0.7, 0.95):
+        for delta in (0.2, 0.5, 0.8, 1.3, 2.0):
+            p = make_parameters(gamma, delta)
+            if p.k_coeff == 0.0:
+                continue
+            for offset in (1e-4, 0.01, 0.05, 0.3, 2.0):
+                for sign in (1.0, -1.0):
+                    problem = oracle.TravelingWaveProblem(params=p, speed=sign * (p.c_crit + offset))
+                    want = _reference_turning_point(problem)
+                    if want is None:
+                        with pytest.raises(PoleProximityError, match="turning point within 1e-15"):
+                            oracle.potential(problem)
+                        at_pole.append((gamma, offset, sign))
+                    else:
+                        assert oracle.potential(problem).turning_point == want
+                    checked += 1
     assert checked == 250
+    assert len(at_pole) == 10 and set(at_pole) == {(0.95, 2.0, 1.0), (0.95, 2.0, -1.0)}
 
 
 def test_gauss_legendre_literals_are_leggauss():
