@@ -8,6 +8,11 @@ space, and in wavenumber for the spectrum) are exactly log-linear in
 (log a, b, c) for single-signed data, so they reduce to one linear
 least-squares solve; goodness of fit is always reported in the original
 (non-log) scale.
+
+This module owns the derived tables that ``sweep``, ``analyze`` and
+``reproduce`` write, as columns: :func:`speed_sweep` (:func:`speed_fit`),
+:func:`amplitude_vs_k_study`, :func:`phase_portrait` and :func:`decay_table`.
+The studies solve through the caller's ``solve``; the solver is never imported.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import InsufficientDataError, NoBracketError, SignChangeError, WaveError
+from .errors import InputFormatError, InsufficientDataError, NoBracketError, SignChangeError, WaveError
 from .grid import SpectralGrid, differentiate, half_spectrum
 from .params import make_parameters
 
@@ -204,23 +209,38 @@ def default_spectrum_window(kp: np.ndarray, magnitudes: np.ndarray) -> tuple[flo
     return (1.0, min(float(kp.max()) / 2.0, _floor_edge(kp, magnitudes)))
 
 
-@dataclass(frozen=True)
-class StudyPoint:
-    delta: float
-    k_coeff: float
-    zeta_max: float
+def decay_table(mode: str, x: np.ndarray, values: np.ndarray, window=None, source="the profile"):
+    """The decay law fitted to ``values`` at the nodes ``x``, in space (mode "decay") or in their half spectrum.
+
+    In space the abscissae are the nodes x > 0 and the default window ends at most at 0.8 max|x|
+    (0.8 l on a solver grid); the spectrum is taken on ``SpectralGrid.from_nodes(x)``.  ``source``
+    names the profile in errors.  Returns the windowed abscissae, values and fitted curve, and the fit.
+    """
+    if mode == "decay":
+        t, values = x[x > 0.0], values[x > 0.0]
+        if not t.size:
+            raise InputFormatError(f"{source} has no node at x > 0 to fit the decay on")
+        window = window or default_space_window(t, values, float(np.max(np.abs(x))))
+        fit = fit_decay_space(t, values, window)
+    else:
+        t, values = spectrum_magnitudes(SpectralGrid.from_nodes(x), values)
+        window = window or default_spectrum_window(t, values)
+        fit = fit_decay_spectrum(t, values, window)
+    mask = (t >= window[0]) & (t <= window[1])
+    t, values = t[mask], values[mask]
+    return t, values, power_exponential(t, **fit.coefficients, sign=np.sign(values[0])), fit
 
 
-@dataclass(frozen=True)
-class StudyResult:
-    points: tuple
-    skipped: tuple
+def speed_sweep(solve: Callable, grid: SpectralGrid, params, config, offsets: np.ndarray) -> dict:
+    """The cs, zeta_max, v_max and u_max columns of one ``solve`` at each speed c_crit + offset."""
+    speeds = params.c_crit + offsets
+    amps = np.array([amplitude(solve(grid, params, replace(config, speed=float(speed)))[0]) for speed in speeds])
+    return {"cs": speeds, "zeta_max": amps[:, 0], "v_max": amps[:, 1], "u_max": amps[:, 2]}
 
-    def k_values(self) -> np.ndarray:
-        return np.array([p.k_coeff for p in self.points])
 
-    def amplitudes(self) -> np.ndarray:
-        return np.array([p.zeta_max for p in self.points])
+def speed_fit(columns: dict) -> FitResult:
+    """The power law of |zeta_max| against cs over the columns of a speed sweep."""
+    return fit_speed_amplitude(list(zip(columns["cs"], np.abs(columns["zeta_max"]))))
 
 
 def amplitude_vs_k_study(
@@ -230,28 +250,29 @@ def amplitude_vs_k_study(
     grid: SpectralGrid,
     config,
     solve: Callable,
-) -> StudyResult:
+) -> tuple[dict, list]:
     """Amplitude against the nonlinearity coefficient at fixed speed offset.
 
     Each depth ratio is solved by ``solve`` (the signature of
     :func:`solver.solve`) with the caller's ``config`` at the speed
     c_s = c_crit(gamma, delta) + speed_offset; failures are recorded and
-    skipped rather than aborting the sweep.
+    skipped rather than aborting the sweep.  Returns the k_coeff, zeta_max
+    and delta columns, ascending in k_coeff, and the skipped
+    (delta, message) pairs.
     """
-    points = []
+    rows = []
     skipped = []
     for delta in deltas:
         try:
             params = make_parameters(gamma, delta)
             state, _ = solve(grid, params, replace(config, speed=params.c_crit + speed_offset))
-            zeta_max, _, _ = amplitude(state)
-            points.append(StudyPoint(delta=float(delta), k_coeff=params.k_coeff, zeta_max=zeta_max))
+            rows.append((params.k_coeff, amplitude(state)[0], float(delta)))
         except WaveError as exc:
             skipped.append((float(delta), str(exc)))
-    points.sort(key=lambda p: p.k_coeff)
-    return StudyResult(points=tuple(points), skipped=tuple(skipped))
+    rows.sort(key=lambda row: row[0])
+    return dict(zip(("k_coeff", "zeta_max", "delta"), np.array(rows, dtype=float).reshape(-1, 3).T)), skipped
 
 
-def phase_portrait(v: np.ndarray, grid: SpectralGrid) -> np.ndarray:
-    """(v, v') sample pairs of a velocity profile on ``grid`` using pseudospectral differentiation."""
-    return np.column_stack([v, differentiate(grid, v, 1)])
+def phase_portrait(v: np.ndarray, grid: SpectralGrid) -> dict:
+    """The v and v' columns of a velocity profile on ``grid``, v' by pseudospectral differentiation."""
+    return {"v": v, "v_prime": differentiate(grid, v, 1)}

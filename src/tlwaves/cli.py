@@ -21,10 +21,12 @@ module level this file imports only the standard library, numpy,
 ``extrapolation`` and ``grid``; ``sweep`` and ``reproduce`` load those
 and ``analysis``.
 
-``analyze`` takes a profile's grid from its nodes (``SpectralGrid.from_nodes``)
-and reads nothing from its header, which is a record only.  ``reproduce``
-runs the same fit call on its grid's nodes, so fig4-fig6 and table1 equal
-``analyze`` of the fig2 profiles on every grid.
+``analysis`` builds every derived table (sweep, study, portrait, decay
+fits); this module reads, describes and writes.  ``analyze`` takes a
+profile's grid from its nodes (``SpectralGrid.from_nodes``) and reads
+nothing from its header, which is a record only.  ``reproduce`` calls the
+same table functions on its grid's nodes, so its targets equal ``sweep``
+and ``analyze`` of its fig2 profiles on every grid; it fits each decay once.
 """
 
 from __future__ import annotations
@@ -274,36 +276,22 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _sweep(solve, grid, params, config, offsets: np.ndarray) -> dict:
-    """The cs, zeta_max, v_max and u_max columns of one solve at each speed c_crit + offset."""
-    from . import analysis
-    speeds = params.c_crit + offsets
-    amps = np.array([analysis.amplitude(solve(grid, params, dataclasses.replace(config, speed=float(speed)))[0])
-                     for speed in speeds])
-    return {"cs": speeds, "zeta_max": amps[:, 0], "v_max": amps[:, 1], "u_max": amps[:, 2]}
-
-
-def _speed_fit(columns: dict):
-    """The power law of |zeta_max| against cs over the columns of a sweep, an ``analysis.FitResult``."""
-    from . import analysis
-    return analysis.fit_speed_amplitude(list(zip(columns["cs"], np.abs(columns["zeta_max"]))))
-
-
 def cmd_sweep(args) -> int:
-    from . import solver
+    from . import analysis, solver
     params, grid, config, described = _build_run(args)
     if args.count < 4:
         raise InsufficientDataError("sweep needs at least 4 speeds for the power fit")
     if not (np.isfinite(args.offset_min) and np.isfinite(args.offset_max)):
         raise ValueError(f"--offset-min and --offset-max must be finite, got {args.offset_min} and {args.offset_max}")
-    columns = _sweep(solver.solve, grid, params, config, np.linspace(args.offset_min, args.offset_max, args.count))
+    columns = analysis.speed_sweep(solver.solve, grid, params, config,
+                                   np.linspace(args.offset_min, args.offset_max, args.count))
 
     described["sweep"] = {"offset_min": args.offset_min, "offset_max": args.offset_max, "count": args.count}
     meta = _meta("sweep", described)
     out = Path(args.out)
     write_table(out, meta, columns)
 
-    fit = _speed_fit(columns)
+    fit = analysis.speed_fit(columns)
     fit_path = out.with_suffix(".fit.json")
     write_json(fit_path, {"meta": meta, "fit": fit.to_dict()})
     print(f"sweep: {args.count} speeds -> {out} (fit R^2 = {fit.r_squared:.6f} -> {fit_path})")
@@ -365,30 +353,6 @@ def _profile_values(cols: dict, source, name: str | None = None) -> tuple[np.nda
     return cols["x"], cols[name]
 
 
-def _decay_fit(mode: str, x: np.ndarray, values: np.ndarray, window=None, source="the profile"):
-    """The decay law fitted to ``values`` at the nodes ``x``, in space (mode "decay") or in their half spectrum.
-
-    In space the abscissae are the nodes x > 0 and the default window ends at most at 0.8 max|x|
-    (0.8 l on a solver grid); the spectrum is taken on ``SpectralGrid.from_nodes(x)``.  ``source``
-    names the profile in errors.  Returns the windowed abscissae, values and fitted curve, and the fit.
-    """
-    from . import analysis
-    from .grid import SpectralGrid
-    if mode == "decay":
-        t, values = x[x > 0.0], values[x > 0.0]
-        if not t.size:
-            raise InputFormatError(f"{source} has no node at x > 0 to fit the decay on")
-        window = window or analysis.default_space_window(t, values, float(np.max(np.abs(x))))
-        fit = analysis.fit_decay_space(t, values, window)
-    else:
-        t, values = analysis.spectrum_magnitudes(SpectralGrid.from_nodes(x), values)
-        window = window or analysis.default_spectrum_window(t, values)
-        fit = analysis.fit_decay_spectrum(t, values, window)
-    mask = (t >= window[0]) & (t <= window[1])
-    t, values = t[mask], values[mask]
-    return t, values, analysis.power_exponential(t, **fit.coefficients, sign=np.sign(values[0])), fit
-
-
 def cmd_analyze(args) -> int:
     from . import analysis
     from .grid import SpectralGrid
@@ -398,13 +362,13 @@ def cmd_analyze(args) -> int:
 
     if args.mode == "phase":
         x, v = _profile_values(cols, args.infile, "v")
-        pairs = analysis.phase_portrait(v, SpectralGrid.from_nodes(x))
-        write_table(out, _meta("analyze-phase", described), {"v": pairs[:, 0], "v_prime": pairs[:, 1]})
+        write_table(out, _meta("analyze-phase", described), analysis.phase_portrait(v, SpectralGrid.from_nodes(x)))
         print(f"analyze phase: {x.size} samples -> {out}")
         return 0
 
     x, y = _profile_values(cols, args.infile)
-    t, values, fitted, fit = _decay_fit(args.mode, x, y, args.window and tuple(args.window), source=args.infile)
+    t, values, fitted, fit = analysis.decay_table(args.mode, x, y, args.window and tuple(args.window),
+                                                  source=args.infile)
     label = f"analyze-{args.mode}"
     meta = _meta(label, {**described, "window": list(fit.window)})
     write_table(out, meta, {"x" if args.mode == "decay" else "k": t, "value": values, "fitted": fitted})
@@ -429,9 +393,17 @@ def cmd_reproduce(args) -> int:
     solve = functools.cache(solver.solve)
 
     def wave(pair, offset):
+        """The state and report of the wave of ``pair`` at c_crit + offset, and its {params, cs} description."""
         params = make_parameters(*pair)
         wave_config = dataclasses.replace(config, speed=params.c_crit + offset)
-        return (params, wave_config, *solve(grid, params, wave_config))
+        return (*solve(grid, params, wave_config), {"params": params_to_config(params), "cs": wave_config.speed})
+
+    # the reference elevation wave, whose decay fig5, fig6 and table1 describe
+    elevation = functools.partial(wave, _ELEVATION_PAIR, _REFERENCE_OFFSET)
+
+    @functools.cache
+    def decay(mode):
+        return analysis.decay_table(mode, grid.nodes, elevation()[0].zeta)
 
     def save(name, write, *data):
         path = outdir / name
@@ -440,28 +412,18 @@ def cmd_reproduce(args) -> int:
 
     def profiles(target, pair):
         for offset in _FIG2_OFFSETS:
-            params, wave_config, state, report = wave(pair, offset)
-            described = {
-                "params": params_to_config(params),
-                "grid": {"half_length": grid.half_length, "modes": grid.n},
-                "solver": {"cs": wave_config.speed},
-            }
-            meta = _meta(f"reproduce-{target}", described, {"report": report.to_dict()})
+            state, report, described = wave(pair, offset)
+            meta = _meta(f"reproduce-{target}", {"params": described["params"], "solver": {"cs": described["cs"]},
+                                                  "grid": {"half_length": grid.half_length, "modes": grid.n}},
+                         {"report": report.to_dict()})
             save(f"{target}_offset{offset:g}.csv", write_table, meta,
                  {"x": grid.nodes, "zeta": state.zeta, "v": state.v, "u": state.u})
 
     def sweep():
         """The columns of the sweep fig3a and fig3b describe, and its description."""
         params = make_parameters(*_ELEVATION_PAIR)
-        return _sweep(solve, grid, params, config, np.linspace(*_SWEEP_OFFSETS)), {"params": params_to_config(params)}
-
-    def elevation():
-        """The reference elevation wave, whose decay fig5, fig6 and table1 describe, and its description."""
-        params, wave_config, state, _ = wave(_ELEVATION_PAIR, _REFERENCE_OFFSET)
-        return state, {"params": params_to_config(params), "cs": wave_config.speed}
-
-    def decay(mode):
-        return _decay_fit(mode, grid.nodes, elevation()[0].zeta)
+        columns = analysis.speed_sweep(solve, grid, params, config, np.linspace(*_SWEEP_OFFSETS))
+        return columns, {"params": params_to_config(params)}
 
     if "fig2a" in targets:
         profiles("fig2a", _ELEVATION_PAIR)
@@ -473,39 +435,32 @@ def cmd_reproduce(args) -> int:
     if "fig3b" in targets:
         columns, described = sweep()
         save("fig3b_fit.json", write_json, {"meta": _meta("reproduce-fig3b", described),
-                                            "fit": _speed_fit(columns).to_dict()})
+                                            "fit": analysis.speed_fit(columns).to_dict()})
     if "fig3c" in targets:
         gamma = _ELEVATION_PAIR[0]
-        study = analysis.amplitude_vs_k_study(gamma, _FIG3C_DELTAS, _REFERENCE_OFFSET, grid, config, solve)
+        columns, skipped = analysis.amplitude_vs_k_study(gamma, _FIG3C_DELTAS, _REFERENCE_OFFSET, grid, config, solve)
         meta = _meta("reproduce-fig3c", {"gamma": gamma, "deltas": list(_FIG3C_DELTAS), "offset": _REFERENCE_OFFSET},
-                     {"skipped": list(study.skipped)})
-        save("fig3c_amplitude_vs_k.csv", write_table, meta, {
-            "k_coeff": study.k_values(),
-            "zeta_max": study.amplitudes(),
-            "delta": np.array([p.delta for p in study.points]),
-        })
+                     {"skipped": skipped})
+        save("fig3c_amplitude_vs_k.csv", write_table, meta, columns)
     if "fig4" in targets:
         for label, pair in (("elevation", _ELEVATION_PAIR), ("depression", _DEPRESSION_PAIR)):
-            params, wave_config, state, _ = wave(pair, _REFERENCE_OFFSET)
-            pairs = analysis.phase_portrait(state.v, grid)
-            meta = _meta("reproduce-fig4", {"params": params_to_config(params), "cs": wave_config.speed})
-            save(f"fig4_{label}.csv", write_table, meta, {"v": pairs[:, 0], "v_prime": pairs[:, 1]})
+            state, _, described = wave(pair, _REFERENCE_OFFSET)
+            save(f"fig4_{label}.csv", write_table, _meta("reproduce-fig4", described),
+                 analysis.phase_portrait(state.v, grid))
     if "fig5" in targets:
-        state, described = elevation()
+        state, _, described = elevation()
         kp, mags = analysis.spectrum_magnitudes(grid, state.zeta)
         save("fig5a_spectrum.csv", write_table, _meta("reproduce-fig5a", described), {"k": kp, "magnitude": mags})
         x, zeta, fitted, fit = decay("decay")
         save("fig5b_profile_fit.csv", write_table, _meta("reproduce-fig5b", described, {"fit": fit.to_dict()}),
              {"x": x, "zeta": zeta, "fitted": fitted})
     if "fig6" in targets:
-        _, described = elevation()
         kp, mags, fitted, fit = decay("spectrum")
-        save("fig6_spectrum_fit.csv", write_table, _meta("reproduce-fig6", described, {"fit": fit.to_dict()}),
+        save("fig6_spectrum_fit.csv", write_table, _meta("reproduce-fig6", elevation()[2], {"fit": fit.to_dict()}),
              {"k": kp, "magnitude": mags, "fitted": fitted})
     if "table1" in targets:
-        _, described = elevation()
         save("table1.json", write_json, {
-            "meta": _meta("reproduce-table1", described),
+            "meta": _meta("reproduce-table1", elevation()[2]),
             "space_fit": decay("decay")[3].to_dict(),
             "spectrum_fit": decay("spectrum")[3].to_dict(),
         })

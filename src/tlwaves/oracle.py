@@ -255,6 +255,9 @@ def integrate_profile(curve: PotentialCurve, x_max: float, step: float = 1e-3) -
     ------
     ValueError
         If x_max or step is not positive and finite.
+    PoleProximityError
+        If -2U(v) < 0 at a node: v* is so close to the pole that U's
+        round-off changes its sign on the orbit.
     StepSizeTooLargeError
         If energy_max exceeds 1e-10 times max(1, max |U|).
     """
@@ -333,11 +336,14 @@ def integrate_profile(curve: PotentialCurve, x_max: float, step: float = 1e-3) -
         depth.append(np.max(m))
         x[0] = x_last
         abscissae(z, v, up, m, x)
-        with np.errstate(invalid="ignore"):  # m < 0 close to the pole: the NaN fails the energy check
+        with np.errstate(invalid="ignore"):  # a negative m is reported below, as the pole's
             np.sqrt(m, out=vp)
         vp *= -crest_sign
         tail = np.abs(v) < linear
         vp[tail] = -lam * v[tail]
+        if np.isnan(vp).any():  # m < 0: U's round-off close to the pole, which no smaller step removes
+            raise PoleProximityError(f"speed {curve.problem.speed:g}: -2U < 0 on the orbit, whose turning point lies "
+                                     f"{1.0 - vstar / curve.v_pole:.3g} |v_pole| below v_pole = {curve.v_pole:.6g}")
         x_last, m_last = x[-1], m[-1]
         del z, m, tail  # freed before the drift's temporaries, which set the peak memory of a block
         drifts.append(drift(x, v, vp, up))

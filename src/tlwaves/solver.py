@@ -292,7 +292,8 @@ def oracle_initial_guess(grid: SpectralGrid, params: ModelParameters, speed: flo
     tail continuation is exact to v(x_max)^2, with nodes 0.004 of the decay length 1/lambda
     or of the crest's dx/dz apart, whichever is shorter, and at most 20000 of them: close
     to the pole dx/dz at the crest tends to 0.  Raises what the oracle raises, a
-    :class:`WaveError` (``StepSizeTooLargeError`` close to the pole).
+    :class:`WaveError` (``PoleProximityError`` or ``StepSizeTooLargeError`` close to
+    the pole).
     """
     curve = oracle.potential(oracle.TravelingWaveProblem(params=params, speed=speed))
     lam = curve.saddle_rate

@@ -177,10 +177,13 @@ def test_amplitude_vs_k_study(default_grid):
     # at fixed speed offset the amplitude scales like 1/K: signed amplitude
     # shares the sign of K, and the magnitude grows as |K| shrinks on
     # either branch (cross-checked against the ODE oracle turning points)
-    study = amplitude_vs_k_study(0.5, [0.55, 0.6, 0.8, 0.9, 1.0], 0.05, default_grid, STUDY_CONFIG, solver.solve)
-    assert len(study.points) == 5
-    ks = study.k_values()
-    amps = study.amplitudes()
+    columns, skipped = amplitude_vs_k_study(0.5, [0.55, 0.6, 0.8, 0.9, 1.0], 0.05, default_grid, STUDY_CONFIG,
+                                            solver.solve)
+    assert list(columns) == ["k_coeff", "zeta_max", "delta"]
+    assert skipped == []
+    ks = columns["k_coeff"]
+    amps = columns["zeta_max"]
+    assert ks.size == 5
     assert np.all(np.diff(ks) > 0)
     assert np.all(np.sign(amps) == np.sign(ks))
     depression = ks < 0
@@ -192,38 +195,41 @@ def test_amplitude_vs_k_study(default_grid):
 
 
 def test_amplitude_vs_k_single_point(default_grid):
-    study = amplitude_vs_k_study(0.5, [0.8], 0.05, default_grid, STUDY_CONFIG, solver.solve)
-    assert len(study.points) == 1
-    assert study.points[0].k_coeff > 0
+    columns, _ = amplitude_vs_k_study(0.5, [0.8], 0.05, default_grid, STUDY_CONFIG, solver.solve)
+    assert columns["k_coeff"].size == 1
+    assert columns["k_coeff"][0] > 0
+    assert columns["delta"].tolist() == [0.8]
 
 
 def test_amplitude_vs_k_includes_depression(default_grid):
-    study = amplitude_vs_k_study(0.5, [0.5, 0.8], 0.05, default_grid, STUDY_CONFIG, solver.solve)
-    ks = study.k_values()
-    amps = study.amplitudes()
+    columns, _ = amplitude_vs_k_study(0.5, [0.8, 0.5], 0.05, default_grid, STUDY_CONFIG, solver.solve)
+    ks = columns["k_coeff"]
+    amps = columns["zeta_max"]
+    assert columns["delta"].tolist() == [0.5, 0.8]  # the rows ascend in k_coeff, whatever the order of the deltas
     assert ks[0] < 0 < ks[1]
     assert amps[0] < 0 < amps[1]
 
 
 def test_amplitude_vs_k_records_failures(default_grid):
-    study = amplitude_vs_k_study(0.25, [0.5, 0.8], 0.05, default_grid, STUDY_CONFIG, solver.solve)
-    assert len(study.points) == 1
-    assert len(study.skipped) == 1
-    assert study.skipped[0][0] == 0.5  # the degenerate depth ratio
+    columns, skipped = amplitude_vs_k_study(0.25, [0.5, 0.8], 0.05, default_grid, STUDY_CONFIG, solver.solve)
+    assert columns["delta"].tolist() == [0.8]
+    assert len(skipped) == 1
+    assert skipped[0][0] == 0.5  # the degenerate depth ratio
 
 
 def test_phase_portrait_zero_state(elevation_params):
     g = SpectralGrid(half_length=10.0, n=64)
     state = WaveState.from_zeta_v(g, elevation_params, np.zeros(g.n), np.zeros(g.n))
-    pairs = phase_portrait(state.v, g)
-    assert pairs.shape == (g.n, 2)
-    assert np.all(pairs == 0.0)
+    portrait = phase_portrait(state.v, g)
+    assert list(portrait) == ["v", "v_prime"]
+    assert portrait["v_prime"].shape == (g.n,)
+    assert np.all(portrait["v"] == 0.0) and np.all(portrait["v_prime"] == 0.0)
 
 
 def test_phase_portrait_symmetry_and_peak(elevation_solution, elevation_curve, default_grid):
     state, _ = elevation_solution
-    pairs = phase_portrait(state.v, default_grid)
-    v, vp = pairs[:, 0], pairs[:, 1]
+    portrait = phase_portrait(state.v, default_grid)
+    v, vp = portrait["v"], portrait["v_prime"]
     assert v.max() == pytest.approx(elevation_curve.turning_point, abs=1e-6)
     # even profile: mirrored nodes carry opposite slopes
     assert np.max(np.abs(v[1:] - v[:0:-1])) <= 1e-8
@@ -232,8 +238,8 @@ def test_phase_portrait_symmetry_and_peak(elevation_solution, elevation_curve, d
 
 def test_phase_portrait_zero_energy(elevation_solution, elevation_curve, default_grid):
     state, _ = elevation_solution
-    pairs = phase_portrait(state.v, default_grid)
-    energy = 0.5 * pairs[:, 1] ** 2 + np.asarray(elevation_curve.U(pairs[:, 0]))
+    portrait = phase_portrait(state.v, default_grid)
+    energy = 0.5 * portrait["v_prime"] ** 2 + np.asarray(elevation_curve.U(portrait["v"]))
     assert np.max(np.abs(energy)) <= 1e-6
 
 

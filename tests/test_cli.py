@@ -287,16 +287,22 @@ def test_reproduce_table1(tmp_path, capsys):
     assert payload["spectrum_fit"]["r_squared"] > 0.999
 
 
-def test_thread_fanout_is_deterministic(tmp_path, capsys):
-    first = tmp_path / "first.csv"
-    second = tmp_path / "second.csv"
-    argv = ["sweep", "--gamma", "0.5", "--delta", "0.8", "--half-length", "64",
-            "--modes", "512", "--offset-min", "0.05", "--offset-max", "0.2",
-            "--count", "4"]
-    assert main(argv + ["--out", str(first)]) == 0
-    assert main(argv + ["--out", str(second)]) == 0
+@pytest.mark.parametrize("argv, out_flag", [
+    (("sweep", "--gamma", "0.5", "--delta", "0.8", "--half-length", "64", "--modes", "512",
+      "--offset-min", "0.05", "--offset-max", "0.2", "--count", "4"), ("--out", "sweep.csv")),
+    (("reproduce", "all", "--half-length", "64", "--modes", "512"), ("--out-dir", ".")),
+], ids=["sweep", "reproduce"])
+def test_runs_are_deterministic(tmp_path, capsys, argv, out_flag):
+    written = []
+    for run in ("first", "second"):
+        (tmp_path / run).mkdir()
+        flag, name = out_flag
+        assert main([*argv, flag, str(tmp_path / run / name)]) == 0
+        written.append({path.relative_to(tmp_path / run): path.read_bytes()
+                        for path in sorted((tmp_path / run).rglob("*")) if path.is_file()})
     capsys.readouterr()
-    assert first.read_bytes() == second.read_bytes()
+    assert len(written[0]) == (2 if argv[0] == "sweep" else 15)
+    assert written[0] == written[1]
 
 
 def one_line_error(err):
@@ -423,12 +429,20 @@ def test_reproduce_solves_each_configuration_once(tmp_path, capsys, monkeypatch)
         keys.append((grid, params, config))
         return real_solve(grid, params, config)
 
+    fits = {}
+    for name in ("fit_decay_space", "fit_decay_spectrum"):
+        def counted_fit(*args, real=getattr(analysis, name), name=name):
+            fits[name] = fits.get(name, 0) + 1
+            return real(*args)
+        monkeypatch.setattr(analysis, name, counted_fit)
     monkeypatch.setattr(solver, "solve", counted)
     code, _, _ = run_cli(capsys, "reproduce", "all", "--out-dir", str(tmp_path))
     assert code == 0
     # 28 solves, of which 23 distinct: fig3c, fig4 and fig5/fig6/table1 reuse fig2a's and fig2b's waves at 0.05
     assert len(keys) == 23
     assert len(set(keys)) == 23
+    # table1 reads the fits of fig5b and fig6
+    assert fits == {"fit_decay_space": 1, "fit_decay_spectrum": 1}
 
 
 @pytest.mark.parametrize("flag", ["--tol", "--modes", "--half-length"])
@@ -626,9 +640,11 @@ def test_an_overflowing_setting_exits_1_naming_it(tmp_path, capsys, argv, value)
     (("oracle", "--cs", "30"), "speed 30:"),
     (("solve", "--cs", "30"), "speed 30:"),
     (("solve", "--cs", "1e8"), "speed 1e+08:"),
-], ids=["oracle-30", "solve-30", "solve-1e8"])
+    (("oracle", "--cs", "5", "--x-max", "2"), "speed 5:"),
+], ids=["oracle-30", "solve-30", "solve-1e8", "oracle-5"])
 def test_a_turning_point_at_the_pole_exits_1(tmp_path, capsys, argv, speed):
-    # U keeps its sign up to 1 - 1e-15 of the pole: the turning-point search stops there, before U's log1p(-1)
+    # U keeps its sign up to 1 - 1e-15 of the pole: the turning-point search stops there, before U's log1p(-1).
+    # At --cs 5, v* lies 1.4e-10 |v_pole| below the pole, and U's round-off makes -2U < 0 on the orbit.
     out = tmp_path / "o.csv"
     code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
     assert code == 1
@@ -761,7 +777,7 @@ def test_solve_near_the_pole_falls_back_to_the_sech2_seed(tmp_path, capsys):
     code, _, err = run_cli(capsys, "solve", "--gamma", "0.95", "--delta", "0.8", "--cs", repr(params.c_crit + 1.0),
                            "--out", str(out))
     assert code == 0, err
-    assert "RuntimeWarning" not in err  # the oracle's NaN slopes there fail its energy check quietly
+    assert "RuntimeWarning" not in err  # the oracle's energy check or its PoleProximityError fails quietly
     meta, _ = read_table(out)
     assert meta["report"]["seed"] == "sech2"
     assert meta["report"]["converged"] is True
@@ -802,9 +818,11 @@ def test_default_study_equals_reproduce_fig3c(tmp_path, capsys):
     assert code == 0
     _, cols = read_table(tmp_path / "fig3c_amplitude_vs_k.csv")
     _, grid, config, _ = cli._build_run(cli.build_parser().parse_args(argv))
-    study = analysis.amplitude_vs_k_study(0.5, _FIG3C_DELTAS, 0.05, grid, config, solver.solve)
-    assert np.array_equal(study.k_values(), cols["k_coeff"])
-    assert np.array_equal(study.amplitudes(), cols["zeta_max"])
+    columns, skipped = analysis.amplitude_vs_k_study(0.5, _FIG3C_DELTAS, 0.05, grid, config, solver.solve)
+    assert skipped == []
+    assert list(columns) == list(cols) == ["k_coeff", "zeta_max", "delta"]
+    for name in cols:
+        assert columns[name].tobytes() == cols[name].tobytes()
 
 
 # a value other than the default for each setting of the table; a number may be a JSON integer
@@ -913,9 +931,9 @@ def test_analysis_runs_its_study_and_portrait_without_the_solver(tmp_path):
         "    wave = np.full(grid.n, config.speed)",
         "    return types.SimpleNamespace(zeta=wave, v=wave, u=wave), None",
         "grid = SpectralGrid(half_length=8.0, n=16)",
-        "study = analysis.amplitude_vs_k_study(0.5, [0.8], 0.05, grid, Config(speed=0.0), solve)",
-        "assert study.amplitudes().tolist() == [make_parameters(0.5, 0.8).c_crit + 0.05]",
-        "assert analysis.phase_portrait(np.zeros(grid.n), grid).shape == (grid.n, 2)",
+        "columns, _ = analysis.amplitude_vs_k_study(0.5, [0.8], 0.05, grid, Config(speed=0.0), solve)",
+        "assert columns['zeta_max'].tolist() == [make_parameters(0.5, 0.8).c_crit + 0.05]",
+        "assert analysis.phase_portrait(np.zeros(grid.n), grid)['v_prime'].shape == (grid.n,)",
     ])
     assert _tlwaves_modules(tmp_path, statement) == {
         "tlwaves", "tlwaves.analysis", "tlwaves.errors", "tlwaves.grid", "tlwaves.params"

@@ -24,7 +24,7 @@ def test_solve_uses_half_spectra(no_complex_fft, elevation_params, settings):
     config = SolverConfig(speed=elevation_params.c_crit + 0.05, **settings)
     state, report = solver.solve(grid, elevation_params, config)
     assert report.converged
-    assert analysis.phase_portrait(state.v, grid).shape == (grid.n, 2)
+    assert analysis.phase_portrait(state.v, grid)["v_prime"].shape == (grid.n,)
     kp, mags = analysis.spectrum_magnitudes(grid, state.zeta)
     assert kp.shape == mags.shape == (grid.n // 2 + 1,)
 
