@@ -21,6 +21,16 @@ module level this file imports only the standard library, numpy,
 ``extrapolation`` and ``grid``; ``sweep`` and ``reproduce`` load those
 and ``analysis``.
 
+numpy's BLAS runs on one thread.  OpenBLAS sizes its thread pool from
+``OPENBLAS_NUM_THREADS`` once, when numpy is first imported, so the pin is
+set above ``import numpy`` (``tlwaves`` and ``params`` load no numpy, so it
+holds for ``tlwaves ...`` and ``python -m tlwaves.cli`` alike).  Each cold
+command then starts no pool, and the solver's inner products at large N
+sum in one order on any core count, so equal configurations write equal
+bytes on any host.  The pin acts only when this module is the first to
+load numpy: a library caller that imported numpy before keeps its pool
+and its environment.
+
 ``analysis`` builds every derived table (sweep, study, portrait, decay
 fits); this module reads, describes and writes.  ``analyze`` takes a
 profile's grid from its nodes (``SpectralGrid.from_nodes``) and reads
@@ -35,9 +45,14 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import sys
 import warnings
 from pathlib import Path
+
+if "numpy" not in sys.modules:
+    # read once, when numpy loads OpenBLAS (see the module docstring)
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 

@@ -329,7 +329,8 @@ def solve(grid: SpectralGrid, params: ModelParameters, config: SolverConfig) -> 
     require_solitary_wave(params, speed)
     if speed < 0.0:
         raise ValueError(
-            "solver computes right-moving waves; map the result with oracle.negative_speed_map for c_s < 0"
+            f"solver computes right-moving waves: solve and sweep need c_s > 0, got c_s = {speed!r}; "
+            "the wave at c_s < 0 is (zeta, -v, -u) of the wave at |c_s|, and oracle --cs takes negative speeds"
         )
 
     started = time.perf_counter()

@@ -394,9 +394,48 @@ def test_solve_rejects_a_non_finite_half_length(tmp_path, capsys):
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_module(*args, cwd):
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+def run_module(*args, cwd, **env):
+    env = dict(os.environ, PYTHONPATH=str(SRC), **env)
     return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+
+
+# OpenBLAS splits its dot products over threads at this size, so the summation order follows the thread count
+LARGE_RUN = ("--modes", "16384", "--half-length", "2048", "--extrapolation", "mpe:6", "--dealias")
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU runs every BLAS call on one thread")
+def test_large_solve_and_sweep_write_the_same_bytes_on_one_and_two_blas_threads(tmp_path):
+    written = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        for argv in (("solve", "--out", "wave.csv"), ("sweep", "--count", "4", "--out", "sweep.csv")):
+            done = run_module("-m", "tlwaves.cli", *argv, *LARGE_RUN, cwd=out, OPENBLAS_NUM_THREADS=threads)
+            assert done.returncode == 0, done.stderr
+        written[threads] = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+    assert list(written["1"]) == ["sweep.csv", "sweep.fit.json", "wave.csv"]
+    for name, data in written["1"].items():
+        assert data == written["2"][name], name
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads the thread count from /proc")
+def test_importing_the_command_line_starts_no_blas_thread_pool(tmp_path):
+    # an inherited setting does not count: the command line overrides it
+    code = "import tlwaves.cli; print(next(line for line in open('/proc/self/status') if line.startswith('Threads:')))"
+    done = run_module("-c", code, cwd=tmp_path, OPENBLAS_NUM_THREADS="2")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["Threads:", "1"]
+
+
+@pytest.mark.parametrize("prelude, expected", [
+    ("os.environ['OPENBLAS_NUM_THREADS'] = '3'", "3"),
+    ("os.environ.pop('OPENBLAS_NUM_THREADS', None)", "None"),
+], ids=["set", "unset"])
+def test_a_caller_that_loaded_numpy_first_keeps_its_blas_setting(tmp_path, prelude, expected):
+    code = f"import os; {prelude}; import numpy, tlwaves.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    done = run_module("-c", code, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == expected
 
 
 def test_cli_import_loads_no_scipy(tmp_path):
@@ -786,7 +825,9 @@ def test_solve_near_the_pole_falls_back_to_the_sech2_seed(tmp_path, capsys):
 @pytest.mark.parametrize("argv, error, message", [
     (("--cs", "0.1"), "NoSolitaryWaveError", "speed 0.1 is not supersonic: c_s^2 <= c_crit^2"),
     (("--gamma", "0.25", "--delta", "0.5"), "NoSolitaryWaveError", "nonlinearity coefficient is zero"),
-    (("--cs", "-1.0"), "ValueError", "solver computes right-moving waves"),
+    (("--cs", "-1.0"), "ValueError",
+     "solver computes right-moving waves: solve and sweep need c_s > 0, got c_s = -1.0; the wave at c_s < 0 is "
+     "(zeta, -v, -u) of the wave at |c_s|, and oracle --cs takes negative speeds"),
 ], ids=["subsonic", "zero-K", "negative-speed"])
 def test_solve_keeps_the_solver_errors(tmp_path, capsys, argv, error, message):
     code, _, err = run_cli(capsys, "solve", *argv, "--half-length", "64", "--modes", "512",
