@@ -7,9 +7,21 @@ record the configuration and package versions but no timings, so repeated
 runs with the same configuration produce byte-identical files; wall-clock
 numbers go to the console log instead.
 
+A CSV table is read in one pass over its lines: each run of data rows is
+checked against the columns named above it, and all rows are then parsed by
+one ``np.loadtxt`` call, bit-equal to ``float(token)``.
+
 Exit codes: 0 success, 1 validation failure, 2 non-convergence.  Errors
 and warnings are emitted as one-line JSON on stderr,
 ``{"error": <type>, "message": ...}`` and ``{"warning": <category>, "message": ...}``.
+
+:func:`run` is the process entry, of the ``tlwaves`` script and of
+``python -m tlwaves.cli``: it calls :func:`main`, freezes the heap
+(``gc.freeze``) and exits with main's code.  At exit the interpreter's
+cyclic collector walks every tracked object, about 22k of them from the
+imports of numpy and tlwaves, all still alive; frozen, they are skipped,
+which saves a cold command tens of milliseconds.  ``main`` itself freezes
+nothing, so tests and library callers keep a collectable heap.
 
 Each subcommand imports the tlwaves modules it runs, inside its function:
 with no bytecode cache every imported line is compiled again in each
@@ -44,11 +56,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import gc
 import json
 import os
 import sys
 import warnings
+from itertools import repeat
 from pathlib import Path
+from typing import NoReturn
 
 if "numpy" not in sys.modules:
     # read once, when numpy loads OpenBLAS (see the module docstring)
@@ -68,6 +83,8 @@ _SWEEP_OFFSETS = (0.01, 0.3, 10)
 _FIG2_OFFSETS = (0.02, 0.05, 0.10)
 _FIG3C_DELTAS = (0.5, 0.55, 0.6, 0.65, 0.8, 0.9, 1.0, 1.1, 1.2)
 _TARGETS = ("fig2a", "fig2b", "fig3a", "fig3b", "fig3c", "fig4", "fig5", "fig6", "table1")
+# bytes a command may plan to allocate; a larger estimate exits 1 before it allocates
+_MEMORY_BUDGET = 2 * 2**30
 
 
 # ----------------------------------------------------------------------
@@ -105,31 +122,38 @@ def read_table(path: Path) -> tuple[dict, dict]:
         if len(lengths) != 1 or 0 in lengths:
             raise InputFormatError(f"{path}: the columns must be arrays of numbers, all of one length >= 1")
         return meta, {n: np.asarray(v, dtype=float) for n, v in columns.items()}
+    lines = path.read_text(encoding="utf-8").splitlines()
+    # the lines that are not data rows, in file order: comments and blank lines (a written table's header)
+    marked = [number for number, line in enumerate(lines) if not line.strip() or line.startswith("#")]
     meta: dict = {}
     names: list[str] = []
     rows: list[str] = []
-    width = 0
-    for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
+    width = start = 0
+    # one pass: the rows between two marked lines are checked against the columns named above them
+    for stop in (*marked, len(lines)):
+        block = lines[start:stop]
+        if block:
+            width = len(names) if names else (width or block[0].count(",") + 1)
+            commas = list(map(str.count, block, repeat(",")))
+            if commas.count(width - 1) != len(commas):
+                bad = next(j for j, c in enumerate(commas) if c != width - 1)
+                raise InputFormatError(
+                    f"{path} line {start + bad + 1} holds {commas[bad] + 1} values where the table has {width} columns"
+                )
+            rows += block
+        if stop < len(lines) and lines[stop].startswith("#"):
+            body = lines[stop][1:].strip()
             if body.startswith("{"):
                 meta = json.loads(body)
             elif body.startswith("columns:"):
                 names = [n.strip() for n in body[len("columns:"):].split(",")]
-            continue
-        count = line.count(",") + 1
-        width = len(names) if names else (width or count)
-        if count != width:
-            raise InputFormatError(f"{path} line {number} holds {count} values where the table has {width} columns")
-        rows.append(line)
+        start = stop + 1
     if not rows:
         raise InputFormatError(f"{path} holds no data rows")
     if names and len(names) != width:
         raise InputFormatError(f"{path} names {len(names)} columns but its rows hold {width} values")
-    # every value in one conversion, bit-equal to float(token)
-    data = np.array(",".join(rows).split(","), dtype=float).reshape(len(rows), width)
+    # every value in one C pass, bit-equal to float(token)
+    data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
     if not names:
         names = [f"col{i}" for i in range(width)]
     return meta, {name: data[:, i] for i, name in enumerate(names)}
@@ -275,14 +299,13 @@ def _build_run(args) -> tuple:
 
 def cmd_solve(args) -> int:
     from . import solver
-    from .grid import forward_transform, spectrum_columns
+    from .grid import spectrum_columns
     params, grid, config, described = _build_run(args)
     state, report = solver.solve(grid, params, config)
     meta = _meta("solve", described, {"report": report.to_dict()})
     write_table(Path(args.out), meta, {"x": grid.nodes, "zeta": state.zeta, "v": state.v, "u": state.u})
     if args.spectrum_out:
-        spec_cols = spectrum_columns(grid, forward_transform(grid, state.zeta))
-        write_table(Path(args.spectrum_out), _meta("solve-spectrum", described), spec_cols)
+        write_table(Path(args.spectrum_out), _meta("solve-spectrum", described), spectrum_columns(grid, state.zeta))
     print(
         f"solve: {wave_type(params).value} wave at cs={config.speed:.6g}, "
         f"{report.iterations} iterations, residual {report.residual_history[-1]:.3e}, "
@@ -313,11 +336,27 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _check_oracle_memory(x_max: float, step: float, dx: float) -> None:
+    """Raise MemoryError naming the flag when the oracle would need more than _MEMORY_BUDGET.
+
+    Checked before anything is allocated: Linux grants an oversized request, then kills
+    the process when it touches the pages.  The peak grows by about 70 bytes per node
+    (x_max/step) and 480 per output sample (x_max/dx), rounded up here.  A setting that
+    is not positive and finite is left to the checks that name it.
+    """
+    for flag, spacing, per_item in (("--step", step, 80), ("--dx", dx, 512)):
+        if 0.0 < x_max < np.inf and 0.0 < spacing < np.inf and x_max / spacing * per_item > _MEMORY_BUDGET:
+            raise MemoryError(f"oracle --x-max {x_max:g} with {flag} {spacing:g} needs about "
+                              f"{x_max / spacing * per_item / 2**30:.3g} GiB, above the "
+                              f"{_MEMORY_BUDGET / 2**30:g} GiB budget; raise {flag} or lower --x-max")
+
+
 def cmd_oracle(args) -> int:
     from . import oracle
     params, _, _, described = _build_run(args)
     if not 0.0 < args.dx < np.inf:
         raise ValueError(f"--dx must be positive and finite, got {args.dx}")
+    _check_oracle_memory(args.x_max, args.step, args.dx)
     problem = oracle.TravelingWaveProblem(params=params, speed=described["solver"]["cs"])
     curve = oracle.potential(problem)
     profile = oracle.integrate_profile(curve, x_max=args.x_max, step=args.step)
@@ -506,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_settings(p, _RUN_KEYS)
     p.add_argument("--out", required=True, help="output file (.csv or .json)")
     p.add_argument("--spectrum-out", dest="spectrum_out",
-                   help="also write the full (k, k', re, im) spectrum of zeta")
+                   help="also write the (k, k', re, im) rfft modes k = 0..N/2 of zeta")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("sweep", help="speed sweep with amplitude extraction and power fit")
@@ -568,5 +607,12 @@ def main(argv=None) -> int:
         return 1
 
 
+def run(argv=None) -> NoReturn:
+    """The process entry: main, then exit with a frozen heap (see the module docstring)."""
+    code = main(argv)
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -5,9 +5,10 @@ forward transform, ``1/N`` inverse.  Parseval then reads
 ``sum |f_j|^2 == (1/N) * sum |fhat_k|^2``.  All per-mode symbol operations
 (differentiation, Helmholtz) are normalization-invariant.
 
-Compute paths use real half spectra (rfft modes 0..n/2, Nyquist last) on
-:attr:`SpectralGrid.half_wavenumbers`; the full complex layout is only the
-public DFT and the ``--spectrum-out`` file format (:func:`spectrum_columns`).
+Every path uses real half spectra (rfft modes 0..n/2, Nyquist last) on
+:attr:`SpectralGrid.half_wavenumbers`, the ``--spectrum-out`` file format
+(:func:`spectrum_columns`) included; the full complex layout is only the
+public DFT (:func:`forward_transform`, :func:`inverse_transform`).
 """
 
 from __future__ import annotations
@@ -35,19 +36,13 @@ class SpectralGrid:
     ----------
     nodes : (n,) array
         x_j = -l + j*h with h = 2l/n, j = 0..n-1.
-    mode_numbers : (n,) int array
-        Signed integer mode indices in FFT layout: 0..n/2-1, -n/2..-1.
-    wavenumbers : (n,) array
-        Scaled wavenumbers k' = pi*k/l in the same layout.
     half_wavenumbers : (n/2 + 1,) array
-        k' of the rfft modes 0..n/2, i.e. ``abs(wavenumbers[:n/2 + 1])``.
+        Scaled wavenumbers k' = pi*k/l of the rfft modes k = 0..n/2.
     """
 
     half_length: float
     n: int
     nodes: np.ndarray = field(init=False, repr=False, compare=False)
-    mode_numbers: np.ndarray = field(init=False, repr=False, compare=False)
-    wavenumbers: np.ndarray = field(init=False, repr=False, compare=False)
     half_wavenumbers: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -59,10 +54,7 @@ class SpectralGrid:
             raise ValueError(f"mode count n must be even and >= 8, got {self.n}")
         h = 2.0 * self.half_length / self.n
         nodes = -self.half_length + h * np.arange(self.n)
-        modes = np.fft.fftfreq(self.n, d=1.0 / self.n).astype(np.int64)
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "mode_numbers", modes)
-        object.__setattr__(self, "wavenumbers", np.pi * modes / self.half_length)
         object.__setattr__(self, "half_wavenumbers", np.pi * np.arange(self.n // 2 + 1) / self.half_length)
 
     @classmethod
@@ -139,15 +131,15 @@ def helmholtz_solve(grid: SpectralGrid, params: ModelParameters, values: np.ndar
     return np.fft.irfft(half_spectrum(grid, values) / helmholtz_symbol(grid, params), grid.n)
 
 
-def spectrum_columns(grid: SpectralGrid, spectrum: np.ndarray) -> dict:
-    """(k, k', re, im) columns for CSV serialization of a full spectrum."""
-    spectrum = _check_size(grid, spectrum)
-    return {
-        "k": grid.mode_numbers.astype(float),
-        "kp": grid.wavenumbers.copy(),
-        "re": np.real(spectrum).astype(float),
-        "im": np.imag(spectrum).astype(float),
-    }
+def spectrum_columns(grid: SpectralGrid, values: np.ndarray) -> dict:
+    """(k, k', re, im) columns of the rfft modes k = 0..n/2 of a real grid function, Nyquist last.
+
+    The modes -n/2+1..-1 of the full layout are the conjugates of 1..n/2-1, so the
+    half holds the whole spectrum in n/2 + 1 rows.
+    """
+    spectrum = half_spectrum(grid, values)
+    return {"k": np.arange(grid.n // 2 + 1, dtype=float), "kp": grid.half_wavenumbers.copy(),
+            "re": spectrum.real, "im": spectrum.imag}
 
 
 def fine_grid_values(grid: SpectralGrid, half_spectrum: np.ndarray) -> np.ndarray:

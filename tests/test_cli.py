@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -61,10 +62,15 @@ def test_solve_spectrum_out(tmp_path, capsys):
     assert code == 0
     _, cols = read_table(spec_out)
     assert set(cols) == {"k", "kp", "re", "im"}
-    assert len(cols["k"]) == 512
+    # the rfft half: N/2 + 1 rows, k = 0..N/2 with the Nyquist row last
+    assert np.array_equal(cols["k"], np.arange(257.0))
     # mode 0 coefficient is the sum of the (positive) profile samples
     _, profile = read_table(out)
     assert cols["re"][0] == pytest.approx(profile["zeta"].sum(), rel=1e-12)
+    # the file holds the coefficients whose moduli analyze spectrum reports for the written profile
+    kp, magnitudes = analysis.spectrum_magnitudes(SpectralGrid.from_nodes(profile["x"]), profile["zeta"])
+    assert cols["kp"].tobytes() == kp.tobytes()
+    assert np.abs(cols["re"] + 1j * cols["im"]).tobytes() == magnitudes.tobytes()
 
 
 def test_solve_json_output(tmp_path, capsys):
@@ -136,6 +142,25 @@ def test_oracle_rejects_a_bad_sampling_setting(tmp_path, capsys, flag, value):
     code, stdout, err = run_cli(capsys, "oracle", "--x-max", "10", flag, value, "--out", str(out))
     assert code == 1
     assert one_line_error(err)["error"] == "ValueError"
+    assert stdout == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("--x-max", "1", "--dx", "1e-9"), "--dx"),
+    (("--x-max", "1e3", "--step", "1e-9"), "--step"),
+], ids=["samples", "nodes"])
+def test_an_oracle_over_the_memory_budget_exits_1_before_it_integrates(tmp_path, capsys, monkeypatch, argv, flag):
+    # the sizes follow from the flags; a command that integrated first would allocate them
+    def integrated(*args, **kwargs):
+        raise AssertionError("the oracle integrated before its memory check")
+
+    monkeypatch.setattr(oracle, "integrate_profile", integrated)
+    out = tmp_path / "oracle.csv"
+    code, stdout, err = run_cli(capsys, "oracle", *argv, "--out", str(out))
+    assert code == 1
+    record = one_line_error(err)
+    assert record["error"] == "MemoryError" and f"raise {flag}" in record["message"]
     assert stdout == ""
     assert not out.exists()
 
@@ -446,6 +471,46 @@ def test_cli_import_loads_no_scipy(tmp_path):
     assert done.stdout.strip() == "[]"
 
 
+def test_main_in_process_freezes_nothing(tmp_path, capsys):
+    # the heap is frozen only by the process entry, run(), on its way out
+    assert gc.get_freeze_count() == 0
+    code, _, _ = run_cli(capsys, "dispersion", "--count", "3", "--out", str(tmp_path / "d.csv"))
+    assert code == 0
+    assert gc.get_freeze_count() == 0
+
+
+def test_run_freezes_the_heap_and_exits_with_the_code_of_main(tmp_path, capsys):
+    try:
+        with pytest.raises(SystemExit) as exited:
+            cli.run(["solve", "--gamma", "1.5", "--out", str(tmp_path / "x.csv")])
+        assert exited.value.code == 1
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+    assert one_line_error(capsys.readouterr().err)["error"] == "ParameterDomainError"
+
+
+def test_the_console_script_is_the_process_entry():
+    pyproject = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = pyproject.split("[project.scripts]\n")[1].split("\n[")[0]
+    assert scripts.strip() == 'tlwaves = "tlwaves.cli:run"'
+
+
+@pytest.mark.parametrize("argv, code, error", [
+    (("dispersion", "--count", "3", "--out", "d.csv"), 0, None),
+    (("solve", "--gamma", "1.5", "--out", "w.csv"), 1, "ParameterDomainError"),
+    (("solve", "--half-length", "64", "--modes", "512", "--max-iter", "1", "--tol", "1e-30", "--out", "w.csv"), 2,
+     "NotConvergedError"),
+], ids=["success", "validation", "non-convergence"])
+def test_a_cold_command_exits_with_the_code_of_main(tmp_path, argv, code, error):
+    done = run_module("-m", "tlwaves.cli", *argv, cwd=tmp_path)
+    assert done.returncode == code, done.stderr
+    if error is None:
+        assert done.stderr == ""
+    else:
+        assert one_line_error(done.stderr)["error"] == error
+
+
 def test_oracle_command_in_a_fresh_process(tmp_path):
     done = run_module("-m", "tlwaves.cli", "oracle", "--x-max", "20", "--dx", "0.5", "--out", "o.csv", cwd=tmp_path)
     assert done.returncode == 0
@@ -570,12 +635,31 @@ def test_read_table_round_trip_is_bit_exact(tmp_path):
     ("bad.csv", "# {\"config\": {}}\n# columns: x,zeta\n", "holds no data rows"),
     ("bad.json", '{"meta": 3, "columns": {"x": [0, 1]}}', "'meta' must be a JSON object"),
     ("bad.csv", "0\n# columns: x,y\n", "names 2 columns but its rows hold 1 values"),
+    ("bad.csv", "# columns: x,zeta\n0,1\n# a note\n1,2,3\n", "line 4 holds 3 values where the table has 2 columns"),
+    ("bad.csv", "# columns: x,zeta\n0,1\n \t \n1\n", "line 4 holds 1 values where the table has 2 columns"),
+    ("bad.csv", "# columns: x,zeta\r\n0,1\r\n1,2,3\r\n", "line 3 holds 3 values where the table has 2 columns"),
+    ("bad.csv", "0,1\n1,2\n# columns: x,y,z\n", "names 3 columns but its rows hold 2 values"),
 ])
 def test_read_table_errors_keep_their_messages(tmp_path, name, body, message):
     path = tmp_path / name
     path.write_text(body, encoding="utf-8")
     with pytest.raises(InputFormatError, match=message):
         read_table(path)
+
+
+@pytest.mark.parametrize("body", [
+    "# columns: x,zeta\n0,1\n# a note\n1,2\n",
+    "# columns: x,zeta\n0,1\n \t \n1,2\n",
+    "# {\"a\": 1}\r\n# columns: x,zeta\r\n0,1\r\n1,2\r\n",
+    "0,1\n1,2\n# columns: x,zeta\n",
+], ids=["comment-between-rows", "whitespace-line", "crlf", "columns-line-after-rows"])
+def test_read_table_skips_comments_and_blank_lines_between_rows(tmp_path, body):
+    path = tmp_path / "t.csv"
+    path.write_bytes(body.encode("utf-8"))
+    meta, cols = read_table(path)
+    assert meta == ({"a": 1} if "{" in body else {})
+    assert list(cols) == ["x", "zeta"]
+    assert cols["x"].tolist() == [0.0, 1.0] and cols["zeta"].tolist() == [1.0, 2.0]
 
 
 def test_analyze_bad_token_exits_1(tmp_path, capsys):

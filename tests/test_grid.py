@@ -23,9 +23,7 @@ def test_grid_layout():
     assert g.nodes[0] == -10.0
     assert np.allclose(np.diff(g.nodes), 2 * 10.0 / 16)
     assert g.nodes[-1] == pytest.approx(10.0 - g.spacing)
-    assert list(g.mode_numbers[:3]) == [0, 1, 2]
-    assert g.mode_numbers[8] == -8
-    assert np.allclose(g.wavenumbers, np.pi * g.mode_numbers / 10.0)
+    assert np.array_equal(g.half_wavenumbers, np.pi * np.arange(9) / 10.0)
 
 
 @pytest.mark.parametrize("half_length,n", [(0.0, 16), (-1.0, 16), (np.inf, 16), (10.0, 15), (10.0, 4)])
@@ -148,8 +146,9 @@ def test_half_layout_is_bit_equal_to_the_full_layout_slice(half_length, n):
     p = make_parameters(0.5, 0.8)
     half = n // 2 + 1
     assert g.half_wavenumbers.shape == (half,)
-    assert g.half_wavenumbers.tobytes() == np.abs(g.wavenumbers[:half]).tobytes()
-    assert helmholtz_symbol(g, p).tobytes() == (1.0 + p.beta * g.wavenumbers[:half] ** 2).tobytes()
+    wavenumbers = np.pi * np.fft.fftfreq(n, d=1.0 / n) / half_length
+    assert g.half_wavenumbers.tobytes() == np.abs(wavenumbers[:half]).tobytes()
+    assert helmholtz_symbol(g, p).tobytes() == (1.0 + p.beta * wavenumbers[:half] ** 2).tobytes()
 
 
 @settings(max_examples=25, deadline=None)
@@ -164,13 +163,16 @@ def test_round_trip_property(seed):
 
 def test_serialization_columns():
     g = SpectralGrid(half_length=4.0, n=16)
-    f = np.sin(np.pi * g.nodes / 4.0)
-    spec = forward_transform(g, f)
-    scols = spectrum_columns(g, spec)
+    f = np.sin(np.pi * g.nodes / 4.0) + 0.25 * (-1.0) ** np.arange(g.n)
+    scols = spectrum_columns(g, f)
     assert list(scols) == ["k", "kp", "re", "im"]
-    assert np.array_equal(scols["kp"], g.wavenumbers)
+    # the rfft modes 0..n/2, Nyquist last, each with its own k
+    assert np.array_equal(scols["k"], np.arange(9.0))
+    assert np.array_equal(scols["kp"], g.half_wavenumbers)
     rebuilt = scols["re"] + 1j * scols["im"]
-    assert np.allclose(rebuilt, spec)
+    assert np.allclose(rebuilt, forward_transform(g, f)[:9], rtol=0.0, atol=1e-13)
+    # the other half is the conjugate of modes 1..n/2-1, so the rows hold the whole spectrum
+    assert np.allclose(np.fft.irfft(rebuilt, g.n), f, rtol=0.0, atol=1e-15)
 
 
 def test_padded_product_matches_plain_on_band_limited_data():
@@ -188,7 +190,7 @@ def test_padded_product_removes_aliasing():
     plain_spec = forward_transform(g, f * f)
     padded_spec = forward_transform(g, padded_product(g, f, f))
     alias_mode = (2 * k_high) - g.n  # = -4
-    idx = int(np.where(g.mode_numbers == alias_mode)[0][0])
+    idx = int(np.where(np.fft.fftfreq(g.n, d=1.0 / g.n) == alias_mode)[0][0])
     assert np.abs(plain_spec[idx]) > 1.0
     assert np.abs(padded_spec[idx]) < 1e-10
 
