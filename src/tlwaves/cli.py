@@ -9,7 +9,11 @@ numbers go to the console log instead.
 
 A CSV table is read in one pass over its lines: each run of data rows is
 checked against the columns named above it, and all rows are then parsed by
-one ``np.loadtxt`` call, bit-equal to ``float(token)``.
+one ``np.loadtxt`` call, bit-equal to ``float(token)``.  Only when that call
+fails are the lines searched again, for the file line of the token it refused.
+
+``oracle`` and ``dispersion`` size their arrays from their flags before they
+allocate, and exit 1 with a ``MemoryError`` naming the flag above a budget.
 
 Exit codes: 0 success, 1 validation failure, 2 non-convergence.  Errors
 and warnings are emitted as one-line JSON on stderr,
@@ -85,6 +89,9 @@ _FIG3C_DELTAS = (0.5, 0.55, 0.6, 0.65, 0.8, 0.9, 1.0, 1.1, 1.2)
 _TARGETS = ("fig2a", "fig2b", "fig3a", "fig3b", "fig3c", "fig4", "fig5", "fig6", "table1")
 # bytes a command may plan to allocate; a larger estimate exits 1 before it allocates
 _MEMORY_BUDGET = 2 * 2**30
+# peak bytes per item that a command sizes from its flags, measured with tracemalloc and rounded up:
+# oracle nodes (--x-max/--step, 32-34), oracle samples (--x-max/--dx, 401) and dispersion rows (--count, 231)
+_NODE_BYTES, _SAMPLE_BYTES, _ROW_BYTES = 40, 512, 256
 
 
 # ----------------------------------------------------------------------
@@ -152,8 +159,18 @@ def read_table(path: Path) -> tuple[dict, dict]:
         raise InputFormatError(f"{path} holds no data rows")
     if names and len(names) != width:
         raise InputFormatError(f"{path} names {len(names)} columns but its rows hold {width} values")
-    # every value in one C pass, bit-equal to float(token)
-    data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    try:  # every value in one C pass, bit-equal to float(token)
+        data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        # looked up only now, so a good table is parsed in one pass: the first token loadtxt refuses
+        for number in sorted(set(range(len(lines))).difference(marked)):
+            for token in lines[number].split(","):
+                try:
+                    np.loadtxt([token], delimiter=",", comments=None)
+                except ValueError:
+                    message = f"{path} line {number + 1} holds {token.strip()!r}, which is not a number"
+                    raise InputFormatError(message) from None
+        raise
     if not names:
         names = [f"col{i}" for i in range(width)]
     return meta, {name: data[:, i] for i, name in enumerate(names)}
@@ -336,19 +353,15 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _check_oracle_memory(x_max: float, step: float, dx: float) -> None:
-    """Raise MemoryError naming the flag when the oracle would need more than _MEMORY_BUDGET.
+def _check_memory(needed: float, run: str, remedy: str) -> None:
+    """Raise MemoryError when ``run`` would need more than _MEMORY_BUDGET bytes; ``remedy`` names the flag.
 
     Checked before anything is allocated: Linux grants an oversized request, then kills
-    the process when it touches the pages.  The peak grows by about 70 bytes per node
-    (x_max/step) and 480 per output sample (x_max/dx), rounded up here.  A setting that
-    is not positive and finite is left to the checks that name it.
+    the process when it touches the pages.
     """
-    for flag, spacing, per_item in (("--step", step, 80), ("--dx", dx, 512)):
-        if 0.0 < x_max < np.inf and 0.0 < spacing < np.inf and x_max / spacing * per_item > _MEMORY_BUDGET:
-            raise MemoryError(f"oracle --x-max {x_max:g} with {flag} {spacing:g} needs about "
-                              f"{x_max / spacing * per_item / 2**30:.3g} GiB, above the "
-                              f"{_MEMORY_BUDGET / 2**30:g} GiB budget; raise {flag} or lower --x-max")
+    if needed > _MEMORY_BUDGET:
+        raise MemoryError(f"{run} needs about {needed / 2**30:.3g} GiB, above the "
+                          f"{_MEMORY_BUDGET / 2**30:g} GiB budget; {remedy}")
 
 
 def cmd_oracle(args) -> int:
@@ -356,25 +369,32 @@ def cmd_oracle(args) -> int:
     params, _, _, described = _build_run(args)
     if not 0.0 < args.dx < np.inf:
         raise ValueError(f"--dx must be positive and finite, got {args.dx}")
-    _check_oracle_memory(args.x_max, args.step, args.dx)
-    problem = oracle.TravelingWaveProblem(params=params, speed=described["solver"]["cs"])
-    curve = oracle.potential(problem)
+    for flag, spacing, per_item in (("--step", args.step, _NODE_BYTES), ("--dx", args.dx, _SAMPLE_BYTES)):
+        # a setting that is not positive and finite is left to the check that names it
+        if 0.0 < args.x_max < np.inf and 0.0 < spacing < np.inf:
+            _check_memory(args.x_max / spacing * per_item, f"oracle --x-max {args.x_max:g} with {flag} {spacing:g}",
+                          f"raise {flag} or lower --x-max")
+    speed = described["solver"]["cs"]
+    # the right-moving wave at |c_s|; a left-moving one is its image under the sign map
+    curve = oracle.potential(oracle.TravelingWaveProblem(params=params, speed=speed))
     profile = oracle.integrate_profile(curve, x_max=args.x_max, step=args.step)
     xs = np.arange(0.0, args.x_max + 0.5 * args.dx, args.dx)
     v = profile.sample_v(xs)
-    vp = profile.sample_v_prime(xs)
-    zeta = oracle.reconstruct_zeta(curve, v)
-    u = oracle.reconstruct_u(curve, v)
+    zeta, u = oracle.reconstruct_zeta(curve, v), oracle.reconstruct_u(curve, v)
+    # v' is odd, so the image's -v'(x) is v'(-x), whose crest zero is +0
+    vp = profile.sample_v_prime(xs if speed > 0 else -xs)
+    vstar = curve.turning_point
+    if speed < 0:
+        zeta, v, u = oracle.negative_speed_map(zeta, v, u)
+        vstar = -vstar
     described["oracle"] = {"x_max": args.x_max, "step": args.step, "dx": args.dx}
     meta = _meta(
         "oracle",
         described,
-        {"turning_point": curve.turning_point, "saddle_rate": curve.saddle_rate, "energy_max": profile.energy_max},
+        {"turning_point": vstar, "saddle_rate": curve.saddle_rate, "energy_max": profile.energy_max},
     )
     write_table(Path(args.out), meta, {"x": xs, "v": v, "v_prime": vp, "zeta": zeta, "u": u})
-    print(
-        f"oracle: turning point {curve.turning_point:.12g}, energy drift {profile.energy_max:.2e} -> {args.out}"
-    )
+    print(f"oracle: turning point {vstar:.12g}, energy drift {profile.energy_max:.2e} -> {args.out}")
     return 0
 
 
@@ -382,6 +402,7 @@ def cmd_dispersion(args) -> int:
     from . import dispersion
     if args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
+    _check_memory(args.count * _ROW_BYTES, f"dispersion --count {args.count}", "lower --count")
     if not (np.isfinite(args.k_min) and np.isfinite(args.k_max)):
         raise ValueError(f"--k-min and --k-max must be finite, got {args.k_min} and {args.k_max}")
     params, _, _, described = _build_run(args)

@@ -10,6 +10,12 @@ the origin.  The profile starts at the turning point v* (the nonzero root
 of U) with v'(0) = 0 and decays like exp(-lambda |x|) with
 lambda = sqrt((c_s^2 - c_crit^2) / (beta c_s^2)).
 
+The system is symmetric under (c_s, zeta, v, u) -> (-c_s, zeta, -v, -u),
+so the oracle computes one wave, the right-moving one at |c_s|, for either
+sign of the speed; the left-moving wave is its image under
+:func:`negative_speed_map`.  The problem keeps the speed as given, so every
+error names it.
+
 :class:`PotentialCurve` derives its constants once and writes each branch
 of U once, valid on floats and arrays: a series for |v / v_pole| < 1e-3,
 where log1p cancels, and the closed form elsewhere.  ``U`` applies them to
@@ -32,7 +38,8 @@ spacing; the nodes' own x then follows from a trapezoid in z with the
 end-point derivative correction, with f' in closed form.  Within 0.2 |v*| of
 the crest, U(v) cancels, so -2U is the running integral 2 int_v^{v*} U'
 over the nodes (trapezoid in v with the U'' end correction).  The nodes are
-evaluated in blocks, which keeps the temporaries small.  ``energy_max`` is
+evaluated in blocks, which keeps the temporaries small, and each block keeps
+its v'' = ode_rhs(v), the slopes of the v' interpolant.  ``energy_max`` is
 max |v'^2/2 + U(v)| of the cubic Hermite interpolant at the node midpoints,
 the interpolant that :class:`OracleProfile` samples.
 """
@@ -80,18 +87,16 @@ def negative_speed_map(zeta, v, u):
 class PotentialCurve:
     """Closed-form potential data for one traveling-wave problem.
 
-    All internal formulas live in the positive-speed frame; for
-    problems with speed < 0 the velocity-like outputs are sign-flipped
-    (see :func:`negative_speed_map`).  ``turning_point`` is reported in
-    the signed frame.  ``cs`` = |c_s|, ``c2`` = c_crit^2 / (beta c_s K) and
-    ``cubic``, U's v^3 coefficient, are derived; ``r`` below is v / v_pole.
+    The curve is that of the right-moving wave at |c_s|: a problem with
+    speed < 0 gets the same curve, and its wave is the image under
+    :func:`negative_speed_map`.  ``cs`` = |c_s|, ``c2`` = c_crit^2 / (beta c_s K)
+    and ``cubic``, U's v^3 coefficient, are derived; ``r`` below is v / v_pole.
     """
 
     problem: TravelingWaveProblem
     v_pole: float
     turning_point: float
     saddle_rate: float
-    v_sign: float = 1.0
     cs: float = field(init=False, repr=False, compare=False)
     c2: float = field(init=False, repr=False, compare=False)
     cubic: float = field(init=False, repr=False, compare=False)
@@ -142,9 +147,8 @@ class PotentialCurve:
         return v / self.problem.params.beta - self.G_prime(v)
 
     def crest_dxdz(self) -> float:
-        """dx/dz = sqrt(2 v* / U'(v*)) at the crest, where v = v* exp(-z^2) (positive frame)."""
-        vstar = self.v_sign * self.turning_point
-        return math.sqrt(2.0 * vstar / -self.ode_rhs(vstar))
+        """dx/dz = sqrt(2 v* / U'(v*)) at the crest, where v = v* exp(-z^2)."""
+        return math.sqrt(2.0 * self.turning_point / -self.ode_rhs(self.turning_point))
 
 
 def potential(problem: TravelingWaveProblem) -> PotentialCurve:
@@ -166,7 +170,6 @@ def potential(problem: TravelingWaveProblem) -> PotentialCurve:
     curve = PotentialCurve(
         problem=problem, v_pole=pole, turning_point=math.nan,
         saddle_rate=math.sqrt((cs * cs - p.c_crit**2) / (p.beta * cs * cs)),
-        v_sign=1.0 if problem.speed > 0 else -1.0,
     )
     series, closed = curve._series, curve._closed  # U's branches, bound once for the search on floats
     # U(t*pole) changes sign once on (0, 1): negative near the saddle, positive near the pole where G
@@ -191,7 +194,7 @@ def potential(problem: TravelingWaveProblem) -> PotentialCurve:
             lo = mid
         else:
             hi = mid
-    return replace(curve, turning_point=curve.v_sign * (0.5 * (lo + hi) * pole))
+    return replace(curve, turning_point=0.5 * (lo + hi) * pole)
 
 
 def _hermite(x: np.ndarray, y: np.ndarray, dy: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -207,10 +210,10 @@ def _hermite(x: np.ndarray, y: np.ndarray, dy: np.ndarray, t: np.ndarray) -> np.
 class OracleProfile:
     """Half-line samples of the solitary profile with cubic Hermite evaluation.
 
-    ``x`` ascends from x[0] = 0 at the crest to just beyond x_max; ``v`` and
-    ``v_prime`` are in the signed (physical) frame.  Between samples, v is
-    the cubic Hermite interpolant of the stored (v, v') and v' that of
-    (v', v''), with v'' from the ODE.  Each cubic piece uses only its two end
+    ``x`` ascends from x[0] = 0 at the crest to just beyond x_max; ``v``,
+    ``v_prime`` and ``v_second`` = v'' are the right-moving wave's at the
+    nodes, v'' from the ODE.  Between samples, v is the cubic Hermite
+    interpolant of the stored (v, v') and v' that of (v', v'').  Each cubic piece uses only its two end
     samples, so evaluating at |x| (times sign(x) for v') is the interpolant
     of the even/odd mirrored samples.  Sampling outside the stored range
     continues the tail as C exp(-lambda (|x| - x_max)).
@@ -220,8 +223,8 @@ class OracleProfile:
     x: np.ndarray
     v: np.ndarray
     v_prime: np.ndarray
+    v_second: np.ndarray
     energy_max: float
-    _v_second: np.ndarray = field(init=False, repr=False, default=None)
 
     def _sample(self, xq, values: np.ndarray, slopes: np.ndarray) -> np.ndarray:
         xa = np.abs(np.asarray(xq, dtype=float))
@@ -235,12 +238,8 @@ class OracleProfile:
         return out if out.ndim else float(out)
 
     def sample_v_prime(self, xq) -> np.ndarray:
-        if self._v_second is None:
-            # v'' = ode_rhs(v) holds in the positive frame; v' and v'' flip with the speed sign
-            sign = self.curve.v_sign
-            self._v_second = sign * np.asarray(self.curve.ode_rhs(sign * self.v))
         # stored arrays are d/dx on x > 0; oddness via the sign factor
-        out = np.sign(np.asarray(xq, dtype=float)) * self._sample(xq, self.v_prime, self._v_second)
+        out = np.sign(np.asarray(xq, dtype=float)) * self._sample(xq, self.v_prime, self.v_second)
         return out if out.ndim else float(out)
 
 
@@ -264,7 +263,7 @@ def integrate_profile(curve: PotentialCurve, x_max: float, step: float = 1e-3) -
     if not (0.0 < x_max < math.inf and 0.0 < step < math.inf):
         raise ValueError("x_max and step must be positive and finite")
     lam = curve.saddle_rate
-    vstar = curve.v_sign * curve.turning_point  # positive-frame turning point
+    vstar = curve.turning_point
     crest_sign = math.copysign(1.0, vstar)
     linear = 1e-140 * abs(vstar)  # below this |v|, v'/v = -lam to round-off and v^2 may underflow
 
@@ -293,11 +292,11 @@ def integrate_profile(curve: PotentialCurve, x_max: float, step: float = 1e-3) -
 
     x_edges, z_slopes = coarse_map()
 
-    def abscissae(z, v, up, m, x):
+    def abscissae(z, v, vpp, m, x):
         """x[1:] from x[0] by the end-corrected trapezoid in z of f = dx/dz = 2 z / rate and its z-derivative."""
         r = rate(v, m)
         with np.errstate(divide="ignore", invalid="ignore"):
-            q = 1.0 + up / v / (r * r)
+            q = 1.0 - vpp / v / (r * r)
             q[np.abs(v) < linear] = 0.0
             # the crest values are the limits z -> 0
             f = np.where(z > 0.0, 2.0 * z / r, f0)
@@ -305,14 +304,14 @@ def integrate_profile(curve: PotentialCurve, x_max: float, step: float = 1e-3) -
         dz = np.diff(z)
         x[1:] = x[0] + np.cumsum(0.5 * dz * (f[:-1] + f[1:]) + dz * dz / 12.0 * (fp[:-1] - fp[1:]))
 
-    def drift(x, v, vp, up):
-        """max |E| of the Hermite interpolant at the midpoints, with slopes v' and v'' = -U'(v)."""
+    def drift(x, v, vp, vpp):
+        """max |E| of the Hermite interpolant at the midpoints, with slopes v' and v''."""
         h = np.diff(x)
         v_mid = 0.5 * (v[:-1] + v[1:]) + 0.125 * h * (vp[:-1] - vp[1:])
-        vp_mid = 0.5 * (vp[:-1] + vp[1:]) + 0.125 * h * (up[1:] - up[:-1])
+        vp_mid = 0.5 * (vp[:-1] + vp[1:]) + 0.125 * h * (vpp[:-1] - vpp[1:])
         return np.max(np.abs(0.5 * vp_mid * vp_mid + curve.U(v_mid)))
 
-    x_out, v_out, vp_out = np.empty(n + 1), np.empty(n + 1), np.empty(n + 1)
+    x_out, v_out, vp_out, vpp_out = (np.empty(n + 1) for _ in range(4))
     band = _CREST_BAND * abs(vstar)
     x_last = m_last = 0.0
     drifts, depth = [], []
@@ -321,21 +320,21 @@ def integrate_profile(curve: PotentialCurve, x_max: float, step: float = 1e-3) -
         # node i0 - 1 (the crest for the first block) again, then the block's nodes: the C1 Hermite
         # inverse z(x) places them at x ~ i * step, and the same t gives the same z in both blocks
         z = _hermite(x_edges, z_edges, z_slopes, np.arange(i0 - 1, i1) * step)
-        x, v, vp = x_out[i0 - 1 : i1], v_out[i0 - 1 : i1], vp_out[i0 - 1 : i1]  # the block writes in place
+        x, v, vp, vpp = (a[i0 - 1 : i1] for a in (x_out, v_out, vp_out, vpp_out))  # the block writes in place
         np.multiply(vstar, np.exp(-z * z), out=v)
-        up = -curve.ode_rhs(v)
-        # m = -2U(v); inside the crest band U cancels, so m = 2 int_v^v* U' by the end-corrected trapezoid
+        vpp[:] = curve.ode_rhs(v)
+        # m = -2U(v); inside the crest band U cancels, so m = 2 int_v^v* U' (U' = -v'') by the end-corrected trapezoid
         m = np.empty_like(z)
         m[0] = m_last
         c = 1 + np.count_nonzero(np.abs(v[1:] - vstar) < band)  # the band's nodes are a prefix
         if c > 1:
             w, upp = v[:c], curve.U_second(v[:c])
             h = w[:-1] - w[1:]
-            m[1:c] = m_last + np.cumsum(h * (up[: c - 1] + up[1:c]) + h * h / 6.0 * (upp[1:] - upp[:-1]))
+            m[1:c] = m_last + np.cumsum(h * h / 6.0 * (upp[1:] - upp[:-1]) - h * (vpp[: c - 1] + vpp[1:c]))
         m[c:] = -2.0 * curve.U(v[c:])
         depth.append(np.max(m))
         x[0] = x_last
-        abscissae(z, v, up, m, x)
+        abscissae(z, v, vpp, m, x)
         with np.errstate(invalid="ignore"):  # a negative m is reported below, as the pole's
             np.sqrt(m, out=vp)
         vp *= -crest_sign
@@ -346,7 +345,7 @@ def integrate_profile(curve: PotentialCurve, x_max: float, step: float = 1e-3) -
                                      f"{1.0 - vstar / curve.v_pole:.3g} |v_pole| below v_pole = {curve.v_pole:.6g}")
         x_last, m_last = x[-1], m[-1]
         del z, m, tail  # freed before the drift's temporaries, which set the peak memory of a block
-        drifts.append(drift(x, v, vp, up))
+        drifts.append(drift(x, v, vp, vpp))
     vp_out[0] = 0.0
 
     energy_max = float(np.max(drifts))
@@ -355,32 +354,29 @@ def integrate_profile(curve: PotentialCurve, x_max: float, step: float = 1e-3) -
         raise StepSizeTooLargeError(
             f"energy drift {energy_max:.3e} exceeds 1e-10 * {scale:.3g}; reduce the step"
         )
-    v_out *= curve.v_sign
-    vp_out *= curve.v_sign
-    return OracleProfile(curve=curve, x=x_out, v=v_out, v_prime=vp_out, energy_max=energy_max)
+    return OracleProfile(curve=curve, x=x_out, v=v_out, v_prime=vp_out, v_second=vpp_out, energy_max=energy_max)
 
 
-def _positive_frame(curve: PotentialCurve, v_beta) -> np.ndarray:
-    """v_beta in the positive frame; raises PoleProximityError within 1e-12 of the pole."""
-    v_pos = np.asarray(v_beta, dtype=float) * curve.v_sign
-    if np.any(np.abs(v_pos - curve.v_pole) < 1e-12 * abs(curve.v_pole)):
+def _off_pole(curve: PotentialCurve, v_beta) -> np.ndarray:
+    """v_beta as an array; raises PoleProximityError within 1e-12 of the pole."""
+    v = np.asarray(v_beta, dtype=float)
+    if np.any(np.abs(v - curve.v_pole) < 1e-12 * abs(curve.v_pole)):
         raise PoleProximityError("velocity value within 1e-12 of the reconstruction pole")
-    return v_pos
+    return v
 
 
 def reconstruct_zeta(curve: PotentialCurve, v_beta):
     """Interface deviation from the velocity profile (first-row algebra).
 
-    zeta = v / ((gamma + delta) (c_s - K v)) in the positive frame; the
-    sign map makes the result independent of the speed sign.
+    zeta = v / ((gamma + delta) (c_s - K v)) with c_s = |c_s|.
     """
     p = curve.problem.params
-    v_pos = _positive_frame(curve, v_beta)
-    out = v_pos / ((p.gamma + p.delta) * (curve.cs - p.k_coeff * v_pos))
+    v = _off_pole(curve, v_beta)
+    out = v / ((p.gamma + p.delta) * (curve.cs - p.k_coeff * v))
     return out if out.ndim else float(out)
 
 
 def reconstruct_u(curve: PotentialCurve, v_beta):
     """Unsmoothed velocity u = beta * G'(v) along the orbit."""
-    out = curve.v_sign * curve.problem.params.beta * np.asarray(curve.G_prime(_positive_frame(curve, v_beta)))
+    out = curve.problem.params.beta * np.asarray(curve.G_prime(_off_pole(curve, v_beta)))
     return out if out.ndim else float(out)

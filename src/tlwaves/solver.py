@@ -270,17 +270,17 @@ def auto_initial_guess(grid: SpectralGrid, params: ModelParameters, speed: float
     """sech^2 seed scaled from the ODE oracle's turning point: :func:`solve`'s fallback
     where :func:`oracle_initial_guess` raises.
 
-    Amplitude |zeta_s(v*)|, width 1/lambda from the saddle rate, and the
+    Amplitude zeta_s(v*), which has the sign of K, width 1/lambda from the saddle rate, and the
     long-wave proportionality v = c_s (gamma + delta) zeta.
     """
     problem = oracle.TravelingWaveProblem(params=params, speed=speed)
     curve = oracle.potential(problem)
-    amp = abs(oracle.reconstruct_zeta(curve, curve.turning_point))
+    amp = oracle.reconstruct_zeta(curve, curve.turning_point)
     lam = curve.saddle_rate
     # sech^2 via exp to avoid cosh overflow on wide domains
     e = np.exp(-np.abs(grid.nodes) * lam)
     sech2 = (2.0 * e / (1.0 + e * e)) ** 2
-    zeta = np.sign(params.k_coeff) * amp * sech2
+    zeta = amp * sech2
     v = speed * (params.gamma + params.delta) * zeta
     return WaveState.from_zeta_v(grid, params, zeta, v)
 

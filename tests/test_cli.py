@@ -136,6 +136,28 @@ def test_oracle_csv(tmp_path, capsys):
     assert cols["v"][0] == pytest.approx(meta["turning_point"], abs=1e-12)
 
 
+@pytest.mark.parametrize("delta", ["0.8", "0.5"], ids=["elevation", "depression"])
+def test_a_left_moving_oracle_is_the_sign_map_of_the_right_moving_one(tmp_path, capsys, delta):
+    # (c_s, zeta, v, u) -> (-c_s, zeta, -v, -u), and v' flips with v
+    speed = make_parameters(0.5, float(delta)).c_crit + 0.05
+    tables = {}
+    for sign in (1.0, -1.0):
+        out = tmp_path / f"oracle{sign:+g}.csv"
+        code, stdout, _ = run_cli(capsys, "oracle", "--delta", delta, f"--cs={sign * speed!r}", "--x-max", "30",
+                                  "--out", str(out))
+        assert code == 0
+        tables[sign] = read_table(out)
+    (meta_right, right), (meta_left, left) = tables[1.0], tables[-1.0]
+    assert meta_left["config"]["solver"]["cs"] == -speed
+    assert meta_left["turning_point"] == -meta_right["turning_point"]
+    assert f"turning point {meta_left['turning_point']:.12g}," in stdout
+    assert (meta_left["saddle_rate"], meta_left["energy_max"]) == (meta_right["saddle_rate"], meta_right["energy_max"])
+    for name, sign in (("x", 1.0), ("v", -1.0), ("v_prime", -1.0), ("zeta", 1.0), ("u", -1.0)):
+        assert np.array_equal(left[name], sign * right[name]), name
+    # the crest's v' is +0 at either speed
+    assert left["v_prime"][0] == 0.0 and not np.signbit(left["v_prime"][0])
+
+
 @pytest.mark.parametrize("flag, value", [("--dx", "0"), ("--dx", "-1"), ("--dx", "nan"), ("--x-max", "inf")])
 def test_oracle_rejects_a_bad_sampling_setting(tmp_path, capsys, flag, value):
     out = tmp_path / "oracle.csv"
@@ -149,7 +171,8 @@ def test_oracle_rejects_a_bad_sampling_setting(tmp_path, capsys, flag, value):
 @pytest.mark.parametrize("argv, flag", [
     (("--x-max", "1", "--dx", "1e-9"), "--dx"),
     (("--x-max", "1e3", "--step", "1e-9"), "--step"),
-], ids=["samples", "nodes"])
+    (("--x-max", "1e9", "--step", "1e-6"), "--step"),
+], ids=["samples", "nodes", "petabytes"])
 def test_an_oracle_over_the_memory_budget_exits_1_before_it_integrates(tmp_path, capsys, monkeypatch, argv, flag):
     # the sizes follow from the flags; a command that integrated first would allocate them
     def integrated(*args, **kwargs):
@@ -165,13 +188,18 @@ def test_an_oracle_over_the_memory_budget_exits_1_before_it_integrates(tmp_path,
     assert not out.exists()
 
 
-def test_oracle_that_does_not_fit_in_memory_exits_1(tmp_path, capsys):
-    # 1e15 nodes: numpy refuses the 7 PiB request at once, so nothing is allocated
-    out = tmp_path / "oracle.csv"
-    code, stdout, err = run_cli(capsys, "oracle", "--x-max", "1e9", "--step", "1e-6", "--out", str(out))
+def test_a_dispersion_over_the_memory_budget_exits_1_before_it_allocates(tmp_path, capsys, monkeypatch):
+    # the row count is --count; a command that allocated first would ask numpy for 1e12 rows
+    def allocated(*args, **kwargs):
+        raise AssertionError("dispersion allocated before its memory check")
+
+    monkeypatch.setattr(np, "linspace", allocated)
+    out = tmp_path / "disp.csv"
+    code, stdout, err = run_cli(capsys, "dispersion", "--count", "1000000000000", "--out", str(out))
     assert code == 1
-    assert "Traceback" not in err
-    assert one_line_error(err)["error"].endswith("MemoryError")
+    record = one_line_error(err)
+    assert record["error"] == "MemoryError"
+    assert "dispersion --count 1000000000000" in record["message"] and "lower --count" in record["message"]
     assert stdout == ""
     assert not out.exists()
 
@@ -639,6 +667,9 @@ def test_read_table_round_trip_is_bit_exact(tmp_path):
     ("bad.csv", "# columns: x,zeta\n0,1\n \t \n1\n", "line 4 holds 1 values where the table has 2 columns"),
     ("bad.csv", "# columns: x,zeta\r\n0,1\r\n1,2,3\r\n", "line 3 holds 3 values where the table has 2 columns"),
     ("bad.csv", "0,1\n1,2\n# columns: x,y,z\n", "names 3 columns but its rows hold 2 values"),
+    ("bad.csv", "# columns: x,zeta\n0,1\n\n1,2\n# a note\n2,3\n3,abc\n4,5\n",
+     "bad.csv line 7 holds 'abc', which is not a number"),
+    ("bad.csv", "# columns: x\n0\n1_0\n", "bad.csv line 3 holds '1_0', which is not a number"),
 ])
 def test_read_table_errors_keep_their_messages(tmp_path, name, body, message):
     path = tmp_path / name

@@ -216,29 +216,37 @@ def test_turning_point_monotone_in_speed():
 
 
 def test_negative_speed_sign_map():
-    p = make_parameters(0.5, 0.8)
-    speed = p.c_crit + 0.05
-    pos = oracle.potential(oracle.TravelingWaveProblem(params=p, speed=speed))
-    neg = oracle.potential(oracle.TravelingWaveProblem(params=p, speed=-speed))
-    assert neg.turning_point == pytest.approx(-pos.turning_point, rel=1e-14)
-    # interface deviation is unchanged, velocities flip
-    assert oracle.reconstruct_zeta(neg, neg.turning_point) == pytest.approx(
-        oracle.reconstruct_zeta(pos, pos.turning_point), rel=1e-14
-    )
-    assert oracle.reconstruct_u(neg, neg.turning_point) == pytest.approx(
-        -oracle.reconstruct_u(pos, pos.turning_point), rel=1e-14
-    )
+    # a -c_s problem keeps its speed, and its curve is the +c_s one bit for bit
+    for delta in (0.8, 0.5):
+        p = make_parameters(0.5, delta)
+        speed = p.c_crit + 0.05
+        pos = oracle.potential(oracle.TravelingWaveProblem(params=p, speed=speed))
+        neg = oracle.potential(oracle.TravelingWaveProblem(params=p, speed=-speed))
+        assert neg.problem.speed == -speed
+        assert (neg.v_pole, neg.turning_point, neg.saddle_rate) == (pos.v_pole, pos.turning_point, pos.saddle_rate)
+        assert (neg.cs, neg.c2, neg.cubic) == (pos.cs, pos.c2, pos.cubic)
+    # the left-moving wave is the map's image: the interface deviation is unchanged, velocities flip
     zeta, v, u = oracle.negative_speed_map(1.5, 2.0, 3.0)
     assert (zeta, v, u) == (1.5, -2.0, -3.0)
 
 
 def test_profile_negative_speed():
-    p = make_parameters(0.5, 0.8)
-    speed = p.c_crit + 0.05
-    neg = oracle.potential(oracle.TravelingWaveProblem(params=p, speed=-speed))
-    prof = oracle.integrate_profile(neg, x_max=20.0, step=1e-3)
-    assert prof.v[0] < 0.0  # velocity flips under the sign map
-    assert oracle.reconstruct_zeta(neg, prof.v[0]) > 0.0  # still a wave of elevation
+    # the -c_s profile is the +c_s one bit for bit, and so are its samples and reconstructions
+    xs = np.linspace(-25.0, 25.0, 401)
+    for delta in (0.8, 0.5):
+        p = make_parameters(0.5, delta)
+        speed = p.c_crit + 0.05
+        pos, neg = (oracle.potential(oracle.TravelingWaveProblem(params=p, speed=s)) for s in (speed, -speed))
+        prof_pos = oracle.integrate_profile(pos, x_max=20.0, step=1e-3)
+        prof_neg = oracle.integrate_profile(neg, x_max=20.0, step=1e-3)
+        for name in ("x", "v", "v_prime", "v_second"):
+            assert getattr(prof_neg, name).tobytes() == getattr(prof_pos, name).tobytes(), name
+        assert prof_neg.energy_max == prof_pos.energy_max
+        assert prof_neg.sample_v(xs).tobytes() == prof_pos.sample_v(xs).tobytes()
+        assert prof_neg.sample_v_prime(xs).tobytes() == prof_pos.sample_v_prime(xs).tobytes()
+        v = prof_pos.v
+        assert oracle.reconstruct_zeta(neg, v).tobytes() == oracle.reconstruct_zeta(pos, v).tobytes()
+        assert oracle.reconstruct_u(neg, v).tobytes() == oracle.reconstruct_u(pos, v).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -274,6 +282,20 @@ def test_hermite_sampling_matches_cubic_spline(gamma, delta, sign):
     assert prof.sample_v_prime(-1.5) == -prof.sample_v_prime(1.5)
 
 
+def test_sampling_v_prime_reads_the_stored_v_second(elev_curve, monkeypatch):
+    # the profile keeps v'' = ode_rhs(v) from its blocks, so sampling v' evaluates no ODE
+    prof = oracle.integrate_profile(elev_curve, x_max=20.0, step=1e-3)
+    assert prof.v_second.tobytes() == elev_curve.ode_rhs(prof.v).tobytes()
+    xs = np.linspace(-25.0, 25.0, 401)
+    want = prof.sample_v_prime(xs)
+
+    def evaluated(self, v):
+        raise AssertionError("sample_v_prime evaluated the ODE")
+
+    monkeypatch.setattr(oracle.PotentialCurve, "ode_rhs", evaluated)
+    assert prof.sample_v_prime(xs).tobytes() == want.tobytes()
+
+
 def test_oracle_matches_solver_to_its_tolerance(default_grid, elevation_solution, elevation_oracle_profile):
     # the interpolant adds nothing visible to the solver-vs-oracle gap (8.8e-11 on this configuration)
     state, _ = elevation_solution
@@ -301,8 +323,8 @@ def _reference_profile(curve, x_max, step):
     """
     p = curve.problem.params
     lam = curve.saddle_rate
-    vstar_pos = curve.v_sign * curve.turning_point
-    crest_sign = 1.0 if vstar_pos > 0 else -1.0
+    vstar = curve.turning_point
+    crest_sign = 1.0 if vstar > 0 else -1.0
     K, beta, cs, ccrit2 = p.k_coeff, p.beta, abs(curve.problem.speed), p.c_crit**2
 
     def rhs(v):
@@ -310,7 +332,7 @@ def _reference_profile(curve, x_max, step):
 
     margin = max(8.0, 4.0 / lam)
     while True:
-        w = vstar_pos * math.exp(-lam * (x_max + margin))
+        w = vstar * math.exp(-lam * (x_max + margin))
         wp = lam * w
         s, s_list, w_list, wp_list = 0.0, [0.0], [w], [wp]
         for _ in range(int((x_max + margin + 24.0 / lam) / step) + 8):
@@ -342,8 +364,7 @@ def _reference_profile(curve, x_max, step):
     vp_full = np.concatenate([[0.0], -wp_arr[pos]])
     energy_max = float(np.max(np.abs(0.5 * vp_full**2 + curve.U(v_full))))
     keep = x_full <= x_max + 5.0 * step
-    sign = curve.v_sign
-    return oracle.OracleProfile(curve, x_full[keep], sign * v_full[keep], sign * vp_full[keep], energy_max)
+    return oracle.OracleProfile(curve, x_full[keep], v_full[keep], vp_full[keep], rhs(v_full[keep]), energy_max)
 
 
 @pytest.mark.parametrize(
@@ -403,7 +424,7 @@ def _reference_turning_point(problem):
             lo = mid
         else:
             hi = mid
-    return (1.0 if problem.speed > 0 else -1.0) * (0.5 * (lo + hi) * pole)
+    return 0.5 * (lo + hi) * pole
 
 
 def test_turning_point_matches_vectorised_bisection():
