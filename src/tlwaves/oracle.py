@@ -213,10 +213,10 @@ class OracleProfile:
     ``x`` ascends from x[0] = 0 at the crest to just beyond x_max; ``v``,
     ``v_prime`` and ``v_second`` = v'' are the right-moving wave's at the
     nodes, v'' from the ODE.  Between samples, v is the cubic Hermite
-    interpolant of the stored (v, v') and v' that of (v', v'').  Each cubic piece uses only its two end
-    samples, so evaluating at |x| (times sign(x) for v') is the interpolant
-    of the even/odd mirrored samples.  Sampling outside the stored range
-    continues the tail as C exp(-lambda (|x| - x_max)).
+    interpolant of the stored (v, v') and v' that of (v', v'').  Each cubic
+    piece uses only its two end samples, so evaluating at |x| (times sign(x)
+    for v') is the interpolant of the even/odd mirrored samples.  Sampling
+    outside the stored range continues the tail as C exp(-lambda (|x| - x_max)).
     """
 
     curve: PotentialCurve
