@@ -7,17 +7,24 @@ record the configuration and package versions but no timings, so repeated
 runs with the same configuration produce byte-identical files; wall-clock
 numbers go to the console log instead.
 
-A CSV table is read in one pass over its lines: each run of data rows is
-checked against the columns named above it, and all rows are then parsed by
-one ``np.loadtxt`` call, bit-equal to ``float(token)``.  Only when that call
-fails are the lines searched again, for the file line of the token it refused.
+A CSV table has one width, the value count of its first data row: every
+data row must hold that many values, and the last ``# columns:`` line,
+wherever it sits, must name that many columns.  All rows are parsed by one
+``np.loadtxt`` call, bit-equal to ``float(token)``.  Only when that call
+fails are the rows walked, once, for the file line of the first token that
+is blank or that loadtxt refuses.
 
-``oracle`` and ``dispersion`` size their arrays from their flags before they
-allocate, and exit 1 with a ``MemoryError`` naming the flag above a budget.
+``oracle``, ``dispersion`` and the commands that solve (``solve``, ``sweep``,
+``reproduce``, from ``--modes``) size their arrays from their flags before
+they allocate, and exit 1 with a ``MemoryError`` naming the flag above a
+budget.
 
 Exit codes: 0 success, 1 validation failure, 2 non-convergence.  Errors
 and warnings are emitted as one-line JSON on stderr,
 ``{"error": <type>, "message": ...}`` and ``{"warning": <category>, "message": ...}``.
+A usage error (an unknown flag, a missing or ill-typed value) is an
+``InputFormatError`` with exit 1 like any other; ``--help`` prints the usage
+and exits 0.
 
 :func:`run` is the process entry, of the ``tlwaves`` script and of
 ``python -m tlwaves.cli``: it calls :func:`main`, freezes the heap
@@ -53,16 +60,20 @@ profile's grid from its nodes (``SpectralGrid.from_nodes``) and reads
 nothing from its header, which is a record only.  ``reproduce`` calls the
 same table functions on its grid's nodes, so its targets equal ``sweep``
 and ``analyze`` of its fig2 profiles on every grid; it fits each decay once.
+Each ``reproduce`` header records the run's grid and tolerance in ``solve``'s
+nested shape, with the wave's ``params`` and, for one wave, ``solver.cs``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import gc
 import json
 import os
+import re
 import sys
 import warnings
 from itertools import repeat
@@ -90,8 +101,9 @@ _TARGETS = ("fig2a", "fig2b", "fig3a", "fig3b", "fig3c", "fig4", "fig5", "fig6",
 # bytes a command may plan to allocate; a larger estimate exits 1 before it allocates
 _MEMORY_BUDGET = 2 * 2**30
 # peak bytes per item that a command sizes from its flags, measured with tracemalloc and rounded up:
-# oracle nodes (--x-max/--step, 32-34), oracle samples (--x-max/--dx, 401) and dispersion rows (--count, 231)
-_NODE_BYTES, _SAMPLE_BYTES, _ROW_BYTES = 40, 512, 256
+# oracle nodes (--x-max/--step, 32-34), oracle samples (--x-max/--dx, 401), dispersion rows (--count, 231)
+# and solve modes (--modes, 313 for the written profile, above the plain iteration's 193)
+_NODE_BYTES, _SAMPLE_BYTES, _ROW_BYTES, _MODE_BYTES = 40, 512, 256, 384
 
 
 # ----------------------------------------------------------------------
@@ -130,49 +142,34 @@ def read_table(path: Path) -> tuple[dict, dict]:
             raise InputFormatError(f"{path}: the columns must be arrays of numbers, all of one length >= 1")
         return meta, {n: np.asarray(v, dtype=float) for n, v in columns.items()}
     lines = path.read_text(encoding="utf-8").splitlines()
-    # the lines that are not data rows, in file order: comments and blank lines (a written table's header)
-    marked = [number for number, line in enumerate(lines) if not line.strip() or line.startswith("#")]
-    meta: dict = {}
-    names: list[str] = []
-    rows: list[str] = []
-    width = start = 0
-    # one pass: the rows between two marked lines are checked against the columns named above them
-    for stop in (*marked, len(lines)):
-        block = lines[start:stop]
-        if block:
-            width = len(names) if names else (width or block[0].count(",") + 1)
-            commas = list(map(str.count, block, repeat(",")))
-            if commas.count(width - 1) != len(commas):
-                bad = next(j for j, c in enumerate(commas) if c != width - 1)
-                raise InputFormatError(
-                    f"{path} line {start + bad + 1} holds {commas[bad] + 1} values where the table has {width} columns"
-                )
-            rows += block
-        if stop < len(lines) and lines[stop].startswith("#"):
-            body = lines[stop][1:].strip()
-            if body.startswith("{"):
-                meta = json.loads(body)
-            elif body.startswith("columns:"):
-                names = [n.strip() for n in body[len("columns:"):].split(",")]
-        start = stop + 1
-    if not rows:
+    comments = [line[1:].strip() for line in lines if line[:1] == "#"]
+    meta = next((json.loads(c) for c in reversed(comments) if c.startswith("{")), {})
+    # the index in lines of each data row, neither a comment nor blank (ints: tuples would wake the collector)
+    numbers = [number for number, line in enumerate(lines) if line.strip() and line[:1] != "#"]
+    if not numbers:
         raise InputFormatError(f"{path} holds no data rows")
-    if names and len(names) != width:
+    rows = [lines[number] for number in numbers]
+    commas = list(map(str.count, rows, repeat(",")))
+    width = commas[0] + 1  # the table's one width: every row holds it, and the last columns line names it
+    if commas.count(width - 1) != len(commas):
+        j = next(j for j, c in enumerate(commas) if c != width - 1)
+        raise InputFormatError(f"{path} line {numbers[j] + 1} holds {commas[j] + 1} values "
+                               f"where the table has {width} columns")
+    names = next(([n.strip() for n in c[len("columns:"):].split(",")] for c in reversed(comments)
+                  if c.startswith("columns:")), [f"col{i}" for i in range(width)])
+    if len(names) != width:
         raise InputFormatError(f"{path} names {len(names)} columns but its rows hold {width} values")
     try:  # every value in one C pass, bit-equal to float(token)
         data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
     except ValueError:
-        # looked up only now, so a good table is parsed in one pass: the first token loadtxt refuses
-        for number in sorted(set(range(len(lines))).difference(marked)):
-            for token in lines[number].split(","):
-                try:
-                    np.loadtxt([token], delimiter=",", comments=None)
-                except ValueError:
-                    message = f"{path} line {number + 1} holds {token.strip()!r}, which is not a number"
-                    raise InputFormatError(message) from None
+        # only now, so a good table is parsed in one pass: the first token that is blank or that loadtxt refuses
+        for number in numbers:
+            for token in map(str.strip, lines[number].split(",")):
+                with contextlib.suppress(ValueError):  # loadtxt reads a blank token as no data, so it is not tried
+                    if token and np.loadtxt([token], delimiter=",", comments=None).size:
+                        continue
+                raise InputFormatError(f"{path} line {number + 1} holds {token!r}, which is not a number") from None
         raise
-    if not names:
-        names = [f"col{i}" for i in range(width)]
     return meta, {name: data[:, i] for i, name in enumerate(names)}
 
 
@@ -297,7 +294,6 @@ def _build_run(args) -> tuple:
     if "grid" in keys:
         from .grid import SpectralGrid
         from .solver import SolverConfig
-        grid = SpectralGrid(half_length=g["half_length"], n=g["modes"])
         config = SolverConfig(
             speed=s["cs"],
             tol_residual=s["tol_residual"],
@@ -306,6 +302,12 @@ def _build_run(args) -> tuple:
             dealias=s["dealias"],
             strict_domain=s["strict"],
         )
+        # the solve's arrays (3/2 as many on the padded grid) and the MPE history of K + 2 stacked (zeta, v)
+        n, cycle = g["modes"], config.mpe_cycle
+        history = 0 if cycle is None else (cycle + 2) * 2 * n * 8
+        _check_memory(n * _MODE_BYTES * (1.5 if config.dealias else 1) + history, f"{args.command} --modes {n}",
+                      "lower --modes")
+        grid = SpectralGrid(half_length=g["half_length"], n=n)
         s["extrapolation"] = "off" if config.mpe_cycle is None else f"mpe:{config.mpe_cycle}"
     return params, grid, config, {block: {key: run[block][key] for key in keys[block]} for block in keys}
 
@@ -461,17 +463,22 @@ def cmd_reproduce(args) -> int:
     outdir = Path(args.out_dir)
     targets = _TARGETS if args.target == "all" else (args.target,)
     # the speed is set per wave; building the run here rejects a bad setting before any file is written
-    _, grid, config, _ = _build_run(args)
+    _, grid, config, run = _build_run(args)
     # each distinct (grid, params, config) is solved once per command: fig2a, fig3c, fig4 and
     # fig5/fig6/table1 share the elevation wave at the reference offset, fig2b, fig3c and fig4 the
     # depression wave there, and fig3a and fig3b the sweep.  Callers only read the cached states.
     solve = functools.cache(solver.solve)
 
+    def describe(params, speed=None):
+        """The run's grid and tolerance, the wave's params and its one speed, if any, in ``solve``'s shape."""
+        return {**run, "params": params_to_config(params),
+                "solver": run["solver"] if speed is None else {**run["solver"], "cs": speed}}
+
     def wave(pair, offset):
-        """The state and report of the wave of ``pair`` at c_crit + offset, and its {params, cs} description."""
+        """The state and report of the wave of ``pair`` at c_crit + offset, and its description."""
         params = make_parameters(*pair)
         wave_config = dataclasses.replace(config, speed=params.c_crit + offset)
-        return (*solve(grid, params, wave_config), {"params": params_to_config(params), "cs": wave_config.speed})
+        return (*solve(grid, params, wave_config), describe(params, wave_config.speed))
 
     # the reference elevation wave, whose decay fig5, fig6 and table1 describe
     elevation = functools.partial(wave, _ELEVATION_PAIR, _REFERENCE_OFFSET)
@@ -488,9 +495,7 @@ def cmd_reproduce(args) -> int:
     def profiles(target, pair):
         for offset in _FIG2_OFFSETS:
             state, report, described = wave(pair, offset)
-            meta = _meta(f"reproduce-{target}", {"params": described["params"], "solver": {"cs": described["cs"]},
-                                                  "grid": {"half_length": grid.half_length, "modes": grid.n}},
-                         {"report": report.to_dict()})
+            meta = _meta(f"reproduce-{target}", described, {"report": report.to_dict()})
             save(f"{target}_offset{offset:g}.csv", write_table, meta,
                  {"x": grid.nodes, "zeta": state.zeta, "v": state.v, "u": state.u})
 
@@ -498,7 +503,7 @@ def cmd_reproduce(args) -> int:
         """The columns of the sweep fig3a and fig3b describe, and its description."""
         params = make_parameters(*_ELEVATION_PAIR)
         columns = analysis.speed_sweep(solve, grid, params, config, np.linspace(*_SWEEP_OFFSETS))
-        return columns, {"params": params_to_config(params)}
+        return columns, describe(params)
 
     if "fig2a" in targets:
         profiles("fig2a", _ELEVATION_PAIR)
@@ -514,8 +519,8 @@ def cmd_reproduce(args) -> int:
     if "fig3c" in targets:
         gamma = _ELEVATION_PAIR[0]
         columns, skipped = analysis.amplitude_vs_k_study(gamma, _FIG3C_DELTAS, _REFERENCE_OFFSET, grid, config, solve)
-        meta = _meta("reproduce-fig3c", {"gamma": gamma, "deltas": list(_FIG3C_DELTAS), "offset": _REFERENCE_OFFSET},
-                     {"skipped": skipped})
+        meta = _meta("reproduce-fig3c", {**run, "gamma": gamma, "deltas": list(_FIG3C_DELTAS),
+                                          "offset": _REFERENCE_OFFSET}, {"skipped": skipped})
         save("fig3c_amplitude_vs_k.csv", write_table, meta, columns)
     if "fig4" in targets:
         for label, pair in (("elevation", _ELEVATION_PAIR), ("depression", _DEPRESSION_PAIR)):
@@ -546,6 +551,19 @@ def cmd_reproduce(args) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors raise InputFormatError (exit 1, one JSON line) instead of exiting 2, the
+    code of non-convergence, and which reads ``-1e300`` as a value, as argparse does ``-1`` and ``-1.5``.
+    ``add_subparsers`` builds each command's parser with this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+    def error(self, message: str) -> NoReturn:
+        raise InputFormatError(f"{self.prog}: {message}")
+
+
 def _add_settings(p: argparse.ArgumentParser, keys: dict, config_file: bool = True) -> None:
     """The flags of the settings ``keys`` names, and --config unless ``config_file`` is false."""
     if config_file:
@@ -559,7 +577,7 @@ def _add_settings(p: argparse.ArgumentParser, keys: dict, config_file: bool = Tr
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="tlwaves", description="Solitary waves of a two-layer internal wave model")
+    parser = _Parser(prog="tlwaves", description="Solitary waves of a two-layer internal wave model")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="compute one solitary wave profile")
@@ -614,9 +632,8 @@ def _stderr_record(kind: str, name: str, message) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         with warnings.catch_warnings():
             warnings.showwarning = lambda message, category, *_: _stderr_record("warning", category.__name__, message)
             return args.func(args)

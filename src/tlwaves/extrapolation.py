@@ -19,9 +19,11 @@ import numpy as np
 def extrapolate(history: Sequence[np.ndarray], cycle_length: int) -> np.ndarray:
     """Accelerated iterate from the last cycle_length + 2 iterates.
 
-    Falls back to the most recent iterate when the least-squares system is
-    rank-deficient or the combination weights do not sum away from zero
-    (e.g. a history of identical iterates).
+    Falls back to the most recent iterate when the combination weights do
+    not sum away from zero, as when the last step is an affine combination
+    of the earlier ones with unit weight sum.  A rank-deficient system needs
+    no fallback: the least-squares combination of least norm is used, and a
+    history of identical iterates gets the weights (0, ..., 0, 1).
     """
     if cycle_length < 2:
         raise ValueError(f"cycle_length must be >= 2, got {cycle_length}")

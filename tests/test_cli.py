@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from tlwaves import analysis, cli, oracle, solver
+from tlwaves import grid as grid_module
 from tlwaves.cli import _FIG3C_DELTAS, main, read_table, write_table
 from tlwaves.errors import DomainTooSmallWarning, InputFormatError
 from tlwaves.grid import SpectralGrid
@@ -204,6 +205,40 @@ def test_a_dispersion_over_the_memory_budget_exits_1_before_it_allocates(tmp_pat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("solve", "--modes", "10000000000"),
+    ("solve", "--modes", "1000000000", "--dealias"),
+    ("solve", "--modes", "100000000", "--extrapolation", "mpe:200"),
+    ("sweep", "--modes", "10000000000"),
+    ("reproduce", "fig4", "--modes", "10000000000"),
+], ids=["solve", "dealiased", "mpe-history", "sweep", "reproduce"])
+def test_a_grid_over_the_memory_budget_exits_1_before_it_is_built(tmp_path, capsys, monkeypatch, argv):
+    # the sizes follow from --modes; a command that built its grid first would allocate them
+    def built(*args, **kwargs):
+        raise AssertionError("the grid was built before the memory check")
+
+    monkeypatch.setattr(grid_module, "SpectralGrid", built)
+    out = ("--out-dir", str(tmp_path / "results")) if argv[0] == "reproduce" else ("--out", str(tmp_path / "w.csv"))
+    code, stdout, err = run_cli(capsys, *argv, *out)
+    assert code == 1
+    record = one_line_error(err)
+    assert record["error"] == "MemoryError"
+    assert f"{argv[0]} --modes {argv[2 + (argv[0] == 'reproduce')]}" in record["message"]
+    assert "lower --modes" in record["message"]
+    assert stdout == "" and list(tmp_path.iterdir()) == []
+
+
+def test_the_memory_estimate_of_a_solve_counts_padding_and_the_mpe_history(monkeypatch):
+    # the modes, 3/2 as many with --dealias, and the K + 2 stacked (zeta, v) iterates of MPE(K)
+    asked = []
+    monkeypatch.setattr(cli, "_check_memory", lambda needed, run, remedy: asked.append(needed))
+    monkeypatch.setattr(grid_module, "SpectralGrid", lambda **kwargs: None)
+    n = 2**22
+    for extra in ((), ("--dealias",), ("--extrapolation", "mpe:6")):
+        cli._build_run(cli.build_parser().parse_args(["solve", "--modes", str(n), *extra, "--out", "w.csv"]))
+    assert asked == [n * cli._MODE_BYTES, 1.5 * n * cli._MODE_BYTES, n * cli._MODE_BYTES + 8 * 2 * n * 8]
+
+
 def test_dispersion_csv(tmp_path, capsys):
     out = tmp_path / "disp.csv"
     code, _, _ = run_cli(capsys, "dispersion", "--gamma", "0.5", "--delta", "0.8",
@@ -227,6 +262,34 @@ def test_sweep_with_fit(tmp_path, capsys):
     assert np.all(np.diff(cols["zeta_max"]) > 0)
     fit = json.loads((tmp_path / "sweep.fit.json").read_text())
     assert fit["fit"]["model"] == "power_plus_constant"
+
+
+def test_a_sweep_of_three_speeds_exits_1(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    code, stdout, err = run_cli(capsys, "sweep", "--count", "3", "--out", str(out))
+    assert code == 1
+    assert one_line_error(err) == {"error": "InsufficientDataError",
+                                   "message": "sweep needs at least 4 speeds for the power fit"}
+    assert stdout == "" and not out.exists()
+
+
+def test_extrapolation_mpe_is_recorded_with_its_default_cycle(tmp_path, capsys):
+    out = tmp_path / "wave.csv"
+    code, _, _ = run_cli(capsys, "solve", "--half-length", "64", "--modes", "512", "--extrapolation", "mpe",
+                         "--out", str(out))
+    assert code == 0
+    assert read_table(out)[0]["config"]["solver"]["extrapolation"] == "mpe:6"
+
+
+def test_analyze_reads_a_json_profile_as_it_reads_the_csv_one(tmp_path, capsys):
+    fits = {}
+    for suffix in ("csv", "json"):
+        profile = tmp_path / f"wave.{suffix}"
+        assert run_cli(capsys, "solve", "--half-length", "64", "--modes", "512", "--out", str(profile))[0] == 0
+        out = tmp_path / f"decay_{suffix}.csv"
+        assert run_cli(capsys, "analyze", "decay", "--in", str(profile), "--out", str(out))[0] == 0
+        fits[suffix] = json.loads(out.with_suffix(".fit.json").read_text())["fit"]
+    assert fits["json"] == fits["csv"]
 
 
 def test_analyze_decay_round_trip(tmp_path, capsys):
@@ -389,7 +452,8 @@ def test_table_with_short_rows_exits_1(tmp_path, capsys):
     code, _, err = run_cli(capsys, "analyze", "decay", "--in", str(table), "--out", str(tmp_path / "a.csv"))
     assert code == 1
     record = one_line_error(err)
-    assert record["error"] == "InputFormatError" and "line 2" in record["message"]
+    # the rows fix the width, and the columns line must name that many
+    assert record == {"error": "InputFormatError", "message": f"{table} names 3 columns but its rows hold 2 values"}
 
 
 def test_config_that_is_not_an_object_exits_1(tmp_path, capsys):
@@ -595,6 +659,31 @@ def test_reproduce_agrees_with_sweep_and_analyze(tmp_path, capsys):
         assert ((x[1] - x[0]) * modes / 2 == 64.0) == exact
 
 
+def test_every_reproduce_header_records_the_grid_and_the_tolerance(tmp_path, capsys):
+    configs = {}
+    for modes in (256, 512):
+        out_dir = tmp_path / str(modes)
+        assert run_cli(capsys, "reproduce", "all", "--half-length", "64", "--modes", str(modes),
+                       "--out-dir", str(out_dir))[0] == 0
+        for path in out_dir.iterdir():
+            meta = read_table(path)[0] if path.suffix == ".csv" else json.loads(path.read_text())["meta"]
+            configs[modes, path.name] = meta["config"]
+    names = {name for _, name in configs}
+    assert len(names) == 15
+    for name in names:
+        assert configs[256, name] != configs[512, name], name
+        for modes in (256, 512):
+            config = configs[modes, name]
+            assert config["grid"] == {"half_length": 64.0, "modes": modes}, name
+            assert config["solver"]["tol_residual"] == 1e-10, name
+            if name.startswith("fig3c"):
+                continue
+            assert config["params"] == {"gamma": 0.5, "delta": 0.5 if "fig2b" in name or "depression" in name else 0.8}
+            # one speed per file, recorded where solve records it; the sweep's files have none
+            assert ("cs" in config["solver"]) == (not name.startswith(("fig3a", "fig3b"))), name
+            assert set(config) == {"grid", "params", "solver"}, name
+
+
 def _assert_reproduce_agrees(tmp_path, capsys, grid_flags):
     repro = tmp_path / "results"
     assert run_cli(capsys, "reproduce", "all", "--out-dir", str(repro), *grid_flags)[0] == 0
@@ -699,6 +788,33 @@ def test_analyze_bad_token_exits_1(tmp_path, capsys):
     code, _, err = run_cli(capsys, "analyze", "decay", "--in", str(table), "--out", str(tmp_path / "a.csv"))
     assert code == 1
     assert "abc" in one_line_error(err)["message"]
+
+
+@pytest.mark.parametrize("body, line, message", [
+    ("# columns: x,zeta\n0,1\n# columns: x,zeta,v\n1,2,3\n", 4, "holds 3 values where the table has 2 columns"),
+    ("# columns: x,zeta\n0,1\n1,\n", 3, "holds '', which is not a number"),
+    ("# columns: x,zeta\n0,1\n,2\n", 3, "holds '', which is not a number"),
+    ("# columns: x,zeta\n0,1\n1, \t\n", 3, "holds '', which is not a number"),
+], ids=["two-columns-lines", "empty-last-field", "empty-first-field", "blank-field"])
+def test_a_ragged_or_empty_field_table_names_its_file_and_line(tmp_path, capsys, body, line, message):
+    table = tmp_path / "bad.csv"
+    table.write_text(body, encoding="utf-8")
+    with pytest.raises(InputFormatError) as raised:
+        read_table(table)
+    assert str(raised.value) == f"{table} line {line} {message}"
+    code, stdout, err = run_cli(capsys, "analyze", "decay", "--in", str(table), "--out", str(tmp_path / "a.csv"))
+    assert code == 1
+    assert one_line_error(err) == {"error": "InputFormatError", "message": str(raised.value)}
+    assert stdout == ""
+
+
+def test_the_last_columns_line_must_name_the_width_of_the_rows(tmp_path):
+    table = tmp_path / "t.csv"
+    table.write_text("# columns: x,zeta\n0,1\n# columns: a,b,c\n1,2\n", encoding="utf-8")
+    with pytest.raises(InputFormatError, match="names 3 columns but its rows hold 2 values"):
+        read_table(table)
+    table.write_text("# columns: x,zeta,v\n0,1\n# columns: a,b\n1,2\n", encoding="utf-8")
+    assert list(read_table(table)[1]) == ["a", "b"]
 
 
 @pytest.mark.parametrize("columns", [
@@ -1025,8 +1141,8 @@ def test_settings_table_flag_and_config_file_agree(tmp_path, capsys, command, se
     if setting not in reads:
         code, _, err = run_cli(capsys, command, *common, "--config", str(cfg), "--out", str(tmp_path / "x.csv"))
         assert code == 1 and one_line_error(err)["error"] == "InputFormatError"
-        with pytest.raises(SystemExit):
-            main([command, *common, *by_flag, "--out", str(tmp_path / "x.csv")])
+        code, _, err = run_cli(capsys, command, *common, *by_flag, "--out", str(tmp_path / "x.csv"))
+        assert code == 1 and one_line_error(err)["error"] == "InputFormatError"
         return
     # the setting under test replaces its own flag among the common ones
     base = [arg for pair in zip(common[::2], common[1::2]) if pair[0] != flag for arg in pair]
@@ -1037,6 +1153,41 @@ def test_settings_table_flag_and_config_file_agree(tmp_path, capsys, command, se
     own_block = set(from_flag) - {name for name, _ in reads}
     assert {(name, k) for name in from_flag if name not in own_block for k in from_flag[name]} == reads
     assert own_block == (set() if command == "solve" else {command})
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("solve", "--bogus", "1", "--out", "w.csv"), "unrecognized arguments: --bogus 1"),
+    (("sweep", "--cs", "0.7", "--out", "s.csv"), "unrecognized arguments: --cs 0.7"),
+    (("solve", "--modes", "many", "--out", "w.csv"), "argument --modes: invalid int value: 'many'"),
+    (("solve", "--cs"), "argument --cs: expected one argument"),
+    (("oracle", "--x-max", "10"), "the following arguments are required: --out"),
+    (("reproduce", "fig9"), "argument target: invalid choice: 'fig9'"),
+    ((), "the following arguments are required: command"),
+], ids=["unknown-flag", "flag-the-command-does-not-take", "ill-typed", "missing-value", "missing-out",
+        "bad-choice", "no-command"])
+def test_a_usage_error_exits_1_with_one_json_line(tmp_path, capsys, argv, named):
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 1
+    record = one_line_error(err)
+    assert record["error"] == "InputFormatError" and named in record["message"]
+    assert stdout == ""
+
+
+@pytest.mark.parametrize("value, error", [("-1e300", "ParameterDomainError"), ("-1e-3", "NoSolitaryWaveError"),
+                                          ("-3E+1", "PoleProximityError")])
+def test_a_negative_value_in_exponent_form_is_read_as_the_value_of_its_flag(tmp_path, capsys, value, error):
+    code, _, err = run_cli(capsys, "oracle", "--cs", value, "--out", str(tmp_path / "o.csv"))
+    assert code == 1
+    record = one_line_error(err)
+    assert record["error"] == error and f"speed {float(value):g}" in record["message"]
+
+
+def test_help_still_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["solve", "--help"])
+    assert exited.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: tlwaves solve") and captured.err == ""
 
 
 # the modules every process of the command line loads; each command adds only the modules it runs

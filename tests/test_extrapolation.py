@@ -36,6 +36,13 @@ def test_identical_iterates_fall_back():
     assert np.array_equal(out, same[-1])
 
 
+def test_weights_that_sum_to_zero_fall_back_to_the_last_iterate():
+    # the last step repeats the first, so the weights (-1, 0, 1) sum to zero
+    history = [np.array(v, dtype=float) for v in [(0, 0), (1, 0), (1, 1), (2, 1)]]
+    out = extrapolate(history, cycle_length=2)
+    assert np.array_equal(out, history[-1]) and out is not history[-1]
+
+
 def test_shape_preserved():
     history, _ = _linear_iteration(dim=6, radius=0.5, seed=3, steps=7)
     history = [h.reshape(2, 3) for h in history]
