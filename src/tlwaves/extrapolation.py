@@ -19,11 +19,12 @@ import numpy as np
 def extrapolate(history: Sequence[np.ndarray], cycle_length: int) -> np.ndarray:
     """Accelerated iterate from the last cycle_length + 2 iterates.
 
-    Falls back to the most recent iterate when the combination weights do
-    not sum away from zero, as when the last step is an affine combination
-    of the earlier ones with unit weight sum.  A rank-deficient system needs
-    no fallback: the least-squares combination of least norm is used, and a
-    history of identical iterates gets the weights (0, ..., 0, 1).
+    Falls back to the most recent iterate when the combination weights sum
+    to zero up to rounding (|sum c| <= 1e-12 sum |c|), as when the last step
+    is an affine combination of the earlier ones with unit weight sum.  A
+    rank-deficient system needs no fallback: the least-squares combination
+    of least norm is used, and a history of identical iterates gets the
+    weights (0, ..., 0, 1).
     """
     if cycle_length < 2:
         raise ValueError(f"cycle_length must be >= 2, got {cycle_length}")
@@ -39,7 +40,7 @@ def extrapolate(history: Sequence[np.ndarray], cycle_length: int) -> np.ndarray:
     coeffs, *_ = np.linalg.lstsq(D[:-1].T, -D[-1], rcond=None)
     coeffs = np.append(coeffs, 1.0)
     total = coeffs.sum()
-    if not np.isfinite(total) or abs(total) < 1e-300:
+    if not np.isfinite(total) or abs(total) <= 1e-12 * np.abs(coeffs).sum():
         return np.asarray(history[-1], dtype=float).copy()
     weights = coeffs / total
     return (weights @ X[: weights.size]).reshape(shape)

@@ -684,6 +684,25 @@ def test_every_reproduce_header_records_the_grid_and_the_tolerance(tmp_path, cap
             assert set(config) == {"grid", "params", "solver"}, name
 
 
+def test_each_reproduce_file_of_one_wave_carries_its_solve_report(tmp_path, capsys):
+    argv = ("reproduce", "all", "--half-length", "64", "--modes", "256", "--out-dir", str(tmp_path))
+    assert run_cli(capsys, *argv)[0] == 0
+
+    def meta(name):
+        path = tmp_path / name
+        return read_table(path)[0] if path.suffix == ".csv" else json.loads(path.read_text())["meta"]
+
+    elevation, depression = (meta(f"{family}_offset0.05.csv")["report"] for family in ("fig2a", "fig2b"))
+    assert elevation != depression
+    for name in ("fig4_elevation.csv", "fig5a_spectrum.csv", "fig5b_profile_fit.csv", "fig6_spectrum_fit.csv",
+                 "table1.json"):
+        assert meta(name)["report"] == elevation, name
+    assert meta("fig4_depression.csv")["report"] == depression
+    # the sweep and the study describe many waves, and carry no report
+    assert not {"report"} & (set(meta("fig3a_amplitudes.csv")) | set(meta("fig3b_fit.json"))
+                             | set(meta("fig3c_amplitude_vs_k.csv")))
+
+
 def _assert_reproduce_agrees(tmp_path, capsys, grid_flags):
     repro = tmp_path / "results"
     assert run_cli(capsys, "reproduce", "all", "--out-dir", str(repro), *grid_flags)[0] == 0
@@ -744,6 +763,58 @@ def test_read_table_round_trip_is_bit_exact(tmp_path):
     got = np.column_stack([cols["a"], cols["b"], cols["c"]]).ravel()
     want = np.array([float(format(v, ".17g")) for v in values.tolist()])
     assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+def _powers_of_ten_and_neighbours():
+    powers = np.array([float(10**p) if p >= 0 else 1 / 10**-p for p in range(-300, 301)])
+    return np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+
+
+def _notation_switch(rng):
+    # %g writes e = -4 .. 16 in fixed notation and e = -5 and 17 with an exponent
+    scaled = [rng.uniform(1.0, 10.0, 300) * 10.0**e for e in (-5, -4, 16, 17)]
+    edges = [np.nextafter(edge, toward) for edge in (1e-5, 1e-4, 1e16, 1e17) for toward in (0.0, np.inf)]
+    return np.concatenate([*scaled, edges, [1e-5, 1e-4, 1e16, 1e17, 12345678901234567.0, 0.00012]])
+
+
+_FORMAT_CASES = {
+    "random-bits": lambda rng: rng.integers(0, 2**64, size=30000, dtype=np.uint64).view(np.float64),
+    "powers-of-ten": lambda rng: _powers_of_ten_and_neighbours(),
+    "notation-switch": _notation_switch,
+    # doubles just below a power of ten whose 17 digits round up to it: '%.17g' % 1e-14 is '1e-14'
+    "new-decade": lambda rng: np.array([1e-305, 1e-243, 1e-176, 1e-79, 1e-73, 1e-14, 1e98, 1e129, 1e153, 1e220]),
+    "specials": lambda rng: np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 2.2250738585072014e-308]),
+    # k 2**m, subnormals included, with 18 exact ties of the 17th digit such as 2**-25 = 2.98023223876953125e-08
+    "powers-of-two": lambda rng: np.ldexp([1.0, 3.0, 5.0, 7.0], np.arange(-1074, 1021)[:, None]).ravel(),
+    "integers-and-halves": lambda rng: np.concatenate([rng.integers(0, 2**53, size=3000).astype(float),
+                                                       rng.integers(0, 10**6, size=3000) / 2.0**20]),
+}
+
+
+@pytest.mark.parametrize("case", list(_FORMAT_CASES))
+def test_write_table_matches_per_value_format_on_hard_values(tmp_path, case):
+    rng = np.random.default_rng(20)
+    values = _FORMAT_CASES[case](rng)
+    values = np.where(rng.random(values.size) < 0.5, -values, values)  # a product would trip on signalling NaNs
+    values = np.concatenate([values, np.zeros(-values.size % 3)])
+    columns = {"a": values[::3], "b": values[1::3], "c": values[2::3]}
+    path = tmp_path / "t.csv"
+    write_table(path, {"case": case}, columns)
+    assert path.read_bytes() == _reference_table_bytes({"case": case}, columns)
+
+
+@pytest.mark.parametrize("block", [cli._FORMAT_BLOCK, 5])
+@pytest.mark.parametrize("shape", [(5000, 1), (2000, 3), (0, 1), (1, 4), (7, 4)])
+def test_write_table_blocks_split_rows_byte_for_byte(tmp_path, monkeypatch, block, shape):
+    # a table of more values than a block is written block by block, and a block may end inside a row
+    monkeypatch.setattr(cli, "_FORMAT_BLOCK", block)
+    rows, width = shape
+    scales = 10.0 ** (np.arange(rows * width) % 40 - 20)
+    values = np.random.default_rng(rows + width).standard_normal(rows * width) * scales
+    columns = {f"c{i}": values[i::width] for i in range(width)}
+    path = tmp_path / "t.csv"
+    write_table(path, {}, columns)
+    assert path.read_bytes() == _reference_table_bytes({}, columns)
 
 
 @pytest.mark.parametrize("name, body, message", [

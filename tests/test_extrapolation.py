@@ -43,6 +43,14 @@ def test_weights_that_sum_to_zero_fall_back_to_the_last_iterate():
     assert np.array_equal(out, history[-1]) and out is not history[-1]
 
 
+def test_weights_that_sum_to_zero_up_to_rounding_fall_back_to_the_last_iterate():
+    # constant steps: the least-squares weights are (-1/2, -1/2), so with the appended 1 they sum to
+    # zero only up to rounding, and dividing by that sum would blow the iterate up
+    history = [np.array([float(j)]) for j in range(4)]
+    out = extrapolate(history, cycle_length=2)
+    assert np.array_equal(out, history[-1]) and out is not history[-1]
+
+
 def test_shape_preserved():
     history, _ = _linear_iteration(dim=6, radius=0.5, seed=3, steps=7)
     history = [h.reshape(2, 3) for h in history]
