@@ -275,4 +275,4 @@ def amplitude_vs_k_study(
 
 def phase_portrait(v: np.ndarray, grid: SpectralGrid) -> dict:
     """The v and v' columns of a velocity profile on ``grid``, v' by pseudospectral differentiation."""
-    return {"v": v, "v_prime": differentiate(grid, v, 1)}
+    return {"v": v, "v_prime": differentiate(grid, v)}

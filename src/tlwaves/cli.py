@@ -106,10 +106,10 @@ _FIG3C_DELTAS = (0.5, 0.55, 0.6, 0.65, 0.8, 0.9, 1.0, 1.1, 1.2)
 _TARGETS = ("fig2a", "fig2b", "fig3a", "fig3b", "fig3c", "fig4", "fig5", "fig6", "table1")
 # bytes a command may plan to allocate; a larger estimate exits 1 before it allocates
 _MEMORY_BUDGET = 2 * 2**30
-# peak bytes per item that a command sizes from its flags, measured with tracemalloc through main:
-# oracle nodes (--x-max/--step, 32-34), oracle samples (--x-max/--dx, 127), dispersion rows (--count, 50)
-# and solve modes (--modes, 193 for the plain iteration, 235 dealiased).  They were set above the peaks
-# of the per-value table writer (401 B per sample, 231 per row, 313 per mode) and are kept there.
+# bytes budgeted per item that a command sizes from its flags: oracle nodes (--x-max/--step), oracle
+# samples (--x-max/--dx), dispersion rows (--count) and solve modes (--modes).  The peaks measured with
+# tracemalloc through main are 32-34, 127, 50 and 193 (235 dealiased), so each constant sits 1.2-5x above
+# its peak; lowering one would move the refusals.
 _NODE_BYTES, _SAMPLE_BYTES, _ROW_BYTES, _MODE_BYTES = 40, 512, 256, 384
 # values per block of the CSV formatter
 _FORMAT_BLOCK = 1536
@@ -401,7 +401,11 @@ def _load_config_file(path: str | None, keys: dict) -> dict:
             types, described = _JSON_TYPES[kind]
             if not isinstance(value, types) or isinstance(value, bool) != (kind is bool):
                 raise InputFormatError(f"config file {path}: {name}.{key} must be {described}, got {json.dumps(value)}")
-            block[key] = kind(value)
+            try:
+                block[key] = kind(value)
+            except OverflowError:
+                raise InputFormatError(f"config file {path}: {name}.{key} must be {described} within float range, "
+                                       f"got an integer of {len(str(abs(value)))} digits") from None
     return config
 
 
@@ -455,7 +459,7 @@ def _build_run(args) -> tuple:
         # the solve's arrays (3/2 as many on the padded grid) and the MPE history of K + 2 stacked (zeta, v)
         n, cycle = g["modes"], config.mpe_cycle
         history = 0 if cycle is None else (cycle + 2) * 2 * n * 8
-        _check_memory(n * _MODE_BYTES * (1.5 if config.dealias else 1) + history, f"{args.command} --modes {n}",
+        _check_memory(n * _MODE_BYTES * (3 if config.dealias else 2) // 2 + history, f"{args.command} --modes {n}",
                       "lower --modes")
         grid = SpectralGrid(half_length=g["half_length"], n=n)
         s["extrapolation"] = "off" if config.mpe_cycle is None else f"mpe:{config.mpe_cycle}"
@@ -512,7 +516,9 @@ def _check_memory(needed: float, run: str, remedy: str) -> None:
     the process when it touches the pages.
     """
     if needed > _MEMORY_BUDGET:
-        raise MemoryError(f"{run} needs about {needed / 2**30:.3g} GiB, above the "
+        # an integer count beyond float range (a 400-digit --modes) reads as inf GiB
+        gib = needed / 2**30 if needed < 2.0**1000 else np.inf
+        raise MemoryError(f"{run} needs about {gib:.3g} GiB, above the "
                           f"{_MEMORY_BUDGET / 2**30:g} GiB budget; {remedy}")
 
 
@@ -799,7 +805,7 @@ def main(argv=None) -> int:
     except NotConvergedError as exc:
         _stderr_record("error", type(exc).__name__, exc)
         return 2
-    except (WaveError, ValueError, OSError, MemoryError, json.JSONDecodeError) as exc:
+    except (WaveError, ValueError, OSError, MemoryError) as exc:
         _stderr_record("error", type(exc).__name__, exc)
         return 1
 

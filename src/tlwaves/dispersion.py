@@ -9,6 +9,9 @@ d/dt (zeta_hat, u_hat) = -i*k*A(k) (zeta_hat, u_hat) with
 Since A(k)^2 = sigma(k)^2 I with sigma = sqrt((1 - gamma) * omega), the
 propagator exp(-i k A t) is closed form and is applied analytically per
 mode (on the rfft modes 0..n/2 of a grid); no time stepping is involved.
+It is written once, in ``_linear_flow``: :func:`propagator` is that flow at
+rest applied to the identity, and :func:`evolve_linear` and
+``evolve.evolve`` run it on the grid's ``odd_wavenumbers``.
 """
 
 from __future__ import annotations
@@ -35,36 +38,24 @@ class DispersionSymbols:
         return np.sqrt((1.0 - self.params.gamma) * self.omega(k))
 
 
-def _rotation(symbols: DispersionSymbols, k, t: float):
-    """c = cos(k sigma t), s = sin(k sigma t) and r = sqrt(omega/(1-gamma)) per wavenumber k."""
-    gamma = symbols.params.gamma
-    om = symbols.omega(k)
-    phase = k * np.sqrt((1.0 - gamma) * om) * t
-    return np.cos(phase), np.sin(phase), np.sqrt(om / (1.0 - gamma))
-
-
 def _linear_flow(symbols: DispersionSymbols, speed: float, k: np.ndarray, sym, t: float):
     """The linear flow over time t in the frame moving at ``speed``, on stacked (zeta_hat, v_hat) of shape (2, modes).
 
     exp(i k speed t) times the propagator, with u_hat = sym v_hat; sym = 1 flows (zeta_hat, u_hat).
+    With c = cos(k sigma t), s = sin(k sigma t) and r = sqrt(omega/(1-gamma)), the propagator is
+    [[c, -i r s], [-i s / r, c]] on (zeta_hat, u_hat).
     """
-    c, s, r = _rotation(symbols, k, t)
+    phase = k * symbols.sigma(k) * t
+    c, s, r = np.cos(phase), np.sin(phase), np.sqrt(symbols.omega(k) / (1.0 - symbols.params.gamma))
     shift = np.exp(1j * speed * k * t)
     diagonal, upper, lower = shift * c, -1j * shift * r * s * sym, -1j * shift * s / (r * sym)
     return lambda x: np.array([diagonal * x[0] + upper * x[1], lower * x[0] + diagonal * x[1]])
 
 
 def propagator(symbols: DispersionSymbols, k: float, t: float) -> np.ndarray:
-    """2x2 propagator matrix exp(-i k A(k) t) for a single mode.
-
-    With s = sin(k sigma t), c = cos(k sigma t) and r = sqrt(omega/(1-gamma)):
-
-        [[c, -i r s], [-i s / r, c]]
-
-    Unit determinant (c^2 + s^2 = 1).
-    """
-    c, s, r = _rotation(symbols, k, t)
-    return np.array([[c, -1j * r * s], [-1j * s / r, c]], dtype=complex)
+    """2x2 propagator matrix exp(-i k A(k) t) for a single mode: the linear flow at rest applied to
+    the identity.  Unit determinant (c^2 + s^2 = 1)."""
+    return _linear_flow(symbols, 0.0, k, 1.0, t)(np.eye(2))
 
 
 def evolve_linear(
@@ -76,17 +67,12 @@ def evolve_linear(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evolve (zeta, u) for time t under the linearized system.
 
-    Applies the closed-form propagator to the rfft modes 0..n/2, using the
-    grid's scaled wavenumbers k'.  Exact up to round-off: for each mode the
-    quadratic form (1-gamma)|zeta_hat|^2 + omega(k)|u_hat|^2 is conserved.
-
-    The Nyquist mode n/2 of a real field has no quadrature partner to
-    rotate into, so it is held fixed (same convention as the odd-order
-    pseudospectral derivative).
+    Applies the closed-form propagator to the rfft modes 0..n/2 on the grid's
+    :attr:`~tlwaves.grid.SpectralGrid.odd_wavenumbers`, so the Nyquist mode is
+    held fixed.  Exact up to round-off: for each mode the quadratic form
+    (1-gamma)|zeta_hat|^2 + omega(k)|u_hat|^2 is conserved.
     """
-    k = grid.half_wavenumbers.copy()
-    k[-1] = 0.0
-    flow = _linear_flow(symbols, 0.0, k, 1.0, t)
+    flow = _linear_flow(symbols, 0.0, grid.odd_wavenumbers, 1.0, t)
     zh, uh = flow(np.array([half_spectrum(grid, zeta0), half_spectrum(grid, u0)]))
     return np.fft.irfft(zh, grid.n), np.fft.irfft(uh, grid.n)
 

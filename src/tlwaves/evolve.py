@@ -16,8 +16,8 @@ The linear part is integrated exactly by the flow that
 closed-form propagator, written for (zeta_hat, v_hat).
 The quadratic part goes through the integrating-factor RK4 scheme (Cox &
 Matthews, J. Comput. Phys. 176 (2002); Kassam & Trefethen, SIAM J. Sci.
-Comput. 26 (2005)).  The Nyquist mode gets no odd derivative, as in
-:func:`tlwaves.grid.differentiate`: its nonlinear term is zero and the
+Comput. 26 (2005)).  Both run on the grid's ``odd_wavenumbers``: the
+Nyquist mode gets no odd derivative, so its nonlinear term is zero and the
 propagator holds it fixed.
 """
 
@@ -38,8 +38,7 @@ def evolve(params: ModelParameters, state: WaveState, speed: float, t_end: float
         raise ValueError(f"t_end {t_end} must be a positive whole number of steps dt {dt}")
     grid = state.grid
     n = grid.n
-    k = grid.half_wavenumbers.copy()
-    k[-1] = 0.0  # Nyquist: no odd derivative
+    k = grid.odd_wavenumbers
     sym = helmholtz_symbol(grid, params)
     symbols = DispersionSymbols(params)
     half, full = (_linear_flow(symbols, speed, k, sym, t) for t in (0.5 * dt, dt))

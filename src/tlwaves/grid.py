@@ -9,6 +9,11 @@ Every path uses real half spectra (rfft modes 0..n/2, Nyquist last) on
 :attr:`SpectralGrid.half_wavenumbers`, the ``--spectrum-out`` file format
 (:func:`spectrum_columns`) included; the full complex layout is only the
 public DFT (:func:`forward_transform`, :func:`inverse_transform`).
+
+The Nyquist mode n/2 of a real field has no quadrature partner: it gets no
+odd derivative, and the linear flow of :mod:`tlwaves.dispersion` holds it
+fixed.  :attr:`SpectralGrid.odd_wavenumbers` states this once, for
+:func:`differentiate`, ``dispersion.evolve_linear`` and ``evolve.evolve``.
 """
 
 from __future__ import annotations
@@ -35,15 +40,19 @@ class SpectralGrid:
     Attributes
     ----------
     nodes : (n,) array
-        x_j = -l + j*h with h = 2l/n, j = 0..n-1.
+        x_j = -l + j*h with h = :attr:`spacing` = 2l/n, j = 0..n-1.
     half_wavenumbers : (n/2 + 1,) array
         Scaled wavenumbers k' = pi*k/l of the rfft modes k = 0..n/2.
+    odd_wavenumbers : (n/2 + 1,) array
+        ``half_wavenumbers`` with the Nyquist mode n/2 set to 0: the wavenumbers of
+        odd derivatives and of the linear flow.
     """
 
     half_length: float
     n: int
     nodes: np.ndarray = field(init=False, repr=False, compare=False)
     half_wavenumbers: np.ndarray = field(init=False, repr=False, compare=False)
+    odd_wavenumbers: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.half_length > 0.0:
@@ -52,10 +61,10 @@ class SpectralGrid:
             raise ValueError(f"half_length must be finite, got {self.half_length}")
         if self.n % 2 != 0 or self.n < 8:
             raise ValueError(f"mode count n must be even and >= 8, got {self.n}")
-        h = 2.0 * self.half_length / self.n
-        nodes = -self.half_length + h * np.arange(self.n)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "half_wavenumbers", np.pi * np.arange(self.n // 2 + 1) / self.half_length)
+        object.__setattr__(self, "nodes", -self.half_length + self.spacing * np.arange(self.n))
+        k = np.pi * np.arange(self.n // 2 + 1) / self.half_length
+        object.__setattr__(self, "half_wavenumbers", k)
+        object.__setattr__(self, "odd_wavenumbers", np.append(k[:-1], 0.0))
 
     @classmethod
     def from_nodes(cls, x: np.ndarray) -> "SpectralGrid":
@@ -98,18 +107,9 @@ def half_spectrum(grid: SpectralGrid, values: np.ndarray) -> np.ndarray:
     return np.fft.rfft(_check_size(grid, values))
 
 
-def differentiate(grid: SpectralGrid, values: np.ndarray, order: int = 1) -> np.ndarray:
-    """Pseudospectral derivative of the given order.
-
-    Multiplies mode k by (i k')^order.  For odd orders the unmatched
-    Nyquist mode n/2 is zeroed so real input stays real.
-    """
-    if order < 1:
-        raise ValueError(f"derivative order must be >= 1, got {order}")
-    factor = (1j * grid.half_wavenumbers) ** order
-    if order % 2 == 1:
-        factor[grid.n // 2] = 0.0
-    return np.fft.irfft(factor * half_spectrum(grid, values), grid.n)
+def differentiate(grid: SpectralGrid, values: np.ndarray) -> np.ndarray:
+    """Pseudospectral first derivative: mode k times i k' on :attr:`SpectralGrid.odd_wavenumbers`."""
+    return np.fft.irfft(1j * grid.odd_wavenumbers * half_spectrum(grid, values), grid.n)
 
 
 def helmholtz_symbol(grid: SpectralGrid, params: ModelParameters) -> np.ndarray:

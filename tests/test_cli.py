@@ -17,6 +17,10 @@ from tlwaves.grid import SpectralGrid
 from tlwaves.params import make_parameters
 
 
+# an integer beyond float range
+HUGE = "1" + "0" * 399
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -196,13 +200,15 @@ def test_a_dispersion_over_the_memory_budget_exits_1_before_it_allocates(tmp_pat
 
     monkeypatch.setattr(np, "linspace", allocated)
     out = tmp_path / "disp.csv"
-    code, stdout, err = run_cli(capsys, "dispersion", "--count", "1000000000000", "--out", str(out))
-    assert code == 1
-    record = one_line_error(err)
-    assert record["error"] == "MemoryError"
-    assert "dispersion --count 1000000000000" in record["message"] and "lower --count" in record["message"]
-    assert stdout == ""
-    assert not out.exists()
+    # a count beyond float range is refused by the same check, not by an OverflowError
+    for count in ("1000000000000", HUGE):
+        code, stdout, err = run_cli(capsys, "dispersion", "--count", count, "--out", str(out))
+        assert code == 1
+        record = one_line_error(err)
+        assert record["error"] == "MemoryError"
+        assert f"dispersion --count {count}" in record["message"] and "lower --count" in record["message"]
+        assert stdout == ""
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -211,7 +217,11 @@ def test_a_dispersion_over_the_memory_budget_exits_1_before_it_allocates(tmp_pat
     ("solve", "--modes", "100000000", "--extrapolation", "mpe:200"),
     ("sweep", "--modes", "10000000000"),
     ("reproduce", "fig4", "--modes", "10000000000"),
-], ids=["solve", "dealiased", "mpe-history", "sweep", "reproduce"])
+    ("solve", "--modes", HUGE),
+    ("solve", "--modes", HUGE, "--dealias"),
+    ("reproduce", "fig4", "--modes", HUGE),
+], ids=["solve", "dealiased", "mpe-history", "sweep", "reproduce", "solve-400-digits", "dealiased-400-digits",
+        "reproduce-400-digits"])
 def test_a_grid_over_the_memory_budget_exits_1_before_it_is_built(tmp_path, capsys, monkeypatch, argv):
     # the sizes follow from --modes; a command that built its grid first would allocate them
     def built(*args, **kwargs):
@@ -314,6 +324,20 @@ def test_analyze_spectrum(tmp_path, capsys):
     assert code == 0
     fit = json.loads((tmp_path / "spec.fit.json").read_text())
     assert fit["fit"]["coefficients"]["c"] < 0
+
+
+def test_analyze_a_window_from_zero_exits_1(tmp_path, capsys):
+    # the fit takes log t, so a window that reaches t = 0 is refused before any file is written
+    profile = tmp_path / "wave.csv"
+    assert run_cli(capsys, "solve", "--half-length", "64", "--modes", "512", "--out", str(profile))[0] == 0
+    out = tmp_path / "spec.csv"
+    code, stdout, err = run_cli(capsys, "analyze", "spectrum", "--window", "0", "5", "--in", str(profile),
+                                "--out", str(out))
+    assert code == 1
+    assert one_line_error(err) == {"error": "WaveError",
+                                   "message": "decay-fit window must contain only positive abscissae"}
+    assert stdout == ""
+    assert sorted(tmp_path.iterdir()) == [profile]
 
 
 def test_analyze_phase(tmp_path, capsys):
@@ -486,7 +510,11 @@ def test_config_unknown_keys_exit_1(tmp_path, capsys, config, named):
     ({"solver": {"dealias": "false"}}, "solver.dealias"),
     ({"grid": {"modes": 512.9}}, "grid.modes"),
     ({"solver": {"max_iter": True}}, "solver.max_iter"),
-], ids=["int-extrapolation", "null-number", "object-number", "string-flag", "float-integer", "boolean-integer"])
+    ({"params": {"delta": int(HUGE)}}, "params.delta"),
+    ({"grid": {"half_length": int(HUGE)}}, "grid.half_length"),
+    ({"params": 1}, "block 'params' must be a JSON object"),
+], ids=["int-extrapolation", "null-number", "object-number", "string-flag", "float-integer", "boolean-integer",
+        "400-digit-number", "400-digit-length", "number-block"])
 def test_config_value_of_the_wrong_type_exits_1(tmp_path, capsys, config, named):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(config), encoding="utf-8")
@@ -896,7 +924,8 @@ def test_the_last_columns_line_must_name_the_width_of_the_rows(tmp_path):
     {"x": [True], "zeta": [1.0]},
     {"x": [], "zeta": []},
     {},
-], ids=["ragged", "scalar", "nested", "string", "boolean", "empty", "no-columns"])
+    [1, 2],
+], ids=["ragged", "scalar", "nested", "string", "boolean", "empty", "no-columns", "array-columns"])
 def test_analyze_a_malformed_json_table_exits_1(tmp_path, capsys, columns):
     table = tmp_path / "bad.json"
     table.write_text(json.dumps({"meta": {}, "columns": columns}), encoding="utf-8")
@@ -1151,6 +1180,17 @@ def test_oracle_reports_the_solver_existence_errors(tmp_path, capsys, argv, mess
     payload = one_line_error(err)
     assert payload["error"] == "NoSolitaryWaveError"
     assert payload["message"].startswith(message)
+    assert not out.exists()
+
+
+def test_an_oracle_whose_turning_point_is_not_bracketed_exits_1(tmp_path, capsys):
+    # at delta 1e-300 the potential underflows to 0 at the bracket's near end, so no sign change is found
+    out = tmp_path / "o.csv"
+    code, stdout, err = run_cli(capsys, "oracle", "--delta", "1e-300", "--out", str(out))
+    assert code == 1
+    record = one_line_error(err)
+    assert record["error"] == "WaveError" and record["message"].startswith("turning-point bracket failed")
+    assert stdout == ""
     assert not out.exists()
 
 

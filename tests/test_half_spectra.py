@@ -36,5 +36,4 @@ def test_operators_use_half_spectra(no_complex_fft, elevation_params):
     zeta, u = evolve_linear(symbols, grid, f, 0.5 * f, 1.5)
     assert mode_energy(symbols, grid, zeta, u).shape == (grid.n // 2 + 1,)
     assert np.max(np.abs(helmholtz_solve(grid, elevation_params, helmholtz_apply(grid, elevation_params, f)) - f)) < 1e-12
-    for order in (1, 2, 3):
-        assert differentiate(grid, f, order).shape == (grid.n,)
+    assert differentiate(grid, f).shape == (grid.n,)
