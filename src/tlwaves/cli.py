@@ -107,9 +107,11 @@ _TARGETS = ("fig2a", "fig2b", "fig3a", "fig3b", "fig3c", "fig4", "fig5", "fig6",
 # bytes a command may plan to allocate; a larger estimate exits 1 before it allocates
 _MEMORY_BUDGET = 2 * 2**30
 # bytes budgeted per item that a command sizes from its flags: oracle nodes (--x-max/--step), oracle
-# samples (--x-max/--dx), dispersion rows (--count) and solve modes (--modes).  The peaks measured with
-# tracemalloc through main are 32-34, 127, 50 and 193 (235 dealiased), so each constant sits 1.2-5x above
-# its peak; lowering one would move the refusals.
+# samples (--x-max/--dx), dispersion and sweep rows (--count) and solve modes (--modes).  The oracle keeps
+# only the nodes that bracket a sample, so _NODE_BYTES bounds the node count a run walks, not its memory:
+# a --step of 1e-9 would run for hours.  The peaks measured with tracemalloc through main are 184 per
+# sample (its two kept nodes included), 50 per dispersion row and 193 per mode (235 dealiased), so each
+# constant sits 2-5x above its peak; lowering one would move the refusals.
 _NODE_BYTES, _SAMPLE_BYTES, _ROW_BYTES, _MODE_BYTES = 40, 512, 256, 384
 # values per block of the CSV formatter
 _FORMAT_BLOCK = 1536
@@ -456,11 +458,15 @@ def _build_run(args) -> tuple:
             dealias=s["dealias"],
             strict_domain=s["strict"],
         )
-        # the solve's arrays (3/2 as many on the padded grid) and the MPE history of K + 2 stacked (zeta, v)
+        # the solve's arrays (3/2 as many on the padded grid) and the MPE history of K + 2 stacked (zeta, v);
+        # a history that alone exceeds the budget is the cycle's fault, unless the grid's alone does too
         n, cycle = g["modes"], config.mpe_cycle
+        arrays = n * _MODE_BYTES * (3 if config.dealias else 2) // 2
         history = 0 if cycle is None else (cycle + 2) * 2 * n * 8
-        _check_memory(n * _MODE_BYTES * (3 if config.dealias else 2) // 2 + history, f"{args.command} --modes {n}",
-                      "lower --modes")
+        if arrays <= _MEMORY_BUDGET < history:
+            _check_memory(history, f"{args.command} --extrapolation mpe:{cycle} with --modes {n}",
+                          "lower K in --extrapolation mpe:K")
+        _check_memory(arrays + history, f"{args.command} --modes {n}", "lower --modes")
         grid = SpectralGrid(half_length=g["half_length"], n=n)
         s["extrapolation"] = "off" if config.mpe_cycle is None else f"mpe:{config.mpe_cycle}"
     return params, grid, config, {block: {key: run[block][key] for key in keys[block]} for block in keys}
@@ -494,6 +500,7 @@ def cmd_sweep(args) -> int:
         raise InsufficientDataError("sweep needs at least 4 speeds for the power fit")
     if not (np.isfinite(args.offset_min) and np.isfinite(args.offset_max)):
         raise ValueError(f"--offset-min and --offset-max must be finite, got {args.offset_min} and {args.offset_max}")
+    _check_memory(args.count * _ROW_BYTES, f"sweep --count {args.count}", "lower --count")
     columns = analysis.speed_sweep(solver.solve, grid, params, config,
                                    np.linspace(args.offset_min, args.offset_max, args.count))
 
@@ -528,21 +535,20 @@ def cmd_oracle(args) -> int:
     if not 0.0 < args.dx < np.inf:
         raise ValueError(f"--dx must be positive and finite, got {args.dx}")
     for flag, spacing, per_item in (("--step", args.step, _NODE_BYTES), ("--dx", args.dx, _SAMPLE_BYTES)):
-        # a setting that is not positive and finite is left to the check that names it
+        # the node count bounds the run's time, the sample count its memory; a setting that is not
+        # positive and finite is left to the check that names it
         if 0.0 < args.x_max < np.inf and 0.0 < spacing < np.inf:
             _check_memory(args.x_max / spacing * per_item, f"oracle --x-max {args.x_max:g} with {flag} {spacing:g}",
                           f"raise {flag} or lower --x-max")
     speed = described["solver"]["cs"]
     # the right-moving wave at |c_s|; a left-moving one is its image under the sign map
     curve = oracle.potential(oracle.TravelingWaveProblem(params=params, speed=speed))
-    profile = oracle.integrate_profile(curve, x_max=args.x_max, step=args.step)
     xs = np.arange(0.0, args.x_max + 0.5 * args.dx, args.dx)
+    profile = oracle.integrate_profile(curve, x_max=args.x_max, step=args.step, samples=xs)
     v = profile.sample_v(xs)
     zeta, u = oracle.reconstruct_zeta(curve, v), oracle.reconstruct_u(curve, v)
     # v' is odd, so the image's -v'(x) is v'(-x), whose crest zero is +0
     vp = profile.sample_v_prime(xs if speed > 0 else -xs)
-    energy_max = profile.energy_max
-    del profile  # its node arrays (32 B per --step node) are freed before the table's buffers are taken
     vstar = curve.turning_point
     if speed < 0:
         zeta, v, u = oracle.negative_speed_map(zeta, v, u)
@@ -551,10 +557,10 @@ def cmd_oracle(args) -> int:
     meta = _meta(
         "oracle",
         described,
-        {"turning_point": vstar, "saddle_rate": curve.saddle_rate, "energy_max": energy_max},
+        {"turning_point": vstar, "saddle_rate": curve.saddle_rate, "energy_max": profile.energy_max},
     )
     write_table(Path(args.out), meta, {"x": xs, "v": v, "v_prime": vp, "zeta": zeta, "u": u})
-    print(f"oracle: turning point {vstar:.12g}, energy drift {energy_max:.2e} -> {args.out}")
+    print(f"oracle: turning point {vstar:.12g}, energy drift {profile.energy_max:.2e} -> {args.out}")
     return 0
 
 

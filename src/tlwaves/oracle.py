@@ -41,7 +41,12 @@ over the nodes (trapezoid in v with the U'' end correction).  The nodes are
 evaluated in blocks, which keeps the temporaries small, and each block keeps
 its v'' = ode_rhs(v), the slopes of the v' interpolant.  ``energy_max`` is
 max |v'^2/2 + U(v)| of the cubic Hermite interpolant at the node midpoints,
-the interpolant that :class:`OracleProfile` samples.
+the interpolant that :class:`OracleProfile` samples.  Given the abscissae a
+caller will sample, a block keeps only the two end nodes of each piece that
+holds one of them, and the last block its last two nodes, which serve the
+abscissae beyond them: each cubic piece reads only its end nodes, so the
+samples are the full profile's to the byte, and the memory kept follows the
+sample count, not the node count.
 """
 
 from __future__ import annotations
@@ -125,10 +130,16 @@ class PotentialCurve:
         v = np.asarray(v, dtype=float)
         r = v / self.v_pole
         small = np.abs(r) < _SERIES_CUTOFF
-        out = np.empty_like(v)
-        with np.errstate(invalid="ignore"):
-            out[~small] = self._closed(v[~small], r[~small])
-        out[small] = self._series(v[small], r[small])
+        if small.all():
+            out = self._series(v, r)
+        elif not small.any():
+            with np.errstate(invalid="ignore"):
+                out = self._closed(v, r)
+        else:
+            out = np.empty_like(v)
+            with np.errstate(invalid="ignore"):
+                out[~small] = self._closed(v[~small], r[~small])
+            out[small] = self._series(v[small], r[small])
         return out if out.ndim else float(out)
 
     def G_prime(self, v):
@@ -210,13 +221,16 @@ def _hermite(x: np.ndarray, y: np.ndarray, dy: np.ndarray, t: np.ndarray) -> np.
 class OracleProfile:
     """Half-line samples of the solitary profile with cubic Hermite evaluation.
 
-    ``x`` ascends from x[0] = 0 at the crest to just beyond x_max; ``v``,
+    ``x`` ascends to just beyond x_max, from x[0] = 0 at the crest; ``v``,
     ``v_prime`` and ``v_second`` = v'' are the right-moving wave's at the
     nodes, v'' from the ODE.  Between samples, v is the cubic Hermite
     interpolant of the stored (v, v') and v' that of (v', v'').  Each cubic
     piece uses only its two end samples, so evaluating at |x| (times sign(x)
     for v') is the interpolant of the even/odd mirrored samples.  Sampling
     outside the stored range continues the tail as C exp(-lambda (|x| - x_max)).
+    A profile built for given abscissae holds a subset of the nodes: the ends
+    of the pieces that hold them and the last two nodes.  It samples those
+    abscissae, and any |x| beyond its last node, as the full profile does.
     """
 
     curve: PotentialCurve
@@ -243,12 +257,14 @@ class OracleProfile:
         return out if out.ndim else float(out)
 
 
-def integrate_profile(curve: PotentialCurve, x_max: float, step: float = 1e-3) -> OracleProfile:
+def integrate_profile(curve: PotentialCurve, x_max: float, step: float = 1e-3,
+                      samples: np.ndarray | None = None) -> OracleProfile:
     """Samples of the solitary profile at nodes x_i ~ i * step, from the crest to beyond x_max.
 
     Quadrature of the first integral in z, where v = v* exp(-z^2) (see the
     module docstring).  ``energy_max`` is the largest |v'^2/2 + U(v)| of the
-    cubic Hermite interpolant at the node midpoints.
+    cubic Hermite interpolant at the node midpoints.  Given ``samples``, the
+    abscissae the caller will sample, it keeps only the nodes they read.
 
     Raises
     ------
@@ -267,10 +283,10 @@ def integrate_profile(curve: PotentialCurve, x_max: float, step: float = 1e-3) -
     crest_sign = math.copysign(1.0, vstar)
     linear = 1e-140 * abs(vstar)  # below this |v|, v'/v = -lam to round-off and v^2 may underflow
 
-    def rate(v, m):
-        """|v'/v| on the orbit, from m = -2U(v) = v'^2."""
+    def rate(av, root, tail):
+        """|v'/v| on the orbit, from |v|, root = sqrt(-2U(v)) = |v'| and the mask of |v| < linear."""
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(np.abs(v) < linear, lam, np.sqrt(m) / np.abs(v))
+            return np.where(tail, lam, root / av)
 
     # coarse map x(z) on uniform z-panels; -2U(v) <= lam^2 v^2 on the orbit, so x(z) >= z^2 / lam
     # and z_end maps beyond the last node
@@ -286,21 +302,24 @@ def integrate_profile(curve: PotentialCurve, x_max: float, step: float = 1e-3) -
         half = 0.5 * z_end / _PANELS
         zc = np.concatenate([(z_edges[:-1, None] + half * (1.0 + gl_nodes)).ravel(), z_edges[1:]])
         vc = vstar * np.exp(-zc * zc)
-        fc = 2.0 * zc / rate(vc, -2.0 * curve.U(vc))
+        ac = np.abs(vc)
+        with np.errstate(invalid="ignore"):  # a negative -2U is reported by the blocks, as the pole's
+            fc = 2.0 * zc / rate(ac, np.sqrt(-2.0 * curve.U(vc)), ac < linear)
         x_edges = np.concatenate([[0.0], np.cumsum(half * (fc[:-_PANELS].reshape(_PANELS, -1) @ gl_weights))])
         return x_edges, 1.0 / np.concatenate([[f0], fc[-_PANELS:]])
 
     x_edges, z_slopes = coarse_map()
 
-    def abscissae(z, v, vpp, m, x):
+    def abscissae(z, v, vpp, av, root, tail, x):
         """x[1:] from x[0] by the end-corrected trapezoid in z of f = dx/dz = 2 z / rate and its z-derivative."""
-        r = rate(v, m)
+        r = rate(av, root, tail)
         with np.errstate(divide="ignore", invalid="ignore"):
             q = 1.0 - vpp / v / (r * r)
-            q[np.abs(v) < linear] = 0.0
-            # the crest values are the limits z -> 0
-            f = np.where(z > 0.0, 2.0 * z / r, f0)
-            fp = np.where(z > 0.0, 2.0 / r * (1.0 - 2.0 * z * z * q), 0.0)
+            q[tail] = 0.0
+            f = 2.0 * z / r
+            fp = 2.0 / r * (1.0 - 2.0 * z * z * q)
+        if z[0] == 0.0:  # the crest, where f and f' take their limits z -> 0
+            f[0], fp[0] = f0, 0.0
         dz = np.diff(z)
         x[1:] = x[0] + np.cumsum(0.5 * dz * (f[:-1] + f[1:]) + dz * dz / 12.0 * (fp[:-1] - fp[1:]))
 
@@ -311,16 +330,28 @@ def integrate_profile(curve: PotentialCurve, x_max: float, step: float = 1e-3) -
         vp_mid = 0.5 * (vp[:-1] + vp[1:]) + 0.125 * h * (vpp[:-1] - vpp[1:])
         return np.max(np.abs(0.5 * vp_mid * vp_mid + curve.U(v_mid)))
 
-    x_out, v_out, vp_out, vpp_out = (np.empty(n + 1) for _ in range(4))
+    # rows x, v, v', v'': every node, each block written in place, or the nodes that bracket a sample,
+    # each block computed in a scratch buffer and its kept nodes appended
+    if samples is None:
+        nodes = np.empty((4, n + 1))
+    else:
+        t = np.abs(np.asarray(samples, dtype=float)).ravel()
+        if not (t[:-1] <= t[1:]).all():
+            t = np.sort(t)
+        nodes = np.empty((4, min(n + 1, 2 * t.size + 2)))
+        scratch = np.empty((4, _BLOCK + 1))
+        first = kept = 0  # the samples below the previous block's last node, and the nodes kept
+        carry = False  # the previous block's last node, this block's first, brackets a sample
     band = _CREST_BAND * abs(vstar)
     x_last = m_last = 0.0
-    drifts, depth = [], []
+    energy_max = depth = -math.inf  # running maxima of the blocks' drift and of m
     for i0 in range(1, n + 1, _BLOCK):
         i1 = min(i0 + _BLOCK, n + 1)
         # node i0 - 1 (the crest for the first block) again, then the block's nodes: the C1 Hermite
         # inverse z(x) places them at x ~ i * step, and the same t gives the same z in both blocks
         z = _hermite(x_edges, z_edges, z_slopes, np.arange(i0 - 1, i1) * step)
-        x, v, vp, vpp = (a[i0 - 1 : i1] for a in (x_out, v_out, vp_out, vpp_out))  # the block writes in place
+        block = nodes[:, i0 - 1 : i1] if samples is None else scratch[:, : i1 - i0 + 1]
+        x, v, vp, vpp = block
         np.multiply(vstar, np.exp(-z * z), out=v)
         vpp[:] = curve.ode_rhs(v)
         # m = -2U(v); inside the crest band U cancels, so m = 2 int_v^v* U' (U' = -v'') by the end-corrected trapezoid
@@ -332,28 +363,49 @@ def integrate_profile(curve: PotentialCurve, x_max: float, step: float = 1e-3) -
             h = w[:-1] - w[1:]
             m[1:c] = m_last + np.cumsum(h * h / 6.0 * (upp[1:] - upp[:-1]) - h * (vpp[: c - 1] + vpp[1:c]))
         m[c:] = -2.0 * curve.U(v[c:])
-        depth.append(np.max(m))
-        x[0] = x_last
-        abscissae(z, v, vpp, m, x)
+        depth = np.maximum(depth, np.max(m))
         with np.errstate(invalid="ignore"):  # a negative m is reported below, as the pole's
-            np.sqrt(m, out=vp)
+            np.sqrt(m, out=vp)  # |v'|, signed below
+        av = np.abs(v)
+        tail = av < linear
+        x[0] = x_last
+        abscissae(z, v, vpp, av, vp, tail, x)
         vp *= -crest_sign
-        tail = np.abs(v) < linear
         vp[tail] = -lam * v[tail]
         if np.isnan(vp).any():  # m < 0: U's round-off close to the pole, which no smaller step removes
             raise PoleProximityError(f"speed {curve.problem.speed:g}: -2U < 0 on the orbit, whose turning point lies "
                                      f"{1.0 - vstar / curve.v_pole:.3g} |v_pole| below v_pole = {curve.v_pole:.6g}")
         x_last, m_last = x[-1], m[-1]
-        del z, m, tail  # freed before the drift's temporaries, which set the peak memory of a block
-        drifts.append(drift(x, v, vp, vpp))
-    vp_out[0] = 0.0
+        del z, m, av, tail  # freed before the drift's temporaries, which set the peak memory of a block
+        energy_max = np.maximum(energy_max, drift(x, v, vp, vpp))
+        if i0 == 1:
+            vp[0] = 0.0  # the crest
+        if samples is None:
+            continue
+        # the piece [x[k], x[k+1]) holds the samples of this block; the last block also keeps its last two
+        # nodes, which sample |x| >= x[-1] and the tail, and any other block leaves its last node to the next
+        keep = np.zeros(x.size, dtype=bool)
+        keep[0] = carry
+        end = np.searchsorted(t, x_last)
+        k = np.searchsorted(x, t[first:end], side="right") - 1
+        keep[k] = keep[k + 1] = True
+        first = end
+        if i1 == n + 1:
+            keep[-2:] = True
+        else:
+            carry, keep[-1] = keep[-1], False
+        count = np.count_nonzero(keep)
+        for row, a in zip(nodes, block):
+            row[kept : kept + count] = a[keep]
+        kept += count
 
-    energy_max = float(np.max(drifts))
-    scale = max(1.0, 0.5 * float(np.max(depth)))  # max |U| = max(-2U) / 2 on the orbit
+    energy_max = float(energy_max)
+    scale = max(1.0, 0.5 * float(depth))  # max |U| = max(-2U) / 2 on the orbit
     if not energy_max <= 1e-10 * scale:  # NaN-safe: NaN fails the comparison
         raise StepSizeTooLargeError(
             f"energy drift {energy_max:.3e} exceeds 1e-10 * {scale:.3g}; reduce the step"
         )
+    x_out, v_out, vp_out, vpp_out = nodes if samples is None else nodes[:, :kept]
     return OracleProfile(curve=curve, x=x_out, v=v_out, v_prime=vp_out, v_second=vpp_out, energy_max=energy_max)
 
 

@@ -193,6 +193,24 @@ def test_an_oracle_over_the_memory_budget_exits_1_before_it_integrates(tmp_path,
     assert not out.exists()
 
 
+def test_an_oracle_keeps_the_memory_of_its_samples_whatever_its_step(tmp_path, capsys):
+    # the same 513 rows at 128001 and 1280001 nodes: the nodes kept are those next to a row
+    import tracemalloc
+
+    out = tmp_path / "oracle.csv"
+    assert main(["oracle", "--x-max", "1", "--out", str(out)]) == 0  # imports and first-use allocations
+    peaks = []
+    for step in ("1e-3", "1e-4"):
+        tracemalloc.start()
+        try:
+            assert main(["oracle", "--x-max", "128", "--step", step, "--out", str(out)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    capsys.readouterr()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
 def test_a_dispersion_over_the_memory_budget_exits_1_before_it_allocates(tmp_path, capsys, monkeypatch):
     # the row count is --count; a command that allocated first would ask numpy for 1e12 rows
     def allocated(*args, **kwargs):
@@ -209,6 +227,38 @@ def test_a_dispersion_over_the_memory_budget_exits_1_before_it_allocates(tmp_pat
         assert f"dispersion --count {count}" in record["message"] and "lower --count" in record["message"]
         assert stdout == ""
         assert not out.exists()
+
+
+def test_a_sweep_over_the_memory_budget_exits_1_before_it_solves(tmp_path, capsys, monkeypatch):
+    # the row count is --count; unbudgeted, np.linspace raised on its own, naming no flag
+    def swept(*args, **kwargs):
+        raise AssertionError("sweep solved before its memory check")
+
+    monkeypatch.setattr(analysis, "speed_sweep", swept)
+    out = tmp_path / "sweep.csv"
+    for count in ("100000000000", HUGE):
+        code, stdout, err = run_cli(capsys, "sweep", "--count", count, "--out", str(out))
+        assert code == 1
+        record = one_line_error(err)
+        assert record["error"] == "MemoryError"
+        assert f"sweep --count {count}" in record["message"] and "lower --count" in record["message"]
+        assert stdout == "" and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("cycle", ["100000000", HUGE], ids=["1e8", "400-digits"])
+def test_an_mpe_history_over_the_memory_budget_names_the_extrapolation(tmp_path, capsys, monkeypatch, cycle):
+    # at the default 1024 modes the grid fits the budget; the K + 2 stacked iterates alone do not
+    def built(*args, **kwargs):
+        raise AssertionError("the grid was built before the memory check")
+
+    monkeypatch.setattr(grid_module, "SpectralGrid", built)
+    code, stdout, err = run_cli(capsys, "solve", "--extrapolation", f"mpe:{cycle}", "--out", str(tmp_path / "w.csv"))
+    assert code == 1
+    record = one_line_error(err)
+    assert record["error"] == "MemoryError"
+    assert f"solve --extrapolation mpe:{cycle} with --modes 1024" in record["message"]
+    assert "lower K in --extrapolation mpe:K" in record["message"] and "lower --modes" not in record["message"]
+    assert stdout == "" and list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -296,6 +296,37 @@ def test_sampling_v_prime_reads_the_stored_v_second(elev_curve, monkeypatch):
     assert prof.sample_v_prime(xs).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("gamma, delta, sign, x_max, step, dx", [
+    (0.5, 0.8, 1.0, 20.0, 1e-3, 0.25),
+    (0.5, 0.5, 1.0, 20.0, 1e-3, 0.25),
+    (0.5, 0.8, -1.0, 20.0, 1e-3, 0.25),
+    (0.5, 0.5, 1.0, 20.0, 1e-3, 0.37),
+    (0.5, 0.8, 1.0, 1.3, 1e-3, 0.1),
+    (0.5, 0.5, -1.0, 8.192, 0.004, 0.004),
+], ids=["elevation", "depression", "negative-speed", "dx-not-dividing", "below-one-block", "node-on-block-edge"])
+def test_a_profile_kept_for_its_samples_samples_them_as_the_full_one(gamma, delta, sign, x_max, step, dx):
+    # the kept nodes are the ends of the pieces that hold a sample, and the last two; 8.192 / 0.004 puts the
+    # last node alone in the last block
+    p = make_parameters(gamma, delta)
+    curve = oracle.potential(oracle.TravelingWaveProblem(params=p, speed=sign * (p.c_crit + 0.05)))
+    full = oracle.integrate_profile(curve, x_max=x_max, step=step)
+    xs = np.arange(0.0, x_max + 0.5 * dx, dx)
+    # out of order: nodes on the block edges and the last two, and abscissae beyond the last node
+    extra = np.concatenate([-full.x[:: oracle._BLOCK], full.x[-2:], [full.x[-1] + 1e-9, 1.5 * x_max]])
+    # the middle of each block's last piece, whose right end is the next block's first node
+    edges = full.x[oracle._BLOCK :: oracle._BLOCK]
+    last_pieces = 0.5 * (full.x[oracle._BLOCK - 1 :: oracle._BLOCK][: edges.size] + edges)
+    for samples in (xs, np.concatenate([xs, extra]), last_pieces, full.x[-1:] * [1.0, 2.0]):
+        kept = oracle.integrate_profile(curve, x_max=x_max, step=step, samples=samples)
+        assert kept.x.size <= 2 * samples.size + 2
+        if not (samples < full.x[-1]).any():  # at and beyond the last node: the last two nodes alone
+            assert kept.x.tobytes() == full.x[-2:].tobytes()
+        assert kept.energy_max == full.energy_max
+        for xq in (samples, -samples):
+            assert kept.sample_v(xq).tobytes() == full.sample_v(xq).tobytes()
+            assert kept.sample_v_prime(xq).tobytes() == full.sample_v_prime(xq).tobytes()
+
+
 def test_oracle_matches_solver_to_its_tolerance(default_grid, elevation_solution, elevation_oracle_profile):
     # the interpolant adds nothing visible to the solver-vs-oracle gap (8.8e-11 on this configuration)
     state, _ = elevation_solution
