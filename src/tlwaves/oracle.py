@@ -34,19 +34,19 @@ which is smooth on [0, inf): the crest's inverse square root and the
 tail's logarithm are both gone, and f ~ 2 z / lambda far out.  A coarse
 map x(z) by 16-point Gauss-Legendre on 256 z-panels, with its C1 cubic
 Hermite inverse, places the nodes at x ~ i * step, so ``step`` is the node
-spacing; the nodes' own x then follows from a trapezoid in z with the
-end-point derivative correction, with f' in closed form.  Within 0.2 |v*| of
-the crest, U(v) cancels, so -2U is the running integral 2 int_v^{v*} U'
-over the nodes (trapezoid in v with the U'' end correction).  The nodes are
-evaluated in blocks, which keeps the temporaries small, and each block keeps
-its v'' = ode_rhs(v), the slopes of the v' interpolant.  ``energy_max`` is
-max |v'^2/2 + U(v)| of the cubic Hermite interpolant at the node midpoints,
-the interpolant that :class:`OracleProfile` samples.  Given the abscissae a
-caller will sample, a block keeps only the two end nodes of each piece that
-holds one of them, and the last block its last two nodes, which serve the
-abscissae beyond them: each cubic piece reads only its end nodes, so the
-samples are the full profile's to the byte, and the memory kept follows the
-sample count, not the node count.
+spacing (f(0) where -2U rounds to <= 0 next to the crest); the nodes' own x
+then follows from a trapezoid in z with the end-point derivative correction,
+with f' in closed form.  Within 0.2 |v*| of the crest, U(v) cancels, so -2U
+is the running integral 2 int_v^{v*} U' over the nodes (trapezoid in v with
+the U'' end correction).  The nodes are evaluated in blocks in one scratch
+buffer, which keeps the temporaries small, with v'' = ode_rhs(v), the slopes
+of the v' interpolant.  ``energy_max`` is max |v'^2/2 + U(v)| of the cubic
+Hermite interpolant at the node midpoints, the interpolant that
+:class:`OracleProfile` samples.  A mask picks the nodes kept: all of them,
+or, given the abscissae a caller will sample, the two end nodes of each piece
+that holds one and the last two nodes, which serve those beyond them.  Each
+cubic piece reads only its end nodes, so the samples are the full profile's
+to the byte, and the memory kept follows the sample count.
 """
 
 from __future__ import annotations
@@ -130,16 +130,10 @@ class PotentialCurve:
         v = np.asarray(v, dtype=float)
         r = v / self.v_pole
         small = np.abs(r) < _SERIES_CUTOFF
-        if small.all():
-            out = self._series(v, r)
-        elif not small.any():
-            with np.errstate(invalid="ignore"):
-                out = self._closed(v, r)
-        else:
-            out = np.empty_like(v)
-            with np.errstate(invalid="ignore"):
-                out[~small] = self._closed(v[~small], r[~small])
-            out[small] = self._series(v[small], r[small])
+        out = np.empty_like(v)
+        with np.errstate(invalid="ignore"):
+            out[~small] = self._closed(v[~small], r[~small])
+        out[small] = self._series(v[small], r[small])
         return out if out.ndim else float(out)
 
     def G_prime(self, v):
@@ -228,9 +222,9 @@ class OracleProfile:
     piece uses only its two end samples, so evaluating at |x| (times sign(x)
     for v') is the interpolant of the even/odd mirrored samples.  Sampling
     outside the stored range continues the tail as C exp(-lambda (|x| - x_max)).
-    A profile built for given abscissae holds a subset of the nodes: the ends
-    of the pieces that hold them and the last two nodes.  It samples those
-    abscissae, and any |x| beyond its last node, as the full profile does.
+    A profile built for given abscissae holds only the ends of the pieces that
+    hold them and the last two nodes; it samples those abscissae, and any |x|
+    beyond its last node, as the full profile does.
     """
 
     curve: PotentialCurve
@@ -263,8 +257,9 @@ def integrate_profile(curve: PotentialCurve, x_max: float, step: float = 1e-3,
 
     Quadrature of the first integral in z, where v = v* exp(-z^2) (see the
     module docstring).  ``energy_max`` is the largest |v'^2/2 + U(v)| of the
-    cubic Hermite interpolant at the node midpoints.  Given ``samples``, the
-    abscissae the caller will sample, it keeps only the nodes they read.
+    cubic Hermite interpolant at the node midpoints.  It keeps every node or,
+    given ``samples``, the abscissae the caller will sample, the at most
+    2 len(samples) + 2 nodes they read.
 
     Raises
     ------
@@ -303,8 +298,10 @@ def integrate_profile(curve: PotentialCurve, x_max: float, step: float = 1e-3,
         zc = np.concatenate([(z_edges[:-1, None] + half * (1.0 + gl_nodes)).ravel(), z_edges[1:]])
         vc = vstar * np.exp(-zc * zc)
         ac = np.abs(vc)
-        with np.errstate(invalid="ignore"):  # a negative -2U is reported by the blocks, as the pole's
+        with np.errstate(divide="ignore", invalid="ignore"):
             fc = 2.0 * zc / rate(ac, np.sqrt(-2.0 * curve.U(vc)), ac < linear)
+        # -2U rounds to <= 0 where U cancels next to the crest; the map only places the nodes, so it takes f0 there
+        fc[~((0.0 < fc) & (fc < math.inf))] = f0
         x_edges = np.concatenate([[0.0], np.cumsum(half * (fc[:-_PANELS].reshape(_PANELS, -1) @ gl_weights))])
         return x_edges, 1.0 / np.concatenate([[f0], fc[-_PANELS:]])
 
@@ -330,18 +327,16 @@ def integrate_profile(curve: PotentialCurve, x_max: float, step: float = 1e-3,
         vp_mid = 0.5 * (vp[:-1] + vp[1:]) + 0.125 * h * (vpp[:-1] - vpp[1:])
         return np.max(np.abs(0.5 * vp_mid * vp_mid + curve.U(v_mid)))
 
-    # rows x, v, v', v'': every node, each block written in place, or the nodes that bracket a sample,
-    # each block computed in a scratch buffer and its kept nodes appended
-    if samples is None:
-        nodes = np.empty((4, n + 1))
-    else:
-        t = np.abs(np.asarray(samples, dtype=float)).ravel()
-        if not (t[:-1] <= t[1:]).all():
-            t = np.sort(t)
-        nodes = np.empty((4, min(n + 1, 2 * t.size + 2)))
-        scratch = np.empty((4, _BLOCK + 1))
-        first = kept = 0  # the samples below the previous block's last node, and the nodes kept
-        carry = False  # the previous block's last node, this block's first, brackets a sample
+    # rows x, v, v', v'' of the kept nodes: each block is computed in a scratch buffer and a mask picks the
+    # nodes it keeps, every node without samples, else the ends of the pieces that hold a sample
+    every = samples is None
+    t = np.abs(np.asarray([] if every else samples, dtype=float)).ravel()
+    if not (t[:-1] <= t[1:]).all():
+        t = np.sort(t)
+    nodes = np.empty((4, n + 1 if every else min(n + 1, 2 * t.size + 2)))
+    scratch = np.empty((4, _BLOCK + 1))
+    first = kept = 0  # the samples below the previous block's last node, and the nodes kept
+    carry = every  # the previous block's last node, this block's first, is kept
     band = _CREST_BAND * abs(vstar)
     x_last = m_last = 0.0
     energy_max = depth = -math.inf  # running maxima of the blocks' drift and of m
@@ -350,7 +345,7 @@ def integrate_profile(curve: PotentialCurve, x_max: float, step: float = 1e-3,
         # node i0 - 1 (the crest for the first block) again, then the block's nodes: the C1 Hermite
         # inverse z(x) places them at x ~ i * step, and the same t gives the same z in both blocks
         z = _hermite(x_edges, z_edges, z_slopes, np.arange(i0 - 1, i1) * step)
-        block = nodes[:, i0 - 1 : i1] if samples is None else scratch[:, : i1 - i0 + 1]
+        block = scratch[:, : i1 - i0 + 1]
         x, v, vp, vpp = block
         np.multiply(vstar, np.exp(-z * z), out=v)
         vpp[:] = curve.ode_rhs(v)
@@ -380,11 +375,9 @@ def integrate_profile(curve: PotentialCurve, x_max: float, step: float = 1e-3,
         energy_max = np.maximum(energy_max, drift(x, v, vp, vpp))
         if i0 == 1:
             vp[0] = 0.0  # the crest
-        if samples is None:
-            continue
         # the piece [x[k], x[k+1]) holds the samples of this block; the last block also keeps its last two
         # nodes, which sample |x| >= x[-1] and the tail, and any other block leaves its last node to the next
-        keep = np.zeros(x.size, dtype=bool)
+        keep = np.full(x.size, every)
         keep[0] = carry
         end = np.searchsorted(t, x_last)
         k = np.searchsorted(x, t[first:end], side="right") - 1
@@ -405,7 +398,7 @@ def integrate_profile(curve: PotentialCurve, x_max: float, step: float = 1e-3,
         raise StepSizeTooLargeError(
             f"energy drift {energy_max:.3e} exceeds 1e-10 * {scale:.3g}; reduce the step"
         )
-    x_out, v_out, vp_out, vpp_out = nodes if samples is None else nodes[:, :kept]
+    x_out, v_out, vp_out, vpp_out = nodes[:, :kept]
     return OracleProfile(curve=curve, x=x_out, v=v_out, v_prime=vp_out, v_second=vpp_out, energy_max=energy_max)
 
 

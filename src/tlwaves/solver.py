@@ -151,7 +151,11 @@ def mode_determinants(grid: SpectralGrid, params: ModelParameters, speed: float)
 
 
 def _checked_determinants(grid: SpectralGrid, params: ModelParameters, speed: float) -> np.ndarray:
-    det = mode_determinants(grid, params, speed)
+    with np.errstate(over="ignore"):
+        det = mode_determinants(grid, params, speed)
+    if not np.isfinite(det[-1]):  # the symbol grows with k', so the top mode overflows first
+        raise ValueError(f"1 + beta k'^2 overflows at the top mode k' = {grid.half_wavenumbers[-1]:.3g} of l = "
+                         f"{grid.half_length:g}, n = {grid.n}: raise --half-length or lower --modes")
     worst = np.min(np.abs(det))
     if worst < 1e-14:
         k_bad = int(np.argmin(np.abs(det)))
@@ -211,7 +215,7 @@ class _Iterate:
 class _Core:
     """Per-solve constants of the iteration on the rfft modes 0..n/2.
 
-    The singular-mode check runs once, here.  :meth:`step` costs 2 ``rfft``
+    The symbol and singular-mode checks run once, here.  :meth:`step` costs 2 ``rfft``
     of the products and 3 ``irfft`` (zeta, v, and u from the same v-hat).
     With dealiasing, the products are formed on the 3n/2 grid from the
     half spectra of zeta and v that the step already holds (v moved to the
@@ -291,7 +295,8 @@ def oracle_initial_guess(grid: SpectralGrid, params: ModelParameters, speed: flo
     The profile is integrated to x_max = min(l, 20/lambda), beyond which its exponential
     tail continuation is exact to v(x_max)^2, with nodes 0.004 of the decay length 1/lambda
     or of the crest's dx/dz apart, whichever is shorter, and at most 20000 of them: close
-    to the pole dx/dz at the crest tends to 0.  Raises what the oracle raises, a
+    to the pole dx/dz at the crest tends to 0.  Of those it keeps the nodes that the grid's
+    samples read, at most 2n + 2.  Raises what the oracle raises, a
     :class:`WaveError` (``PoleProximityError`` or ``StepSizeTooLargeError`` close to
     the pole).
     """
@@ -299,7 +304,7 @@ def oracle_initial_guess(grid: SpectralGrid, params: ModelParameters, speed: flo
     lam = curve.saddle_rate
     x_max = min(grid.half_length, 20.0 / lam)
     step = max(0.004 * min(1.0 / lam, curve.crest_dxdz()), x_max / 20000)
-    profile = oracle.integrate_profile(curve, x_max=x_max, step=step)
+    profile = oracle.integrate_profile(curve, x_max=x_max, step=step, samples=grid.nodes)
     v = profile.sample_v(grid.nodes)
     return WaveState.from_zeta_v(grid, params, oracle.reconstruct_zeta(curve, v), v)
 
@@ -335,6 +340,7 @@ def solve(grid: SpectralGrid, params: ModelParameters, config: SolverConfig) -> 
 
     started = time.perf_counter()
     report = SolveReport()
+    core = _Core(grid, params, config)  # checks the grid's modes before a seed is sampled on it
     state = config.initial_guess
     if state is None:
         try:
@@ -348,7 +354,6 @@ def solve(grid: SpectralGrid, params: ModelParameters, config: SolverConfig) -> 
         state = WaveState.from_zeta_v(grid, params, state.zeta, state.v)
 
     n = grid.n
-    core = _Core(grid, params, config)
     x = core.evaluate(state)
     cycle = config.mpe_cycle
     if cycle is not None:

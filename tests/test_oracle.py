@@ -120,12 +120,43 @@ def test_potential_branches_match_where_formulation(request, curve_name):
     for k in range(0, v.size, 97):
         got_U = curve.U(v[k])
         assert isinstance(got_U, float) and got_U == U[k]
+    # arrays wholly in one branch: the series below the cutoff, the closed form above it
+    below = np.abs(v / curve.v_pole) < oracle._SERIES_CUTOFF
+    for part in (v[below], v[~below]):
+        assert part.size > 1
+        assert curve.U(part).tobytes() == _where_G_U(curve, part)[1].tobytes()
 
 
 def test_profile_initial_conditions(elev_curve, elev_profile):
     assert elev_profile.x[0] == 0.0
     assert elev_profile.v[0] == pytest.approx(elev_curve.turning_point, abs=1e-12)
     assert elev_profile.v_prime[0] == 0.0
+
+
+@pytest.mark.parametrize("x_max, step", [(2 * oracle._BLOCK * 1e-3, 1e-3), (0.05, 0.01)],
+                         ids=["last-block-of-one-node", "few-nodes"])
+def test_a_full_profile_keeps_every_node(elev_curve, x_max, step):
+    # without samples every node is kept: n + 1 of them, strictly increasing from the crest at x = 0
+    prof = oracle.integrate_profile(elev_curve, x_max=x_max, step=step)
+    n = int(x_max / step) + 1
+    for name in ("x", "v", "v_prime", "v_second"):
+        assert getattr(prof, name).shape == (n + 1,), name
+    assert prof.x[0] == 0.0 and np.all(np.diff(prof.x) > 0.0)
+    assert prof.x[-1] >= x_max
+
+
+@pytest.mark.parametrize("delta", [0.8, 0.5], ids=["elevation", "depression"])
+@pytest.mark.parametrize("x_max, step", [(1e-6, 1e-6), (1e-5, 1e-6), (1e-5, 1e-7)])
+def test_a_profile_within_a_hair_of_the_crest(delta, x_max, step):
+    # every z-panel point of the coarse map lies within ~1e-6 of the crest, where U's closed form cancels
+    p = make_parameters(0.5, delta)
+    curve = oracle.potential(oracle.TravelingWaveProblem(params=p, speed=p.c_crit + 0.05))
+    prof = oracle.integrate_profile(curve, x_max=x_max, step=step)
+    assert prof.x.size == int(x_max / step) + 2
+    assert prof.x[0] == 0.0 and prof.v[0] == curve.turning_point and prof.v_prime[0] == 0.0
+    assert np.all(np.diff(prof.x) > 0.0) and prof.x[-1] >= x_max
+    assert np.all(np.diff(np.abs(prof.v)) < 0.0)
+    assert prof.energy_max <= 1e-14
 
 
 def test_profile_decay_and_energy(elev_profile):

@@ -347,6 +347,27 @@ def test_oracle_seed_is_the_oracle_profile(default_grid, elevation_params, eleva
     assert np.array_equal(seed.zeta, oracle.reconstruct_zeta(elevation_curve, seed.v))
 
 
+@pytest.mark.parametrize("gamma, delta, offset", [(0.5, 0.8, 0.05), (0.5, 0.5, 0.05), (0.5, 0.8, 0.3)],
+                         ids=["elevation", "depression", "elevation-fast"])
+def test_oracle_seed_keeps_only_the_nodes_the_grid_reads(default_grid, monkeypatch, gamma, delta, offset):
+    # the seed is the full profile sampled at the grid nodes, bit for bit, from at most 2n + 2 kept nodes
+    params = make_parameters(gamma, delta)
+    speed = params.c_crit + offset
+    integrate, calls = oracle.integrate_profile, []
+
+    def spied(curve, x_max, step, samples=None):
+        calls.append((curve, x_max, step, integrate(curve, x_max, step, samples)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(oracle, "integrate_profile", spied)
+    seed = solver.oracle_initial_guess(default_grid, params, speed)
+    (curve, x_max, step, kept), = calls
+    assert kept.x.size <= 2 * default_grid.n + 2
+    v = integrate(curve, x_max, step).sample_v(default_grid.nodes)
+    assert seed.v.tobytes() == v.tobytes()
+    assert seed.zeta.tobytes() == oracle.reconstruct_zeta(curve, v).tobytes()
+
+
 @pytest.mark.parametrize("gamma, delta, speed, seed", [
     (0.5, 0.8, make_parameters(0.5, 0.8).c_crit + 0.05, "oracle"),
     # v*/v_pole >= 0.93: the oracle's energy check fails and the solve falls back to sech^2
