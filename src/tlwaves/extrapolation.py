@@ -7,6 +7,15 @@ the affine combination sum_j (c_j / sum c) x_j over x_0..x_K.  For a
 linear iteration x -> M x + b the result is the exact fixed point whenever
 K is at least the degree of the minimal polynomial of M for the initial
 error, so cycle length K resolves dimension K exactly.
+
+The differences are never held whole.  The (K+1)x(K+1) triangular factor R
+of U = [u_0 ... u_K] is built by a QR of one block of _BLOCK columns of the
+iterates at a time, stacked under the R of the blocks before it.  With
+R = [[R11, r], [0, rho]], the problem reads  min || R11 c + r ||, and it is
+solved by the SVD with the cut lstsq applies to the full U, singular values
+below eps * max(rows of U, K) of the largest, which R11 shares with
+[u_0 ... u_{K-1}].  So the least-norm weights of a rank-deficient history
+are kept, and no normal equations square the condition number.
 """
 
 from __future__ import annotations
@@ -14,6 +23,8 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
+
+_BLOCK = 4096  # iterate components per block of the QR: the temporaries are a few (K+1) x _BLOCK arrays
 
 
 def extrapolate(history: Sequence[np.ndarray], cycle_length: int) -> np.ndarray:
@@ -36,8 +47,12 @@ def extrapolate(history: Sequence[np.ndarray], cycle_length: int) -> np.ndarray:
     X = np.asarray(history[-(cycle_length + 2):], dtype=float).reshape(cycle_length + 2, -1)
     shape = np.asarray(history[-1]).shape
 
-    D = np.diff(X, axis=0)
-    coeffs, *_ = np.linalg.lstsq(D[:-1].T, -D[-1], rcond=None)
+    r = np.zeros((0, cycle_length + 1))
+    for j in range(0, X.shape[1], _BLOCK):
+        block = X[:, j : j + _BLOCK]
+        r = np.linalg.qr(np.vstack([r, (block[1:] - block[:-1]).T]), mode="r")
+    rcond = np.finfo(float).eps * max(X.shape[1], cycle_length)
+    coeffs, *_ = np.linalg.lstsq(r[:, :-1], -r[:, -1], rcond=rcond)
     coeffs = np.append(coeffs, 1.0)
     total = coeffs.sum()
     if not np.isfinite(total) or abs(total) <= 1e-12 * np.abs(coeffs).sum():

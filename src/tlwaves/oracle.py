@@ -46,7 +46,10 @@ Hermite interpolant at the node midpoints, the interpolant that
 or, given the abscissae a caller will sample, the two end nodes of each piece
 that holds one and the last two nodes, which serve those beyond them.  Each
 cubic piece reads only its end nodes, so the samples are the full profile's
-to the byte, and the memory kept follows the sample count.
+to the byte, and the memory kept follows the sample count.  The blocks take
+the sample abscissae as ascending runs: as given when they ascend, or the two
+arms when they fall to a least element and rise again, as |x| of the grid
+nodes does; only other orders are sorted.
 """
 
 from __future__ import annotations
@@ -221,7 +224,8 @@ class OracleProfile:
     interpolant of the stored (v, v') and v' that of (v', v'').  Each cubic
     piece uses only its two end samples, so evaluating at |x| (times sign(x)
     for v') is the interpolant of the even/odd mirrored samples.  Sampling
-    outside the stored range continues the tail as C exp(-lambda (|x| - x_max)).
+    outside the stored range continues the tail as C exp(-lambda (|x| - x_max)),
+    and only the samples inside it are interpolated.
     A profile built for given abscissae holds only the ends of the pieces that
     hold them and the last two nodes; it samples those abscissae, and any |x|
     beyond its last node, as the full profile does.
@@ -237,9 +241,11 @@ class OracleProfile:
     def _sample(self, xq, values: np.ndarray, slopes: np.ndarray) -> np.ndarray:
         xa = np.abs(np.asarray(xq, dtype=float))
         x_end = self.x[-1]
-        vals = _hermite(self.x, values, slopes, np.clip(xa, 0.0, x_end))
-        tail = values[-1] * np.exp(-self.curve.saddle_rate * (xa - x_end))
-        return np.where(xa <= x_end, vals, tail)
+        inside = xa <= x_end
+        out = np.empty_like(xa)
+        out[inside] = _hermite(self.x, values, slopes, xa[inside])
+        out[~inside] = values[-1] * np.exp(-self.curve.saddle_rate * (xa[~inside] - x_end))
+        return out
 
     def sample_v(self, xq) -> np.ndarray:
         out = self._sample(xq, self.v, self.v_prime)
@@ -331,11 +337,15 @@ def integrate_profile(curve: PotentialCurve, x_max: float, step: float = 1e-3,
     # nodes it keeps, every node without samples, else the ends of the pieces that hold a sample
     every = samples is None
     t = np.abs(np.asarray([] if every else samples, dtype=float)).ravel()
-    if not (t[:-1] <= t[1:]).all():
-        t = np.sort(t)
+    # the samples as ascending runs: the two arms of a V from its least element, which an ascending t and |x| of
+    # the grid nodes are, and else t sorted
+    i = np.argmin(t) if t.size else 0
+    runs = [t[i::-1], t[i + 1:]]
+    if not all((run[:-1] <= run[1:]).all() for run in runs):
+        runs = [np.sort(t)]
     nodes = np.empty((4, n + 1 if every else min(n + 1, 2 * t.size + 2)))
     scratch = np.empty((4, _BLOCK + 1))
-    first = kept = 0  # the samples below the previous block's last node, and the nodes kept
+    kept = 0  # the nodes kept
     carry = every  # the previous block's last node, this block's first, is kept
     band = _CREST_BAND * abs(vstar)
     x_last = m_last = 0.0
@@ -379,10 +389,11 @@ def integrate_profile(curve: PotentialCurve, x_max: float, step: float = 1e-3,
         # nodes, which sample |x| >= x[-1] and the tail, and any other block leaves its last node to the next
         keep = np.full(x.size, every)
         keep[0] = carry
-        end = np.searchsorted(t, x_last)
-        k = np.searchsorted(x, t[first:end], side="right") - 1
-        keep[k] = keep[k + 1] = True
-        first = end
+        for j, run in enumerate(runs):  # each run loses the samples below the block's last node
+            end = np.searchsorted(run, x_last)
+            k = np.searchsorted(x, run[:end], side="right") - 1
+            keep[k] = keep[k + 1] = True
+            runs[j] = run[end:]
         if i1 == n + 1:
             keep[-2:] = True
         else:

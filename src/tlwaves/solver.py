@@ -209,7 +209,7 @@ class _Iterate:
     residual: float  # max norm of L x - N(x)
     num: float  # <L x, x>
     den: float  # <N(x), x>
-    spectra: tuple | None = None  # rfft of (n1, n2), when the dealiased products were formed from them
+    spectra: tuple | None = None  # rfft of (n1, n2) when the dealiased products came from them; step uses them up
 
 
 class _Core:
@@ -222,6 +222,14 @@ class _Core:
     fine grid once for both products), and their truncated spectra feed the
     next step directly: 2 fine ``irfft``, 2 fine ``rfft`` and 2 ``irfft``
     for the physical products, in place of the two ``rfft`` of the step.
+
+    Both work in place, element by element in the order of the whole-array
+    expressions, so the bits are theirs.  :meth:`step` scales the products'
+    spectra into the right-hand side, which it consumes, and forms zh, vh and
+    the symbol times vh through one scratch array, so the three ``irfft`` hold
+    three half spectra besides the iterate.  :meth:`evaluate` forms the rows
+    l1 and l2 of L x in turn in one array, with their residuals through one
+    scratch array.
     """
 
     def __init__(self, grid: SpectralGrid, params: ModelParameters, config: SolverConfig):
@@ -252,21 +260,33 @@ class _Core:
             n1, n2 = (np.fft.irfft(spectrum, grid.n) for spectrum in spectra)
         else:
             n1, n2 = nonlinear_rhs(params, state)
-        l1 = speed * zeta - v / (params.delta + params.gamma)
-        l2 = (params.gamma - 1.0) * zeta + speed * state.u
-        residual = max(float(np.max(np.abs(l1 - n1))), float(np.max(np.abs(l2 - n2))))
-        return _Iterate(state, n1, n2, residual, float(l1 @ zeta + l2 @ v), float(n1 @ zeta + n2 @ v), spectra)
+        row = np.multiply(speed, zeta)
+        scratch = np.divide(v, params.delta + params.gamma)
+        row -= scratch  # l1
+        lx = row @ zeta
+        res1 = float(np.max(np.abs(np.subtract(row, n1, out=scratch), out=scratch)))
+        np.multiply(params.gamma - 1.0, zeta, out=row)
+        row += np.multiply(speed, state.u, out=scratch)  # l2
+        lv = row @ v
+        res2 = float(np.max(np.abs(np.subtract(row, n2, out=scratch), out=scratch)))
+        return _Iterate(state, n1, n2, max(res1, res2), float(lx + lv), float(n1 @ zeta + n2 @ v), spectra)
 
     def step(self, x: _Iterate, m: float) -> _Iterate:
         """Solve L x_new = m^2 N(x) mode by mode and evaluate x_new."""
         n = self.grid.n
-        s1, s2 = x.spectra if x.spectra is not None else (np.fft.rfft(x.n1), np.fft.rfft(x.n2))
-        r1 = m * m * s1
-        r2 = m * m * s2
-        zh = self.a11 * r1 + self.a12 * r2
-        vh = self.a21 * r1 + self.a22 * r2
+        r1, r2 = x.spectra if x.spectra is not None else (np.fft.rfft(x.n1), np.fft.rfft(x.n2))
+        x.spectra = None  # consumed: scaled in place into the right-hand side m^2 N(x)
+        np.multiply(m * m, r1, out=r1)
+        np.multiply(m * m, r2, out=r2)
+        zh = self.a11 * r1
+        scratch = np.multiply(self.a12, r2)
+        zh += scratch
+        vh = np.multiply(self.a21, r1, out=r1)
+        vh += np.multiply(self.a22, r2, out=scratch)
+        del r2
         state = WaveState(grid=self.grid, zeta=np.fft.irfft(zh, n), v=np.fft.irfft(vh, n),
-                          u=np.fft.irfft(self.sym * vh, n))
+                          u=np.fft.irfft(np.multiply(self.sym, vh, out=scratch), n))
+        del scratch
         return self.evaluate(state, zh, vh)
 
 

@@ -1045,9 +1045,12 @@ def test_analyze_rejects_a_non_finite_value(tmp_path, capsys, mode, column):
     (("oracle", "--cs", "1e300"), "speed 1e+300", "ParameterDomainError"),
     *[((command, "--delta", "1e200"), "delta = 1e+200", "ParameterDomainError")
       for command in ("solve", "sweep", "oracle", "dispersion")],
-    # 1 + beta k'^2 overflows at the top mode, which the solve checks before it samples a seed on the grid
+    # 1 + beta k'^2 overflows at the top mode, which the solve checks before it samples a seed on the grid;
+    # below 1e-308, k' = pi k / l itself overflows, and the grid builds it without a warning line
     (("solve", "--half-length", "1e-300"), "--half-length", "ValueError"),
-], ids=["solve-cs", "oracle-cs", "solve-delta", "sweep-delta", "oracle-delta", "dispersion-delta", "solve-half-length"])
+    *[((command, "--half-length", "5e-324"), "--half-length", "ValueError") for command in ("solve", "sweep")],
+], ids=["solve-cs", "oracle-cs", "solve-delta", "sweep-delta", "oracle-delta", "dispersion-delta", "solve-half-length",
+        "solve-half-length-subnormal", "sweep-half-length-subnormal"])
 def test_an_overflowing_setting_exits_1_naming_it(tmp_path, capsys, argv, value, error):
     out = tmp_path / "o.csv"
     code, stdout, err = run_cli(capsys, *argv, "--out", str(out))

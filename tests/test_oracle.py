@@ -327,6 +327,20 @@ def test_sampling_v_prime_reads_the_stored_v_second(elev_curve, monkeypatch):
     assert prof.sample_v_prime(xs).tobytes() == want.tobytes()
 
 
+def test_samples_are_the_interpolant_inside_and_the_tail_beyond_bit_for_bit(elev_curve):
+    # the one expression over both branches, as the reference: Hermite at |x| clipped to the last node, the tail
+    # continuation beyond it
+    prof = oracle.integrate_profile(elev_curve, x_max=20.0, step=1e-3)
+    x_end = prof.x[-1]
+    xq = np.concatenate([np.linspace(-30.0, 30.0, 2001), [x_end, -x_end, np.nextafter(x_end, np.inf), 0.0]])
+    xa = np.abs(xq)
+    for got, values, slopes, sign in ((prof.sample_v(xq), prof.v, prof.v_prime, 1.0),
+                                      (prof.sample_v_prime(xq), prof.v_prime, prof.v_second, np.sign(xq))):
+        inside = oracle._hermite(prof.x, values, slopes, np.clip(xa, 0.0, x_end))
+        tail = values[-1] * np.exp(-elev_curve.saddle_rate * (xa - x_end))
+        assert got.tobytes() == (sign * np.where(xa <= x_end, inside, tail)).tobytes()
+
+
 @pytest.mark.parametrize("gamma, delta, sign, x_max, step, dx", [
     (0.5, 0.8, 1.0, 20.0, 1e-3, 0.25),
     (0.5, 0.5, 1.0, 20.0, 1e-3, 0.25),

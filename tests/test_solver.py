@@ -310,6 +310,38 @@ def test_core_matches_reference_iteration(elevation_params, default_grid, option
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def _step_out_of_place(core, x, m):
+    """The state of _Core.step and the (residual, num, den) of its evaluate, as the whole-array expressions that
+    the core evaluates in place: the reference for its bits."""
+    grid, params, speed, n = core.grid, core.params, core.config.speed, core.grid.n
+    s1, s2 = x.spectra if x.spectra is not None else (np.fft.rfft(x.n1), np.fft.rfft(x.n2))
+    r1 = m * m * s1
+    r2 = m * m * s2
+    zh = core.a11 * r1 + core.a12 * r2
+    vh = core.a21 * r1 + core.a22 * r2
+    zeta, v, u = np.fft.irfft(zh, n), np.fft.irfft(vh, n), np.fft.irfft(core.sym * vh, n)
+    products = core.evaluate(WaveState(grid=grid, zeta=zeta, v=v, u=u), zh, vh)
+    n1, n2 = products.n1, products.n2
+    l1 = speed * zeta - v / (params.delta + params.gamma)
+    l2 = (params.gamma - 1.0) * zeta + speed * u
+    residual = max(float(np.max(np.abs(l1 - n1))), float(np.max(np.abs(l2 - n2))))
+    return (zeta, v, u), (residual, float(l1 @ zeta + l2 @ v), float(n1 @ zeta + n2 @ v))
+
+
+@pytest.mark.parametrize("dealias", [False, True], ids=["plain", "dealias"])
+def test_core_step_is_the_out_of_place_step_bit_for_bit(elevation_params, default_grid, dealias):
+    cs = elevation_params.c_crit + 0.05
+    core = solver._Core(default_grid, elevation_params, SolverConfig(speed=cs, dealias=dealias))
+    x = core.evaluate(solver.auto_initial_guess(default_grid, elevation_params, cs))
+    for _ in range(3):
+        m = solver._stabilizing_ratio(x.num, x.den, x.state.zeta, x.state.v)
+        fields, scalars = _step_out_of_place(core, x, m)
+        x = core.step(x, m)
+        for got, want in zip((x.state.zeta, x.state.v, x.state.u), fields):
+            assert got.tobytes() == want.tobytes()
+        assert (x.residual, x.num, x.den) == scalars
+
+
 def test_non_finite_seed_fails_at_first_iteration(elevation_params, small_grid):
     cs = elevation_params.c_crit + 0.05
     seed = solver.auto_initial_guess(small_grid, elevation_params, cs)
@@ -366,6 +398,32 @@ def test_oracle_seed_keeps_only_the_nodes_the_grid_reads(default_grid, monkeypat
     v = integrate(curve, x_max, step).sample_v(default_grid.nodes)
     assert seed.v.tobytes() == v.tobytes()
     assert seed.zeta.tobytes() == oracle.reconstruct_zeta(curve, v).tobytes()
+
+
+@pytest.mark.parametrize("gamma, delta", [(0.5, 0.8), (0.5, 0.5)], ids=["elevation", "depression"])
+def test_oracle_seed_sorts_no_samples(monkeypatch, gamma, delta):
+    # |x| of the nodes falls to the crest and rises again, two ascending runs that the oracle's block split takes
+    # as they are.  On l = 100, n = 1000 the two halves' |x| differ by an ulp, so neither run is the other mirrored
+    grid = SpectralGrid(100.0, 1000)
+    a = np.abs(grid.nodes)
+    assert not np.array_equal(a[499:0:-1], a[501:])
+    params = make_parameters(gamma, delta)
+    integrate, calls = oracle.integrate_profile, []
+
+    def spied(curve, x_max, step, samples=None):
+        calls.append((curve, x_max, step))
+        return integrate(curve, x_max, step, samples)
+
+    def no_sort(*args, **kwargs):
+        raise AssertionError("np.sort on the seed path")
+
+    monkeypatch.setattr(oracle, "integrate_profile", spied)
+    monkeypatch.setattr(np, "sort", no_sort)
+    seed = solver.oracle_initial_guess(grid, params, params.c_crit + 0.05)
+    monkeypatch.undo()
+    (curve, x_max, step), = calls
+    v = integrate(curve, x_max, step).sample_v(grid.nodes)
+    assert seed.v.tobytes() == v.tobytes()
 
 
 @pytest.mark.parametrize("gamma, delta, speed, seed", [
