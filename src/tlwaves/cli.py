@@ -109,9 +109,10 @@ _MEMORY_BUDGET = 2 * 2**30
 # bytes budgeted per item that a command sizes from its flags: oracle nodes (--x-max/--step), oracle
 # samples (--x-max/--dx), dispersion and sweep rows (--count) and solve modes (--modes).  The oracle keeps
 # only the nodes that bracket a sample, so _NODE_BYTES bounds the node count a run walks, not its memory:
-# a --step of 1e-9 would run for hours.  The peaks measured with tracemalloc through main are 184 per
-# sample (its two kept nodes included), 50 per dispersion row and 153 per mode (188 dealiased), so each
-# constant sits 2-5x above its peak; lowering one would move the refusals.
+# a --step of 1e-9 would run for hours.  The peaks measured with tracemalloc through main are 195 per
+# sample (its two kept nodes of five rows and the quintic sampler's temporaries included; 2^17 samples),
+# 50 per dispersion row and 153 per mode (188 dealiased), so each constant sits 2-5x above its peak;
+# lowering one would move the refusals.
 _NODE_BYTES, _SAMPLE_BYTES, _ROW_BYTES, _MODE_BYTES = 40, 512, 256, 384
 # values per block of the CSV formatter
 _FORMAT_BLOCK = 1536

@@ -39,13 +39,17 @@ then follows from a trapezoid in z with the end-point derivative correction,
 with f' in closed form.  Within 0.2 |v*| of the crest, U(v) cancels, so -2U
 is the running integral 2 int_v^{v*} U' over the nodes (trapezoid in v with
 the U'' end correction).  The nodes are evaluated in blocks in one scratch
-buffer, which keeps the temporaries small, with v'' = ode_rhs(v), the slopes
-of the v' interpolant.  ``energy_max`` is max |v'^2/2 + U(v)| of the cubic
-Hermite interpolant at the node midpoints, the interpolant that
-:class:`OracleProfile` samples.  A mask picks the nodes kept: all of them,
+buffer, which keeps the temporaries small, with v'' = ode_rhs(v) and
+v''' = -U''(v) v'.  One sampler serves every caller: v is the quintic Hermite
+interpolant of (v, v', v'') and v' that of (v', v'', v'''), whose error falls
+like step^6 where a cubic's fell like step^4, so a seed's nodes can lie 4x
+further apart at the same accuracy.  ``energy_max`` is max |v'^2/2 + U(v)|
+of that interpolant at the node midpoints, where it reads
+v_mid = (v0 + v1)/2 + 5h/32 (v0' - v1') + h^2/64 (v0'' + v1''), and v'_mid
+the same one derivative up.  A mask picks the nodes kept: all of them,
 or, given the abscissae a caller will sample, the two end nodes of each piece
 that holds one and the last two nodes, which serve those beyond them.  Each
-cubic piece reads only its end nodes, so the samples are the full profile's
+quintic piece reads only its end nodes, so the samples are the full profile's
 to the byte, and the memory kept follows the sample count.  The blocks take
 the sample abscissae as ascending runs: as given when they ascend, or the two
 arms when they fall to a least element and rise again, as |x| of the grid
@@ -214,16 +218,48 @@ def _hermite(x: np.ndarray, y: np.ndarray, dy: np.ndarray, t: np.ndarray) -> np.
     return (y[i] * (1.0 + 2.0 * s) + h * dy[i] * s) * r * r + (y[i + 1] * (3.0 - 2.0 * s) - h * dy[i + 1] * r) * s * s
 
 
+def _quintic(x: np.ndarray, y: np.ndarray, dy: np.ndarray, d2y: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Piecewise quintic Hermite interpolant of values y, slopes dy and curvatures d2y at nodes x, at t in
+    [x[0], x[-1]].
+
+    Two-point Taylor form: from each end, at distance u = s or r = 1 - s in units of the piece, its quadratic
+    Taylor polynomial corrected to y + u (3y + h y' + u (6y + 3h y' + h^2 y'' / 2)), with y' of the left end and
+    -y' of the right one, weighted by the cube of the distance to the other end.  Each term is built in place.
+    """
+    i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, x.size - 2)
+    h = x[i + 1] - x[i]
+    s = (t - x[i]) / h
+    r = 1.0 - s
+    hh = 0.5 * h * h
+    out = np.zeros_like(s)
+    for j, u, w, sign in ((i, s, r, 1.0), (i + 1, r, s, -1.0)):
+        yj = y[j]
+        hd = h * dy[j]
+        hd *= sign
+        term = hh * d2y[j]
+        term += 6.0 * yj
+        term += 3.0 * hd
+        term *= u
+        term += 3.0 * yj
+        term += hd
+        term *= u
+        term += yj
+        term *= w * w * w
+        out += term
+    return out
+
+
 @dataclass
 class OracleProfile:
-    """Half-line samples of the solitary profile with cubic Hermite evaluation.
+    """Half-line samples of the solitary profile with quintic Hermite evaluation.
 
     ``x`` ascends to just beyond x_max, from x[0] = 0 at the crest; ``v``,
-    ``v_prime`` and ``v_second`` = v'' are the right-moving wave's at the
-    nodes, v'' from the ODE.  Between samples, v is the cubic Hermite
-    interpolant of the stored (v, v') and v' that of (v', v'').  Each cubic
-    piece uses only its two end samples, so evaluating at |x| (times sign(x)
-    for v') is the interpolant of the even/odd mirrored samples.  Sampling
+    ``v_prime``, ``v_second`` = v'' and ``v_third`` = v''' are the
+    right-moving wave's at the nodes, v'' from the ODE and v''' = -U''(v) v'.
+    Between samples, v is the quintic Hermite interpolant of the stored
+    (v, v', v'') and v' that of (v', v'', v''').  Each quintic piece uses
+    only its two end samples, so evaluating at |x| (times sign(x) for v') is
+    the interpolant of the even/odd mirrored samples.  Sampling
     outside the stored range continues the tail as C exp(-lambda (|x| - x_max)),
     and only the samples inside it are interpolated.
     A profile built for given abscissae holds only the ends of the pieces that
@@ -236,36 +272,39 @@ class OracleProfile:
     v: np.ndarray
     v_prime: np.ndarray
     v_second: np.ndarray
+    v_third: np.ndarray
     energy_max: float
 
-    def _sample(self, xq, values: np.ndarray, slopes: np.ndarray) -> np.ndarray:
+    def _sample(self, xq, values: np.ndarray, slopes: np.ndarray, curvatures: np.ndarray) -> np.ndarray:
         xa = np.abs(np.asarray(xq, dtype=float))
         x_end = self.x[-1]
         inside = xa <= x_end
         out = np.empty_like(xa)
-        out[inside] = _hermite(self.x, values, slopes, xa[inside])
+        out[inside] = _quintic(self.x, values, slopes, curvatures, xa[inside])
         out[~inside] = values[-1] * np.exp(-self.curve.saddle_rate * (xa[~inside] - x_end))
         return out
 
     def sample_v(self, xq) -> np.ndarray:
-        out = self._sample(xq, self.v, self.v_prime)
+        out = self._sample(xq, self.v, self.v_prime, self.v_second)
         return out if out.ndim else float(out)
 
     def sample_v_prime(self, xq) -> np.ndarray:
         # stored arrays are d/dx on x > 0; oddness via the sign factor
-        out = np.sign(np.asarray(xq, dtype=float)) * self._sample(xq, self.v_prime, self.v_second)
+        out = np.sign(np.asarray(xq, dtype=float)) * self._sample(xq, self.v_prime, self.v_second, self.v_third)
         return out if out.ndim else float(out)
 
 
 def integrate_profile(curve: PotentialCurve, x_max: float, step: float = 1e-3,
-                      samples: np.ndarray | None = None) -> OracleProfile:
+                      samples: np.ndarray | None = None, drift_bound: float = 1e-10) -> OracleProfile:
     """Samples of the solitary profile at nodes x_i ~ i * step, from the crest to beyond x_max.
 
     Quadrature of the first integral in z, where v = v* exp(-z^2) (see the
     module docstring).  ``energy_max`` is the largest |v'^2/2 + U(v)| of the
-    cubic Hermite interpolant at the node midpoints.  It keeps every node or,
-    given ``samples``, the abscissae the caller will sample, the at most
-    2 len(samples) + 2 nodes they read.
+    quintic Hermite interpolant at the node midpoints, which must stay within
+    ``drift_bound`` times max(1, max |U|): the ``oracle`` command keeps the
+    default 1e-10, and the solver's seed passes a bound of its own.  It keeps
+    every node or, given ``samples``, the abscissae the caller will sample,
+    the at most 2 len(samples) + 2 nodes they read.
 
     Raises
     ------
@@ -275,7 +314,7 @@ def integrate_profile(curve: PotentialCurve, x_max: float, step: float = 1e-3,
         If -2U(v) < 0 at a node: v* is so close to the pole that U's
         round-off changes its sign on the orbit.
     StepSizeTooLargeError
-        If energy_max exceeds 1e-10 times max(1, max |U|).
+        If energy_max exceeds drift_bound times max(1, max |U|).
     """
     if not (0.0 < x_max < math.inf and 0.0 < step < math.inf):
         raise ValueError("x_max and step must be positive and finite")
@@ -326,14 +365,16 @@ def integrate_profile(curve: PotentialCurve, x_max: float, step: float = 1e-3,
         dz = np.diff(z)
         x[1:] = x[0] + np.cumsum(0.5 * dz * (f[:-1] + f[1:]) + dz * dz / 12.0 * (fp[:-1] - fp[1:]))
 
-    def drift(x, v, vp, vpp):
-        """max |E| of the Hermite interpolant at the midpoints, with slopes v' and v''."""
+    def drift(x, v, vp, vpp, vppp):
+        """max |E| of the quintic Hermite interpolant at the midpoints, of (v, v', v'') and (v', v'', v''')."""
         h = np.diff(x)
-        v_mid = 0.5 * (v[:-1] + v[1:]) + 0.125 * h * (vp[:-1] - vp[1:])
-        vp_mid = 0.5 * (vp[:-1] + vp[1:]) + 0.125 * h * (vpp[:-1] - vpp[1:])
+        hh = h * h / 64.0
+        h *= 5.0 / 32.0
+        v_mid = 0.5 * (v[:-1] + v[1:]) + h * (vp[:-1] - vp[1:]) + hh * (vpp[:-1] + vpp[1:])
+        vp_mid = 0.5 * (vp[:-1] + vp[1:]) + h * (vpp[:-1] - vpp[1:]) + hh * (vppp[:-1] + vppp[1:])
         return np.max(np.abs(0.5 * vp_mid * vp_mid + curve.U(v_mid)))
 
-    # rows x, v, v', v'' of the kept nodes: each block is computed in a scratch buffer and a mask picks the
+    # rows x, v, v', v'', v''' of the kept nodes: each block is computed in a scratch buffer and a mask picks the
     # nodes it keeps, every node without samples, else the ends of the pieces that hold a sample
     every = samples is None
     t = np.abs(np.asarray([] if every else samples, dtype=float)).ravel()
@@ -343,8 +384,8 @@ def integrate_profile(curve: PotentialCurve, x_max: float, step: float = 1e-3,
     runs = [t[i::-1], t[i + 1:]]
     if not all((run[:-1] <= run[1:]).all() for run in runs):
         runs = [np.sort(t)]
-    nodes = np.empty((4, n + 1 if every else min(n + 1, 2 * t.size + 2)))
-    scratch = np.empty((4, _BLOCK + 1))
+    nodes = np.empty((5, n + 1 if every else min(n + 1, 2 * t.size + 2)))
+    scratch = np.empty((5, _BLOCK + 1))
     kept = 0  # the nodes kept
     carry = every  # the previous block's last node, this block's first, is kept
     band = _CREST_BAND * abs(vstar)
@@ -356,17 +397,17 @@ def integrate_profile(curve: PotentialCurve, x_max: float, step: float = 1e-3,
         # inverse z(x) places them at x ~ i * step, and the same t gives the same z in both blocks
         z = _hermite(x_edges, z_edges, z_slopes, np.arange(i0 - 1, i1) * step)
         block = scratch[:, : i1 - i0 + 1]
-        x, v, vp, vpp = block
+        x, v, vp, vpp, vppp = block
         np.multiply(vstar, np.exp(-z * z), out=v)
         vpp[:] = curve.ode_rhs(v)
+        upp = curve.U_second(v)
         # m = -2U(v); inside the crest band U cancels, so m = 2 int_v^v* U' (U' = -v'') by the end-corrected trapezoid
         m = np.empty_like(z)
         m[0] = m_last
         c = 1 + np.count_nonzero(np.abs(v[1:] - vstar) < band)  # the band's nodes are a prefix
         if c > 1:
-            w, upp = v[:c], curve.U_second(v[:c])
-            h = w[:-1] - w[1:]
-            m[1:c] = m_last + np.cumsum(h * h / 6.0 * (upp[1:] - upp[:-1]) - h * (vpp[: c - 1] + vpp[1:c]))
+            h = v[: c - 1] - v[1:c]
+            m[1:c] = m_last + np.cumsum(h * h / 6.0 * (upp[1:c] - upp[: c - 1]) - h * (vpp[: c - 1] + vpp[1:c]))
         m[c:] = -2.0 * curve.U(v[c:])
         depth = np.maximum(depth, np.max(m))
         with np.errstate(invalid="ignore"):  # a negative m is reported below, as the pole's
@@ -380,11 +421,13 @@ def integrate_profile(curve: PotentialCurve, x_max: float, step: float = 1e-3,
         if np.isnan(vp).any():  # m < 0: U's round-off close to the pole, which no smaller step removes
             raise PoleProximityError(f"speed {curve.problem.speed:g}: -2U < 0 on the orbit, whose turning point lies "
                                      f"{1.0 - vstar / curve.v_pole:.3g} |v_pole| below v_pole = {curve.v_pole:.6g}")
-        x_last, m_last = x[-1], m[-1]
-        del z, m, av, tail  # freed before the drift's temporaries, which set the peak memory of a block
-        energy_max = np.maximum(energy_max, drift(x, v, vp, vpp))
         if i0 == 1:
             vp[0] = 0.0  # the crest
+        np.multiply(upp, vp, out=vppp)
+        np.negative(vppp, out=vppp)  # v''' = -U''(v) v'
+        x_last, m_last = x[-1], m[-1]
+        del z, m, av, tail, upp  # freed before the drift's temporaries, which set the peak memory of a block
+        energy_max = np.maximum(energy_max, drift(x, v, vp, vpp, vppp))
         # the piece [x[k], x[k+1]) holds the samples of this block; the last block also keeps its last two
         # nodes, which sample |x| >= x[-1] and the tail, and any other block leaves its last node to the next
         keep = np.full(x.size, every)
@@ -405,12 +448,13 @@ def integrate_profile(curve: PotentialCurve, x_max: float, step: float = 1e-3,
 
     energy_max = float(energy_max)
     scale = max(1.0, 0.5 * float(depth))  # max |U| = max(-2U) / 2 on the orbit
-    if not energy_max <= 1e-10 * scale:  # NaN-safe: NaN fails the comparison
+    if not energy_max <= drift_bound * scale:  # NaN-safe: NaN fails the comparison
         raise StepSizeTooLargeError(
-            f"energy drift {energy_max:.3e} exceeds 1e-10 * {scale:.3g}; reduce the step"
+            f"energy drift {energy_max:.3e} exceeds {drift_bound:g} * {scale:.3g}; reduce the step"
         )
-    x_out, v_out, vp_out, vpp_out = nodes[:, :kept]
-    return OracleProfile(curve=curve, x=x_out, v=v_out, v_prime=vp_out, v_second=vpp_out, energy_max=energy_max)
+    x_out, v_out, vp_out, vpp_out, vppp_out = nodes[:, :kept]
+    return OracleProfile(curve=curve, x=x_out, v=v_out, v_prime=vp_out, v_second=vpp_out, v_third=vppp_out,
+                         energy_max=energy_max)
 
 
 def _off_pole(curve: PotentialCurve, v_beta) -> np.ndarray:

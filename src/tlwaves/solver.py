@@ -309,22 +309,25 @@ def auto_initial_guess(grid: SpectralGrid, params: ModelParameters, speed: float
     return WaveState.from_zeta_v(grid, params, zeta, v)
 
 
-def oracle_initial_guess(grid: SpectralGrid, params: ModelParameters, speed: float) -> WaveState:
+def oracle_initial_guess(grid: SpectralGrid, params: ModelParameters, speed: float, tol: float = 1e-10) -> WaveState:
     """The ODE oracle's solitary profile at the grid nodes, zeta by the first-row algebra.
 
-    The profile is integrated to x_max = min(l, 20/lambda), beyond which its exponential
-    tail continuation is exact to v(x_max)^2, with nodes 0.004 of the decay length 1/lambda
-    or of the crest's dx/dz apart, whichever is shorter, and at most 20000 of them: close
-    to the pole dx/dz at the crest tends to 0.  Of those it keeps the nodes that the grid's
-    samples read, at most 2n + 2.  Raises what the oracle raises, a
-    :class:`WaveError` (``PoleProximityError`` or ``StepSizeTooLargeError`` close to
-    the pole).
+    The profile is integrated to x_max = min(l, 16/lambda), beyond which its exponential
+    tail continuation is exact to ~1e-14 |v*|, with nodes 0.016/lambda or 0.008 of the
+    crest's dx/dz apart, whichever is shorter, and at most 20000 of them: close to the
+    pole dx/dz at the crest tends to 0.  The quintic interpolant between them is exact
+    to ~3e-13 |v*| on the reference wave.  Of those nodes it keeps the ones that the
+    grid's samples read, at most 2n + 2.  The oracle's energy drift may reach 100 ``tol``
+    (at least its own 1e-10): a seed only needs to start the iteration close to the
+    wave.  Raises what the oracle raises, a :class:`WaveError` (``PoleProximityError``
+    or ``StepSizeTooLargeError`` close to the pole).
     """
     curve = oracle.potential(oracle.TravelingWaveProblem(params=params, speed=speed))
     lam = curve.saddle_rate
-    x_max = min(grid.half_length, 20.0 / lam)
-    step = max(0.004 * min(1.0 / lam, curve.crest_dxdz()), x_max / 20000)
-    profile = oracle.integrate_profile(curve, x_max=x_max, step=step, samples=grid.nodes)
+    x_max = min(grid.half_length, 16.0 / lam)
+    step = max(min(0.016 / lam, 0.008 * curve.crest_dxdz()), x_max / 20000)
+    profile = oracle.integrate_profile(curve, x_max=x_max, step=step, samples=grid.nodes,
+                                       drift_bound=max(1e-10, 100.0 * tol))
     v = profile.sample_v(grid.nodes)
     return WaveState.from_zeta_v(grid, params, oracle.reconstruct_zeta(curve, v), v)
 
@@ -364,7 +367,7 @@ def solve(grid: SpectralGrid, params: ModelParameters, config: SolverConfig) -> 
     state = config.initial_guess
     if state is None:
         try:
-            state = oracle_initial_guess(grid, params, speed)
+            state = oracle_initial_guess(grid, params, speed, config.tol_residual)
             report.seed = "oracle"
         except WaveError:
             state = auto_initial_guess(grid, params, speed)

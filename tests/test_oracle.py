@@ -139,7 +139,7 @@ def test_a_full_profile_keeps_every_node(elev_curve, x_max, step):
     # without samples every node is kept: n + 1 of them, strictly increasing from the crest at x = 0
     prof = oracle.integrate_profile(elev_curve, x_max=x_max, step=step)
     n = int(x_max / step) + 1
-    for name in ("x", "v", "v_prime", "v_second"):
+    for name in ("x", "v", "v_prime", "v_second", "v_third"):
         assert getattr(prof, name).shape == (n + 1,), name
     assert prof.x[0] == 0.0 and np.all(np.diff(prof.x) > 0.0)
     assert prof.x[-1] >= x_max
@@ -270,7 +270,7 @@ def test_profile_negative_speed():
         pos, neg = (oracle.potential(oracle.TravelingWaveProblem(params=p, speed=s)) for s in (speed, -speed))
         prof_pos = oracle.integrate_profile(pos, x_max=20.0, step=1e-3)
         prof_neg = oracle.integrate_profile(neg, x_max=20.0, step=1e-3)
-        for name in ("x", "v", "v_prime", "v_second"):
+        for name in ("x", "v", "v_prime", "v_second", "v_third"):
             assert getattr(prof_neg, name).tobytes() == getattr(prof_pos, name).tobytes(), name
         assert prof_neg.energy_max == prof_pos.energy_max
         assert prof_neg.sample_v(xs).tobytes() == prof_pos.sample_v(xs).tobytes()
@@ -314,9 +314,10 @@ def test_hermite_sampling_matches_cubic_spline(gamma, delta, sign):
 
 
 def test_sampling_v_prime_reads_the_stored_v_second(elev_curve, monkeypatch):
-    # the profile keeps v'' = ode_rhs(v) from its blocks, so sampling v' evaluates no ODE
+    # the profile keeps v'' = ode_rhs(v) and v''' = -U''(v) v' from its blocks, so sampling v' evaluates no ODE
     prof = oracle.integrate_profile(elev_curve, x_max=20.0, step=1e-3)
     assert prof.v_second.tobytes() == elev_curve.ode_rhs(prof.v).tobytes()
+    assert prof.v_third.tobytes() == (-(elev_curve.U_second(prof.v) * prof.v_prime)).tobytes()
     xs = np.linspace(-25.0, 25.0, 401)
     want = prof.sample_v_prime(xs)
 
@@ -327,16 +328,28 @@ def test_sampling_v_prime_reads_the_stored_v_second(elev_curve, monkeypatch):
     assert prof.sample_v_prime(xs).tobytes() == want.tobytes()
 
 
+def test_the_quintic_interpolant_reproduces_a_quintic():
+    # the two-point Taylor form against the polynomial itself, on uneven nodes, at the nodes and between them
+    rng = np.random.default_rng(7)
+    poly = np.polynomial.Polynomial(rng.normal(size=6))
+    x = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 3.0, 6)), [3.0]])
+    t = np.concatenate([x, np.linspace(0.0, 3.0, 1001)])
+    got = oracle._quintic(x, poly(x), poly.deriv()(x), poly.deriv(2)(x), t)
+    assert np.max(np.abs(got - poly(t))) <= 1e-13 * np.max(np.abs(poly(t)))
+    assert got[: x.size].tobytes() == poly(x).tobytes()
+
+
 def test_samples_are_the_interpolant_inside_and_the_tail_beyond_bit_for_bit(elev_curve):
-    # the one expression over both branches, as the reference: Hermite at |x| clipped to the last node, the tail
-    # continuation beyond it
+    # the one expression over both branches, as the reference: the quintic at |x| clipped to the last node, the
+    # tail continuation beyond it
     prof = oracle.integrate_profile(elev_curve, x_max=20.0, step=1e-3)
     x_end = prof.x[-1]
     xq = np.concatenate([np.linspace(-30.0, 30.0, 2001), [x_end, -x_end, np.nextafter(x_end, np.inf), 0.0]])
     xa = np.abs(xq)
-    for got, values, slopes, sign in ((prof.sample_v(xq), prof.v, prof.v_prime, 1.0),
-                                      (prof.sample_v_prime(xq), prof.v_prime, prof.v_second, np.sign(xq))):
-        inside = oracle._hermite(prof.x, values, slopes, np.clip(xa, 0.0, x_end))
+    for got, rows, sign in ((prof.sample_v(xq), (prof.v, prof.v_prime, prof.v_second), 1.0),
+                            (prof.sample_v_prime(xq), (prof.v_prime, prof.v_second, prof.v_third), np.sign(xq))):
+        values = rows[0]
+        inside = oracle._quintic(prof.x, *rows, np.clip(xa, 0.0, x_end))
         tail = values[-1] * np.exp(-elev_curve.saddle_rate * (xa - x_end))
         assert got.tobytes() == (sign * np.where(xa <= x_end, inside, tail)).tobytes()
 
@@ -378,6 +391,19 @@ def test_oracle_matches_solver_to_its_tolerance(default_grid, elevation_solution
     assert np.max(np.abs(state.v - elevation_oracle_profile.sample_v(default_grid.nodes))) <= 1e-10
 
 
+def test_the_quintic_samples_four_times_the_old_seed_step_to_round_off(default_grid, elevation_curve,
+                                                                        elevation_oracle_profile):
+    # nodes 0.016 min(1/lambda, dx/dz at the crest) apart, 4x the step the seed took with a cubic interpolant,
+    # which read 1.5e-10 here; the quintic stays at round-off of the step-1e-3 profile on every grid node
+    lam = elevation_curve.saddle_rate
+    step = 0.016 * min(1.0 / lam, elevation_curve.crest_dxdz())
+    nodes = default_grid.nodes
+    coarse = oracle.integrate_profile(elevation_curve, x_max=default_grid.half_length, step=step, samples=nodes)
+    bound = 1e-12 * abs(elevation_curve.turning_point)
+    assert np.max(np.abs(coarse.sample_v(nodes) - elevation_oracle_profile.sample_v(nodes))) <= bound
+    assert np.max(np.abs(coarse.sample_v_prime(nodes) - elevation_oracle_profile.sample_v_prime(nodes))) <= bound
+
+
 def _rk4_step(f, w, wp, h):
     """One classical RK4 step of w'' = f(w)."""
     k1w, k1p = wp, f(w)
@@ -405,6 +431,10 @@ def _reference_profile(curve, x_max, step):
 
     def rhs(v):
         return v / beta - (0.5 * K * v * v + ccrit2 * v / (cs - K * v)) / (beta * cs)
+
+    def rhs_slope(v):
+        """d rhs / dv, so that v''' = rhs_slope(v) v'."""
+        return 1.0 / beta - (K * v + ccrit2 * cs / (cs - K * v) ** 2) / (beta * cs)
 
     margin = max(8.0, 4.0 / lam)
     while True:
@@ -440,7 +470,8 @@ def _reference_profile(curve, x_max, step):
     vp_full = np.concatenate([[0.0], -wp_arr[pos]])
     energy_max = float(np.max(np.abs(0.5 * vp_full**2 + curve.U(v_full))))
     keep = x_full <= x_max + 5.0 * step
-    return oracle.OracleProfile(curve, x_full[keep], v_full[keep], vp_full[keep], rhs(v_full[keep]), energy_max)
+    x_full, v_full, vp_full = x_full[keep], v_full[keep], vp_full[keep]
+    return oracle.OracleProfile(curve, x_full, v_full, vp_full, rhs(v_full), rhs_slope(v_full) * vp_full, energy_max)
 
 
 @pytest.mark.parametrize(
