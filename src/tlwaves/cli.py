@@ -107,13 +107,14 @@ _TARGETS = ("fig2a", "fig2b", "fig3a", "fig3b", "fig3c", "fig4", "fig5", "fig6",
 # bytes a command may plan to allocate; a larger estimate exits 1 before it allocates
 _MEMORY_BUDGET = 2 * 2**30
 # bytes budgeted per item that a command sizes from its flags: oracle nodes (--x-max/--step), oracle
-# samples (--x-max/--dx), dispersion and sweep rows (--count) and solve modes (--modes).  The oracle keeps
+# samples (--x-max/--dx), dispersion rows and sweep rows (--count) and solve modes (--modes).  The oracle keeps
 # only the nodes that bracket a sample, so _NODE_BYTES bounds the node count a run walks, not its memory:
-# a --step of 1e-9 would run for hours.  The peaks measured with tracemalloc through main are 195 per
-# sample (its two kept nodes of five rows and the quintic sampler's temporaries included; 2^17 samples),
-# 50 per dispersion row and 153 per mode (188 dealiased), so each constant sits 2-5x above its peak;
-# lowering one would move the refusals.
-_NODE_BYTES, _SAMPLE_BYTES, _ROW_BYTES, _MODE_BYTES = 40, 512, 256, 384
+# a --step of 1e-9 would run for hours.  The peaks measured with tracemalloc through main are 233 per
+# sample where each sample keeps its own two nodes of five rows (the quintic sampler's temporaries
+# included; 1e5-5e5 samples), 48 per dispersion row (2^20 rows), 465 per sweep row (2^13 speeds that each
+# warn, whose messages the warnings registry keeps) and 153 per mode (188 dealiased).  The sample and row
+# constants sit at most 2x above their peaks, the mode one 2-2.5x.
+_NODE_BYTES, _SAMPLE_BYTES, _ROW_BYTES, _SWEEP_ROW_BYTES, _MODE_BYTES = 40, 448, 96, 768, 384
 # values per block of the CSV formatter
 _FORMAT_BLOCK = 1536
 
@@ -501,7 +502,7 @@ def cmd_sweep(args) -> int:
         raise InsufficientDataError("sweep needs at least 4 speeds for the power fit")
     if not (np.isfinite(args.offset_min) and np.isfinite(args.offset_max)):
         raise ValueError(f"--offset-min and --offset-max must be finite, got {args.offset_min} and {args.offset_max}")
-    _check_memory(args.count * _ROW_BYTES, f"sweep --count {args.count}", "lower --count")
+    _check_memory(args.count * _SWEEP_ROW_BYTES, f"sweep --count {args.count}", "lower --count")
     columns = analysis.speed_sweep(solver.solve, grid, params, config,
                                    np.linspace(args.offset_min, args.offset_max, args.count))
 

@@ -38,9 +38,13 @@ spacing (f(0) where -2U rounds to <= 0 next to the crest); the nodes' own x
 then follows from a trapezoid in z with the end-point derivative correction,
 with f' in closed form.  Within 0.2 |v*| of the crest, U(v) cancels, so -2U
 is the running integral 2 int_v^{v*} U' over the nodes (trapezoid in v with
-the U'' end correction).  The nodes are evaluated in blocks in one scratch
-buffer, which keeps the temporaries small, with v'' = ode_rhs(v) and
-v''' = -U''(v) v'.  One sampler serves every caller: v is the quintic Hermite
+the U'' end correction).  The nodes are evaluated in blocks of 4096 in one
+scratch buffer, with v'' = ode_rhs(v) and v''' = -U''(v) v' (the x and v'''
+rows hold z and U''(v) until these replace them), in a few dozen numpy passes
+per block.  The kernels order their terms so that at most about six more
+arrays of the block's length are live, so a block's peak (~0.44 MiB by
+tracemalloc) stays near that of half as wide a block with all its
+temporaries (~0.38 MiB).  One sampler serves every caller: v is the quintic Hermite
 interpolant of (v, v', v'') and v' that of (v', v'', v'''), whose error falls
 like step^6 where a cubic's fell like step^4, so a seed's nodes can lie 4x
 further apart at the same accuracy.  ``energy_max`` is max |v'^2/2 + U(v)|
@@ -69,7 +73,7 @@ from .params import ModelParameters, require_solitary_wave
 _SERIES_CUTOFF = 1e-3  # |v/v_pole| below which log1p cancellation kicks in
 _PANELS = 256  # uniform z-panels of the coarse map x(z) that places the nodes
 _CREST_BAND = 0.2  # |v* - v| < 0.2 |v*|: -2U from the running integral of U'
-_BLOCK = 2048  # nodes evaluated per block: the temporaries are about a dozen arrays of this length
+_BLOCK = 4096  # nodes per block: beside 5 scratch rows, at most ~6 temporaries of this length (~0.44 MiB)
 # the positive nodes and their weights of 16-point Gauss-Legendre on [-1, 1], as
 # numpy.polynomial.legendre.leggauss(16) gives them; the rule is exactly symmetric
 _GL_HALF_NODES = (0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
@@ -121,42 +125,60 @@ class PotentialCurve:
         object.__setattr__(self, "cubic", p.k_coeff / (6.0 * p.beta * cs) + c2 / (3.0 * self.v_pole**2))
 
     def _series(self, v, r):
-        """U for |r| < _SERIES_CUTOFF: -lambda^2 v^2 / 2, the cubic, and the log's series from r^4 on."""
-        tail = self.c2 * ((r * r) * (r * r) * (1 / 4 + r * (1 / 5 + r * (1 / 6 + r / 7)))) * self.v_pole
-        return -0.5 * self.saddle_rate**2 * v * v + self.cubic * (v * v * v) + tail
+        """U for |r| < _SERIES_CUTOFF: -lambda^2 v^2 / 2, the cubic, and the log's series from r^4 on,
+        c2 ((r r) (r r) (1/4 + r (1/5 + r (1/6 + r / 7)))) v_pole.  An array r becomes r^4 in place: its callers
+        pass one they drop."""
+        out = -0.5 * self.saddle_rate**2 * v * v + self.cubic * (v * v * v)
+        tail = 1 / 4 + r * (1 / 5 + r * (1 / 6 + r / 7))
+        r *= r
+        r *= r
+        tail *= r
+        tail *= self.c2
+        tail *= self.v_pole
+        out += tail
+        return out
 
     def _closed(self, v, r):
         """U = -v^2 / (2 beta) + K v^3 / (6 beta c_s) + c2 (-v - v_pole log1p(-r)), NaN beyond the pole."""
-        p = self.problem.params
-        return -v * v / (2.0 * p.beta) + (
-            p.k_coeff * (v * v * v) / (6.0 * p.beta * self.cs) + self.c2 * (-v - self.v_pole * np.log1p(-r))
-        )
+        p = self.problem.params  # (C + B) + A is A + (B + C) to the bit, and C is built before A is live
+        return (self.c2 * (-v - self.v_pole * np.log1p(-r)) + p.k_coeff * (v * v * v) / (6.0 * p.beta * self.cs)
+                + -v * v / (2.0 * p.beta))
 
     def U(self, v):
-        """Potential energy U(v) = -v^2/(2 beta) + G(v), each branch on its own samples."""
+        """Potential energy U(v) = -v^2/(2 beta) + G(v), each sample's value from its own branch.
+
+        The branch of most samples runs on all of them in one pass, and the other, if any, overwrites its own
+        samples: nearly every quadrature block lies wholly on one side of the cutoff.
+        """
         v = np.asarray(v, dtype=float)
         r = v / self.v_pole
-        small = np.abs(r) < _SERIES_CUTOFF
-        out = np.empty_like(v)
-        with np.errstate(invalid="ignore"):
-            out[~small] = self._closed(v[~small], r[~small])
-        out[small] = self._series(v[small], r[small])
+        small = np.abs(r) < _SERIES_CUTOFF  # False for NaN, which takes the closed form
+        series = 2 * np.count_nonzero(small) > small.size
+        with np.errstate(invalid="ignore"):  # the closed form is NaN beyond the pole
+            out = (self._series if series else self._closed)(v, r)
+            del r
+            other = ~small if series else small
+            if other.any():
+                w = v[other]
+                out[other] = (self._closed if series else self._series)(w, w / self.v_pole)
         return out if out.ndim else float(out)
 
-    def G_prime(self, v):
-        """G'(v) = (K v^2 / 2 + c_crit^2 v / (c_s - K v)) / (beta c_s)."""
+    def G_prime(self, v, gap=None):
+        """G'(v) = (K v^2 / 2 + c_crit^2 v / gap) / (beta c_s), gap = c_s - K v unless the caller has it."""
         p = self.problem.params
-        return (0.5 * p.k_coeff * v * v + p.c_crit**2 * v / (self.cs - p.k_coeff * v)) / (p.beta * self.cs)
+        gap = self.cs - p.k_coeff * v if gap is None else gap
+        return (0.5 * p.k_coeff * v * v + p.c_crit**2 * v / gap) / (p.beta * self.cs)
 
-    def U_second(self, v):
-        """U''(v) = -1/beta + (K v + c_crit^2 c_s / (c_s - K v)^2) / (beta c_s)."""
+    def U_second(self, v, gap=None):
+        """U''(v) = -1/beta + (K v + c_crit^2 c_s / gap^2) / (beta c_s), gap = c_s - K v unless given."""
         p = self.problem.params
         K, cs = p.k_coeff, self.cs
-        return -1.0 / p.beta + (K * v + p.c_crit**2 * cs / (cs - K * v) ** 2) / (p.beta * cs)
+        gap = cs - K * v if gap is None else gap
+        return -1.0 / p.beta + (K * v + p.c_crit**2 * cs / gap**2) / (p.beta * cs)
 
-    def ode_rhs(self, v):
+    def ode_rhs(self, v, gap=None):
         """Acceleration v'' = v/beta - G'(v)."""
-        return v / self.problem.params.beta - self.G_prime(v)
+        return v / self.problem.params.beta - self.G_prime(v, gap)
 
     def crest_dxdz(self) -> float:
         """dx/dz = sqrt(2 v* / U'(v*)) at the crest, where v = v* exp(-z^2)."""
@@ -210,12 +232,17 @@ def potential(problem: TravelingWaveProblem) -> PotentialCurve:
 
 
 def _hermite(x: np.ndarray, y: np.ndarray, dy: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Piecewise cubic Hermite interpolant of values y and slopes dy at nodes x, at t in [x[0], x[-1]]."""
-    i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, x.size - 2)
-    h = x[i + 1] - x[i]
-    s = (t - x[i]) / h
+    """Piecewise cubic Hermite interpolant of values y and slopes dy at nodes x, at ascending t in [x[0], x[-1]].
+
+    The t in each piece are counted from where the inner nodes fall among them, one search per node rather than
+    per t, and the piece's x0, h, y and h dy at either end are repeated that often; t = x[-1] is in the last piece.
+    """
+    counts = np.diff(np.concatenate(([0], np.searchsorted(t, x[1:-1]), [t.size])))
+    h = np.diff(x)
+    s = (t - np.repeat(x[:-1], counts)) / np.repeat(h, counts)
     r = 1.0 - s
-    return (y[i] * (1.0 + 2.0 * s) + h * dy[i] * s) * r * r + (y[i + 1] * (3.0 - 2.0 * s) - h * dy[i + 1] * r) * s * s
+    return ((np.repeat(y[:-1], counts) * (1.0 + 2.0 * s) + np.repeat(h * dy[:-1], counts) * s) * r * r
+            + (np.repeat(y[1:], counts) * (3.0 - 2.0 * s) - np.repeat(h * dy[1:], counts) * r) * s * s)
 
 
 def _quintic(x: np.ndarray, y: np.ndarray, dy: np.ndarray, d2y: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -324,9 +351,9 @@ def integrate_profile(curve: PotentialCurve, x_max: float, step: float = 1e-3,
     linear = 1e-140 * abs(vstar)  # below this |v|, v'/v = -lam to round-off and v^2 may underflow
 
     def rate(av, root, tail):
-        """|v'/v| on the orbit, from |v|, root = sqrt(-2U(v)) = |v'| and the mask of |v| < linear."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(tail, lam, root / av)
+        """|v'/v| on the orbit, from |v|, root = sqrt(-2U(v)) = |v'| and the mask of |v| < linear, where root / av
+        may be 0/0: its callers ignore the division's warnings."""
+        return np.where(tail, lam, root / av)
 
     # coarse map x(z) on uniform z-panels; -2U(v) <= lam^2 v^2 on the orbit, so x(z) >= z^2 / lam
     # and z_end maps beyond the last node
@@ -352,27 +379,36 @@ def integrate_profile(curve: PotentialCurve, x_max: float, step: float = 1e-3,
 
     x_edges, z_slopes = coarse_map()
 
-    def abscissae(z, v, vpp, av, root, tail, x):
-        """x[1:] from x[0] by the end-corrected trapezoid in z of f = dx/dz = 2 z / rate and its z-derivative."""
-        r = rate(av, root, tail)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q = 1.0 - vpp / v / (r * r)
-            q[tail] = 0.0
-            f = 2.0 * z / r
-            fp = 2.0 / r * (1.0 - 2.0 * z * z * q)
+    def abscissae(z, v, vpp, root, tail, x_first):
+        """x over z's row from x[0] = x_first, by the end-corrected trapezoid in z of f = dx/dz = 2 z / rate and
+        its z-derivative."""
+        r = rate(np.abs(v), root, tail)
+        q = 1.0 - vpp / v / (r * r)
+        q[tail] = 0.0
+        fp = 2.0 / r * (1.0 - 2.0 * z * z * q)
+        del q
+        f = 2.0 * z / r
+        del r
         if z[0] == 0.0:  # the crest, where f and f' take their limits z -> 0
             f[0], fp[0] = f0, 0.0
         dz = np.diff(z)
-        x[1:] = x[0] + np.cumsum(0.5 * dz * (f[:-1] + f[1:]) + dz * dz / 12.0 * (fp[:-1] - fp[1:]))
+        area = 0.5 * dz * (f[:-1] + f[1:])
+        del f
+        area += dz * dz / 12.0 * (fp[:-1] - fp[1:])
+        np.cumsum(area, out=z[1:])
+        z[1:] += x_first
+        z[0] = x_first
 
     def drift(x, v, vp, vpp, vppp):
         """max |E| of the quintic Hermite interpolant at the midpoints, of (v, v', v'') and (v', v'', v''')."""
         h = np.diff(x)
         hh = h * h / 64.0
         h *= 5.0 / 32.0
-        v_mid = 0.5 * (v[:-1] + v[1:]) + h * (vp[:-1] - vp[1:]) + hh * (vpp[:-1] + vpp[1:])
         vp_mid = 0.5 * (vp[:-1] + vp[1:]) + h * (vpp[:-1] - vpp[1:]) + hh * (vppp[:-1] + vppp[1:])
-        return np.max(np.abs(0.5 * vp_mid * vp_mid + curve.U(v_mid)))
+        vp_mid *= 0.5 * vp_mid  # the kinetic term (0.5 v'_mid) v'_mid
+        v_mid = 0.5 * (v[:-1] + v[1:]) + h * (vp[:-1] - vp[1:]) + hh * (vpp[:-1] + vpp[1:])
+        del h, hh  # so that U runs beside two arrays
+        return np.max(np.abs(vp_mid + curve.U(v_mid)))
 
     # rows x, v, v', v'', v''' of the kept nodes: each block is computed in a scratch buffer and a mask picks the
     # nodes it keeps, every node without samples, else the ends of the pieces that hold a sample
@@ -389,62 +425,72 @@ def integrate_profile(curve: PotentialCurve, x_max: float, step: float = 1e-3,
     kept = 0  # the nodes kept
     carry = every  # the previous block's last node, this block's first, is kept
     band = _CREST_BAND * abs(vstar)
+    in_band = True  # the previous block ended in the crest band
     x_last = m_last = 0.0
     energy_max = depth = -math.inf  # running maxima of the blocks' drift and of m
-    for i0 in range(1, n + 1, _BLOCK):
-        i1 = min(i0 + _BLOCK, n + 1)
-        # node i0 - 1 (the crest for the first block) again, then the block's nodes: the C1 Hermite
-        # inverse z(x) places them at x ~ i * step, and the same t gives the same z in both blocks
-        z = _hermite(x_edges, z_edges, z_slopes, np.arange(i0 - 1, i1) * step)
-        block = scratch[:, : i1 - i0 + 1]
-        x, v, vp, vpp, vppp = block
-        np.multiply(vstar, np.exp(-z * z), out=v)
-        vpp[:] = curve.ode_rhs(v)
-        upp = curve.U_second(v)
-        # m = -2U(v); inside the crest band U cancels, so m = 2 int_v^v* U' (U' = -v'') by the end-corrected trapezoid
-        m = np.empty_like(z)
-        m[0] = m_last
-        c = 1 + np.count_nonzero(np.abs(v[1:] - vstar) < band)  # the band's nodes are a prefix
-        if c > 1:
-            h = v[: c - 1] - v[1:c]
-            m[1:c] = m_last + np.cumsum(h * h / 6.0 * (upp[1:c] - upp[: c - 1]) - h * (vpp[: c - 1] + vpp[1:c]))
-        m[c:] = -2.0 * curve.U(v[c:])
-        depth = np.maximum(depth, np.max(m))
-        with np.errstate(invalid="ignore"):  # a negative m is reported below, as the pole's
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 where the tail mask applies; m < 0 is raised below
+        for i0 in range(1, n + 1, _BLOCK):
+            i1 = min(i0 + _BLOCK, n + 1)
+            block = scratch[:, : i1 - i0 + 1]
+            x, v, vp, vpp, vppp = block
+            # node i0 - 1 (the crest for the first block) again, then the block's nodes: the C1 Hermite inverse
+            # z(x) places them at x ~ i * step, and the same i gives the same z in both blocks.  The x row holds
+            # z until the abscissae replace it, the v''' row U''(v) until v''' = -U''(v) v' does
+            np.multiply(np.arange(i0 - 1, i1), step, out=x)
+            z = x
+            z[:] = _hermite(x_edges, z_edges, z_slopes, x)
+            np.multiply(vstar, np.exp(-z * z), out=v)
+            gap = curve.cs - curve.problem.params.k_coeff * v
+            vpp[:] = curve.ode_rhs(v, gap)
+            vppp[:] = curve.U_second(v, gap)
+            upp = vppp
+            del gap  # else it lives on through the next block's Hermite inverse
+            # m = -2U(v), in the v' row; inside the crest band U cancels, so m = 2 int_v^v* U' (U' = -v'') by
+            # the end-corrected trapezoid
+            m = vp
+            m[0] = m_last
+            c = 1
+            if in_band:  # the band's nodes are a prefix
+                c += np.count_nonzero(np.abs(v[1:] - vstar) < band)
+                in_band = c == v.size
+            if c > 1:
+                h = v[: c - 1] - v[1:c]
+                m[1:c] = m_last + np.cumsum(h * h / 6.0 * (upp[1:c] - upp[: c - 1]) - h * (vpp[: c - 1] + vpp[1:c]))
+            np.multiply(curve.U(v[c:]), -2.0, out=m[c:])
+            depth = np.maximum(depth, np.max(m))
+            m_last = m[-1]
             np.sqrt(m, out=vp)  # |v'|, signed below
-        av = np.abs(v)
-        tail = av < linear
-        x[0] = x_last
-        abscissae(z, v, vpp, av, vp, tail, x)
-        vp *= -crest_sign
-        vp[tail] = -lam * v[tail]
-        if np.isnan(vp).any():  # m < 0: U's round-off close to the pole, which no smaller step removes
-            raise PoleProximityError(f"speed {curve.problem.speed:g}: -2U < 0 on the orbit, whose turning point lies "
-                                     f"{1.0 - vstar / curve.v_pole:.3g} |v_pole| below v_pole = {curve.v_pole:.6g}")
-        if i0 == 1:
-            vp[0] = 0.0  # the crest
-        np.multiply(upp, vp, out=vppp)
-        np.negative(vppp, out=vppp)  # v''' = -U''(v) v'
-        x_last, m_last = x[-1], m[-1]
-        del z, m, av, tail, upp  # freed before the drift's temporaries, which set the peak memory of a block
-        energy_max = np.maximum(energy_max, drift(x, v, vp, vpp, vppp))
-        # the piece [x[k], x[k+1]) holds the samples of this block; the last block also keeps its last two
-        # nodes, which sample |x| >= x[-1] and the tail, and any other block leaves its last node to the next
-        keep = np.full(x.size, every)
-        keep[0] = carry
-        for j, run in enumerate(runs):  # each run loses the samples below the block's last node
-            end = np.searchsorted(run, x_last)
-            k = np.searchsorted(x, run[:end], side="right") - 1
-            keep[k] = keep[k + 1] = True
-            runs[j] = run[end:]
-        if i1 == n + 1:
-            keep[-2:] = True
-        else:
-            carry, keep[-1] = keep[-1], False
-        count = np.count_nonzero(keep)
-        for row, a in zip(nodes, block):
-            row[kept : kept + count] = a[keep]
-        kept += count
+            tail = np.abs(v) < linear
+            abscissae(z, v, vpp, vp, tail, x_last)
+            vp *= -crest_sign
+            vp[tail] = -lam * v[tail]
+            if np.isnan(vp).any():  # m < 0: U's round-off close to the pole, which no smaller step removes
+                raise PoleProximityError(f"speed {curve.problem.speed:g}: -2U < 0 on the orbit, whose turning point "
+                                         f"lies {1.0 - vstar / curve.v_pole:.3g} |v_pole| below v_pole = "
+                                         f"{curve.v_pole:.6g}")
+            if i0 == 1:
+                vp[0] = 0.0  # the crest
+            vppp *= vp
+            np.negative(vppp, out=vppp)  # v''' = -U''(v) v'
+            x_last = x[-1]
+            energy_max = np.maximum(energy_max, drift(x, v, vp, vpp, vppp))
+            # the piece [x[k], x[k+1]) holds the samples of this block; the last block also keeps its last two
+            # nodes, which sample |x| >= x[-1] and the tail, and any other block leaves its last node to the next
+            keep = np.full(x.size, every)
+            keep[0] = carry
+            for j, run in enumerate(runs):  # each run loses the samples below the block's last node
+                end = np.searchsorted(run, x_last)
+                if end:
+                    k = np.searchsorted(x, run[:end], side="right") - 1
+                    keep[k] = keep[k + 1] = True
+                    runs[j] = run[end:]
+            if i1 == n + 1:
+                keep[-2:] = True
+            else:
+                carry, keep[-1] = keep[-1], False
+            count = np.count_nonzero(keep)
+            block.compress(keep, axis=1, out=nodes[:, kept : kept + count])
+            kept += count
 
     energy_max = float(energy_max)
     scale = max(1.0, 0.5 * float(depth))  # max |U| = max(-2U) / 2 on the orbit

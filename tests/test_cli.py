@@ -288,6 +288,36 @@ def test_a_grid_over_the_memory_budget_exits_1_before_it_is_built(tmp_path, caps
     assert stdout == "" and list(tmp_path.iterdir()) == []
 
 
+class _Budgeted(Exception):
+    """Raised in place of a command's first allocation of its rows, once its memory checks have passed."""
+
+
+@pytest.mark.parametrize("argv, edge", [
+    (("dispersion", "--count"), 22369621),
+    (("sweep", "--count"), 2796202),
+    (("oracle", "--step", "1", "--dx", "1", "--x-max"), 4793490),
+], ids=["dispersion-rows", "sweep-rows", "oracle-samples"])
+def test_the_budget_holds_the_largest_run_its_bytes_per_item_allow(tmp_path, capsys, monkeypatch, argv, edge):
+    # the edges the README names, through each command's own estimate and _check_memory's arithmetic: the run at
+    # the edge passes every memory check and is stopped where it would first allocate its rows, and one row or
+    # sample more is refused.  Nothing near the budget is allocated
+    def stopped(real):
+        def call(*args, **kwargs):
+            if max(abs(a) for a in args) > 1e6:  # the rows; a grid's own nodes are fewer
+                raise _Budgeted
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(np, "linspace", stopped(np.linspace))  # dispersion's wavenumbers, sweep's speeds
+    monkeypatch.setattr(np, "arange", stopped(np.arange))  # the oracle's sample abscissae
+    out = ("--out", str(tmp_path / "t.csv"))
+    with pytest.raises(_Budgeted):
+        main([*argv, str(edge), *out])
+    code, stdout, err = run_cli(capsys, *argv, str(edge + 1), *out)
+    assert code == 1 and one_line_error(err)["error"] == "MemoryError"
+    assert stdout == "" and list(tmp_path.iterdir()) == []
+
+
 def test_the_memory_estimate_of_a_solve_counts_padding_and_the_mpe_history(monkeypatch):
     # the modes, 3/2 as many with --dealias, and the K + 2 stacked (zeta, v) iterates of MPE(K)
     asked = []

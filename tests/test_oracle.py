@@ -360,11 +360,11 @@ def test_samples_are_the_interpolant_inside_and_the_tail_beyond_bit_for_bit(elev
     (0.5, 0.8, -1.0, 20.0, 1e-3, 0.25),
     (0.5, 0.5, 1.0, 20.0, 1e-3, 0.37),
     (0.5, 0.8, 1.0, 1.3, 1e-3, 0.1),
-    (0.5, 0.5, -1.0, 8.192, 0.004, 0.004),
+    (0.5, 0.5, -1.0, oracle._BLOCK * 0.004, 0.004, 0.004),
 ], ids=["elevation", "depression", "negative-speed", "dx-not-dividing", "below-one-block", "node-on-block-edge"])
 def test_a_profile_kept_for_its_samples_samples_them_as_the_full_one(gamma, delta, sign, x_max, step, dx):
-    # the kept nodes are the ends of the pieces that hold a sample, and the last two; 8.192 / 0.004 puts the
-    # last node alone in the last block
+    # the kept nodes are the ends of the pieces that hold a sample, and the last two; _BLOCK * 0.004 / 0.004 puts
+    # the last node alone in the last block
     p = make_parameters(gamma, delta)
     curve = oracle.potential(oracle.TravelingWaveProblem(params=p, speed=sign * (p.c_crit + 0.05)))
     full = oracle.integrate_profile(curve, x_max=x_max, step=step)
@@ -566,3 +566,109 @@ def test_gauss_legendre_literals_are_leggauss():
     half_nodes, half_weights = np.array(oracle._GL_HALF_NODES), np.array(oracle._GL_HALF_WEIGHTS)
     assert np.concatenate([-half_nodes[::-1], half_nodes]).tobytes() == nodes.tobytes()
     assert np.concatenate([half_weights[::-1], half_weights]).tobytes() == weights.tobytes()
+
+
+# The kernels that the block loop calls were rewritten to run in fewer, wider numpy passes.  Their former
+# expressions are kept here as references, and each rewritten kernel must give their values bit for bit.
+
+
+def _U_reference(curve, v):
+    """U as first written: each branch on its own masked samples, the closed form as A + (B + C)."""
+    p = curve.problem.params
+    v = np.asarray(v, dtype=float)
+    r = v / curve.v_pole
+    small = np.abs(r) < oracle._SERIES_CUTOFF
+    out = np.empty_like(v)
+    vs, rs, vc, rc = v[small], r[small], v[~small], r[~small]
+    with np.errstate(invalid="ignore"):
+        out[~small] = -vc * vc / (2.0 * p.beta) + (
+            p.k_coeff * (vc * vc * vc) / (6.0 * p.beta * curve.cs) + curve.c2 * (-vc - curve.v_pole * np.log1p(-rc))
+        )
+    tail = curve.c2 * ((rs * rs) * (rs * rs) * (1 / 4 + rs * (1 / 5 + rs * (1 / 6 + rs / 7)))) * curve.v_pole
+    out[small] = -0.5 * curve.saddle_rate**2 * vs * vs + curve.cubic * (vs * vs * vs) + tail
+    return out if out.ndim else float(out)
+
+
+def _hermite_reference(x, y, dy, t):
+    """The cubic Hermite interpolant as first written: np.clip of a search for every t, and gathers."""
+    i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, x.size - 2)
+    h = x[i + 1] - x[i]
+    s = (t - x[i]) / h
+    r = 1.0 - s
+    return (y[i] * (1.0 + 2.0 * s) + h * dy[i] * s) * r * r + (y[i + 1] * (3.0 - 2.0 * s) - h * dy[i + 1] * r) * s * s
+
+
+@pytest.mark.parametrize("curve_name", ["elev_curve", "depr_curve"])
+@pytest.mark.parametrize("where", ["below", "above", "straddling-mostly-below", "straddling-mostly-above"])
+def test_U_on_a_block_is_the_masked_reference_bit_for_bit(request, curve_name, where):
+    # a block of the quadrature's width wholly on one side of the cutoff takes one branch in one pass; one that
+    # straddles it runs the branch of most samples on all and the other on its own
+    curve = request.getfixturevalue(curve_name)
+    cut = oracle._SERIES_CUTOFF * curve.v_pole
+    lo, hi = {"below": (1e-9, 0.99), "above": (1.01, 900.0), "straddling-mostly-below": (0.01, 1.2),
+              "straddling-mostly-above": (0.8, 500.0)}[where]
+    v = cut * np.geomspace(lo, hi, oracle._BLOCK + 1)
+    small = np.abs(v / curve.v_pole) < oracle._SERIES_CUTOFF
+    assert {"below": small.all(), "above": not small.any(), "straddling-mostly-below": 0.5 < small.mean() < 1.0,
+            "straddling-mostly-above": 0.0 < small.mean() < 0.5}[where]
+    assert curve.U(v).tobytes() == _U_reference(curve, v).tobytes()
+    assert curve.U(v[::-1]).tobytes() == _U_reference(curve, v[::-1]).tobytes()
+    for k in (0, oracle._BLOCK // 2, oracle._BLOCK):  # floats take the same branch as the arrays
+        assert curve.U(v[k]) == _U_reference(curve, v[k])
+
+
+def test_the_curve_kernels_with_a_shared_gap_are_the_former_expressions_bit_for_bit(elev_curve, depr_curve):
+    for curve in (elev_curve, depr_curve):
+        p, cs = curve.problem.params, curve.cs
+        K, c2crit = p.k_coeff, p.c_crit**2
+        v = curve.turning_point * np.linspace(0.0, 1.0, oracle._BLOCK + 1)
+        g_prime = (0.5 * K * v * v + c2crit * v / (cs - K * v)) / (p.beta * cs)
+        u_second = -1.0 / p.beta + (K * v + c2crit * cs / (cs - K * v) ** 2) / (p.beta * cs)
+        rhs = v / p.beta - g_prime
+        gap = cs - K * v
+        for gapped in (None, gap):
+            assert curve.G_prime(v, gapped).tobytes() == g_prime.tobytes()
+            assert curve.U_second(v, gapped).tobytes() == u_second.tobytes()
+            assert curve.ode_rhs(v, gapped).tobytes() == rhs.tobytes()
+        assert curve.crest_dxdz() == math.sqrt(2.0 * curve.turning_point / -float(rhs[-1]))
+
+
+@pytest.mark.parametrize("curve_name, x_max, step", [("elev_curve", 128.0, 1e-3), ("depr_curve", 128.0, 1e-3),
+                                                     ("elev_curve", 1e-5, 1e-6)])
+def test_hermite_on_the_coarse_map_is_the_clipped_reference_bit_for_bit(request, monkeypatch, curve_name, x_max,
+                                                                         step):
+    # the coarse map's panels as integrate_profile builds them; t covers blocks of nodes, each panel edge and
+    # t = x_edges[-1], which the reference's np.clip puts in the last piece
+    curve = request.getfixturevalue(curve_name)
+    panels = []
+    hermite = oracle._hermite
+
+    def spied(x, y, dy, t):
+        panels.append((x, y, dy))
+        return hermite(x, y, dy, t)
+
+    monkeypatch.setattr(oracle, "_hermite", spied)
+    oracle.integrate_profile(curve, x_max=x_max, step=step)
+    x, y, dy = panels[0]
+    assert x.size == oracle._PANELS + 1
+    for t in (np.linspace(0.0, x[-1], oracle._BLOCK + 1), x, np.sort(np.concatenate([x, 0.5 * (x[1:] + x[:-1])])),
+              x[-1:], x[:1], np.arange(0, oracle._BLOCK + 1) * (x[-1] / 7000)):
+        assert hermite(x, y, dy, t).tobytes() == _hermite_reference(x, y, dy, t).tobytes()
+
+
+@pytest.mark.parametrize("gamma, delta", [(0.5, 0.8), (0.5, 0.5)], ids=["elevation", "depression"])
+def test_the_profile_does_not_depend_on_the_block_width_beyond_round_off(monkeypatch, gamma, delta):
+    # the oracle workload's case: 128001 nodes in blocks of 2048 and of the default width.  Only the grouping of
+    # the running sums moves with the block; the samples at the table's rows agree to 2e-15 of their maxima
+    p = make_parameters(gamma, delta)
+    curve = oracle.potential(oracle.TravelingWaveProblem(params=p, speed=p.c_crit + 0.05))
+    xs = np.arange(0.0, 128.0 + 0.125, 0.25)
+    wide = oracle.integrate_profile(curve, x_max=128.0, step=1e-3, samples=xs)
+    monkeypatch.setattr(oracle, "_BLOCK", 2048)
+    narrow = oracle.integrate_profile(curve, x_max=128.0, step=1e-3, samples=xs)
+    assert narrow.x.size == wide.x.size
+    for sample in ("sample_v", "sample_v_prime"):
+        a, b = getattr(narrow, sample)(xs), getattr(wide, sample)(xs)
+        assert np.max(np.abs(a - b)) <= 2e-15 * np.max(np.abs(a)), sample
+    # the drift is ~5e-15 (elevation) and ~4e-16 (depression); it moves by at most a round-off of U's scale
+    assert abs(narrow.energy_max - wide.energy_max) <= 1e-16
