@@ -153,12 +153,13 @@ class PotentialCurve:
         v = np.asarray(v, dtype=float)
         r = v / self.v_pole
         small = np.abs(r) < _SERIES_CUTOFF  # False for NaN, which takes the closed form
-        series = 2 * np.count_nonzero(small) > small.size
+        count = np.count_nonzero(small)
+        series = 2 * count > small.size
         with np.errstate(invalid="ignore"):  # the closed form is NaN beyond the pole
             out = (self._series if series else self._closed)(v, r)
             del r
-            other = ~small if series else small
-            if other.any():
+            if 0 < count < small.size:
+                other = ~small if series else small
                 w = v[other]
                 out[other] = (self._closed if series else self._series)(w, w / self.v_pole)
         return out if out.ndim else float(out)
@@ -237,12 +238,12 @@ def _hermite(x: np.ndarray, y: np.ndarray, dy: np.ndarray, t: np.ndarray) -> np.
     The t in each piece are counted from where the inner nodes fall among them, one search per node rather than
     per t, and the piece's x0, h, y and h dy at either end are repeated that often; t = x[-1] is in the last piece.
     """
-    counts = np.diff(np.concatenate(([0], np.searchsorted(t, x[1:-1]), [t.size])))
-    h = np.diff(x)
-    s = (t - np.repeat(x[:-1], counts)) / np.repeat(h, counts)
+    counts = np.diff(np.concatenate(([0], t.searchsorted(x[1:-1]), [t.size])))
+    h = x[1:] - x[:-1]
+    s = (t - x[:-1].repeat(counts)) / h.repeat(counts)
     r = 1.0 - s
-    return ((np.repeat(y[:-1], counts) * (1.0 + 2.0 * s) + np.repeat(h * dy[:-1], counts) * s) * r * r
-            + (np.repeat(y[1:], counts) * (3.0 - 2.0 * s) - np.repeat(h * dy[1:], counts) * r) * s * s)
+    return ((y[:-1].repeat(counts) * (1.0 + 2.0 * s) + (h * dy[:-1]).repeat(counts) * s) * r * r
+            + (y[1:].repeat(counts) * (3.0 - 2.0 * s) - (h * dy[1:]).repeat(counts) * r) * s * s)
 
 
 def _quintic(x: np.ndarray, y: np.ndarray, dy: np.ndarray, d2y: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -391,24 +392,24 @@ def integrate_profile(curve: PotentialCurve, x_max: float, step: float = 1e-3,
         del r
         if z[0] == 0.0:  # the crest, where f and f' take their limits z -> 0
             f[0], fp[0] = f0, 0.0
-        dz = np.diff(z)
+        dz = z[1:] - z[:-1]
         area = 0.5 * dz * (f[:-1] + f[1:])
         del f
         area += dz * dz / 12.0 * (fp[:-1] - fp[1:])
-        np.cumsum(area, out=z[1:])
+        area.cumsum(out=z[1:])
         z[1:] += x_first
         z[0] = x_first
 
     def drift(x, v, vp, vpp, vppp):
         """max |E| of the quintic Hermite interpolant at the midpoints, of (v, v', v'') and (v', v'', v''')."""
-        h = np.diff(x)
+        h = x[1:] - x[:-1]
         hh = h * h / 64.0
         h *= 5.0 / 32.0
         vp_mid = 0.5 * (vp[:-1] + vp[1:]) + h * (vpp[:-1] - vpp[1:]) + hh * (vppp[:-1] + vppp[1:])
         vp_mid *= 0.5 * vp_mid  # the kinetic term (0.5 v'_mid) v'_mid
         v_mid = 0.5 * (v[:-1] + v[1:]) + h * (vp[:-1] - vp[1:]) + hh * (vpp[:-1] + vpp[1:])
         del h, hh  # so that U runs beside two arrays
-        return np.max(np.abs(vp_mid + curve.U(v_mid)))
+        return np.abs(vp_mid + curve.U(v_mid)).max()
 
     # rows x, v, v', v'', v''' of the kept nodes: each block is computed in a scratch buffer and a mask picks the
     # nodes it keeps, every node without samples, else the ends of the pieces that hold a sample
@@ -457,7 +458,7 @@ def integrate_profile(curve: PotentialCurve, x_max: float, step: float = 1e-3,
                 h = v[: c - 1] - v[1:c]
                 m[1:c] = m_last + np.cumsum(h * h / 6.0 * (upp[1:c] - upp[: c - 1]) - h * (vpp[: c - 1] + vpp[1:c]))
             np.multiply(curve.U(v[c:]), -2.0, out=m[c:])
-            depth = np.maximum(depth, np.max(m))
+            depth = np.maximum(depth, m.max())
             m_last = m[-1]
             np.sqrt(m, out=vp)  # |v'|, signed below
             tail = np.abs(v) < linear
@@ -479,9 +480,9 @@ def integrate_profile(curve: PotentialCurve, x_max: float, step: float = 1e-3,
             keep = np.full(x.size, every)
             keep[0] = carry
             for j, run in enumerate(runs):  # each run loses the samples below the block's last node
-                end = np.searchsorted(run, x_last)
+                end = run.searchsorted(x_last)
                 if end:
-                    k = np.searchsorted(x, run[:end], side="right") - 1
+                    k = x.searchsorted(run[:end], side="right") - 1
                     keep[k] = keep[k + 1] = True
                     runs[j] = run[end:]
             if i1 == n + 1:
