@@ -12,6 +12,9 @@ computed here once:
 Solitary waves exist only for speeds with ``c_s^2 > c_crit^2`` and a
 nonzero ``k_coeff`` (:func:`require_solitary_wave` checks both), and their
 polarity (elevation vs. depression) is the sign of ``k_coeff``.
+
+The paper's reference configuration is here too: the command line's
+defaults and ``reproduce`` both read it.
 """
 
 from __future__ import annotations
@@ -21,6 +24,12 @@ import math
 from dataclasses import dataclass
 
 from .errors import NoSolitaryWaveError, ParameterDomainError
+
+# the reference configuration: the (gamma, delta) of the elevation and the depression wave, their speed
+# c_s - c_crit, and the offsets of the reference sweep, np.linspace(first, last, count)
+ELEVATION_PAIR, DEPRESSION_PAIR = (0.5, 0.8), (0.5, 0.5)
+REFERENCE_OFFSET = 0.05
+SWEEP_OFFSETS = (0.01, 0.3, 10)
 
 
 class WaveType(enum.Enum):

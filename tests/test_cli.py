@@ -11,7 +11,11 @@ import pytest
 
 from tlwaves import analysis, cli, oracle, solver
 from tlwaves import grid as grid_module
-from tlwaves.cli import _FIG3C_DELTAS, main, read_table, write_table
+from tlwaves.cli import main
+from tlwaves.commands import runconfig, tables
+from tlwaves.commands.analyze import read_table
+from tlwaves.commands.reproduce import _FIG3C_DELTAS
+from tlwaves.commands.tables import write_table
 from tlwaves.errors import DomainTooSmallWarning, InputFormatError
 from tlwaves.grid import SpectralGrid
 from tlwaves.params import make_parameters
@@ -321,12 +325,13 @@ def test_the_budget_holds_the_largest_run_its_bytes_per_item_allow(tmp_path, cap
 def test_the_memory_estimate_of_a_solve_counts_padding_and_the_mpe_history(monkeypatch):
     # the modes, 3/2 as many with --dealias, and the K + 2 stacked (zeta, v) iterates of MPE(K)
     asked = []
-    monkeypatch.setattr(cli, "_check_memory", lambda needed, run, remedy: asked.append(needed))
+    monkeypatch.setattr(runconfig, "check_memory", lambda needed, run, remedy: asked.append(needed))
     monkeypatch.setattr(grid_module, "SpectralGrid", lambda **kwargs: None)
     n = 2**22
     for extra in ((), ("--dealias",), ("--extrapolation", "mpe:6")):
-        cli._build_run(cli.build_parser().parse_args(["solve", "--modes", str(n), *extra, "--out", "w.csv"]))
-    assert asked == [n * cli._MODE_BYTES, 1.5 * n * cli._MODE_BYTES, n * cli._MODE_BYTES + 8 * 2 * n * 8]
+        runconfig.build_run(cli.parse_args(["solve", "--modes", str(n), *extra, "--out", "w.csv"]))
+    assert asked == [n * runconfig._MODE_BYTES, 1.5 * n * runconfig._MODE_BYTES,
+                     n * runconfig._MODE_BYTES + 8 * 2 * n * 8]
 
 
 def test_dispersion_csv(tmp_path, capsys):
@@ -645,11 +650,21 @@ def test_large_solve_and_sweep_write_the_same_bytes_on_one_and_two_blas_threads(
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads the thread count from /proc")
 def test_importing_the_command_line_starts_no_blas_thread_pool(tmp_path):
-    # an inherited setting does not count: the command line overrides it
-    code = "import tlwaves.cli; print(next(line for line in open('/proc/self/status') if line.startswith('Threads:')))"
+    # an inherited setting does not count: the command line overrides it.  The entry loads no numpy, so the
+    # threads are counted once a command run through it has loaded numpy
+    code = "\n".join([
+        "import sys",
+        "from tlwaves import cli",
+        "assert 'numpy' not in sys.modules",
+        "try:",
+        "    cli.run(['dispersion', '--count', '3', '--out', 'd.csv'])",
+        "except SystemExit as exited:",
+        "    assert exited.code == 0 and 'numpy' in sys.modules",
+        "print(next(line for line in open('/proc/self/status') if line.startswith('Threads:')))",
+    ])
     done = run_module("-c", code, cwd=tmp_path, OPENBLAS_NUM_THREADS="2")
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["Threads:", "1"]
+    assert done.stdout.split()[-2:] == ["Threads:", "1"]
 
 
 @pytest.mark.parametrize("prelude, expected", [
@@ -672,11 +687,18 @@ def test_cli_import_loads_no_scipy(tmp_path):
 
 
 def test_main_in_process_freezes_nothing(tmp_path, capsys):
-    # the heap is frozen only by the process entry, run(), on its way out
+    # the collector is switched and the heap frozen only by the process entry, run(); main leaves both as found
     assert gc.get_freeze_count() == 0
-    code, _, _ = run_cli(capsys, "dispersion", "--count", "3", "--out", str(tmp_path / "d.csv"))
-    assert code == 0
-    assert gc.get_freeze_count() == 0
+    try:
+        for enabled in (True, False):
+            if not enabled:
+                gc.disable()
+            code, _, _ = run_cli(capsys, "dispersion", "--count", "3", "--out", str(tmp_path / "d.csv"))
+            assert code == 0
+            assert gc.isenabled() == enabled
+            assert gc.get_freeze_count() == 0
+    finally:
+        gc.enable()
 
 
 def test_run_freezes_the_heap_and_exits_with_the_code_of_main(tmp_path, capsys):
@@ -688,6 +710,56 @@ def test_run_freezes_the_heap_and_exits_with_the_code_of_main(tmp_path, capsys):
     finally:
         gc.unfreeze()
     assert one_line_error(capsys.readouterr().err)["error"] == "ParameterDomainError"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("dispersion", "--count", "3", "--out", "d.csv"), 0),
+    (("solve", "--gamma", "1.5", "--out", "w.csv"), 1),
+    (("solve", "--help"), 0),
+    (("--help",), 0),
+    (("solve", "--bogus", "1", "--out", "w.csv"), 1),
+    (("bogus",), 1),
+], ids=["success", "error", "help", "top-level-help", "usage-error", "unknown-command"])
+def test_run_leaves_the_collector_on(tmp_path, capsys, monkeypatch, argv, code):
+    # --help leaves parse_args by SystemExit, so run() turns the collector back on whatever way main ends
+    monkeypatch.chdir(tmp_path)
+    try:
+        with pytest.raises(SystemExit) as exited:
+            cli.run(list(argv))
+        assert exited.value.code == code
+        assert gc.isenabled()
+    finally:
+        gc.enable()
+        gc.unfreeze()
+    capsys.readouterr()
+
+
+def test_run_collects_nothing_until_the_command_is_loaded(tmp_path, monkeypatch):
+    # off over the parse and the command's imports; on, over a frozen heap, while the command works
+    from tlwaves.commands import dispersion
+
+    seen = {}
+    parse_args, execute = cli.parse_args, dispersion.execute
+
+    def parsed(argv):
+        seen["parse"] = gc.isenabled()
+        return parse_args(argv)
+
+    def executed(args):
+        seen["execute"] = gc.isenabled(), gc.get_freeze_count() > 0
+        return execute(args)
+
+    monkeypatch.setattr(cli, "parse_args", parsed)
+    monkeypatch.setattr(dispersion, "execute", executed)
+    monkeypatch.chdir(tmp_path)
+    try:
+        with pytest.raises(SystemExit) as exited:
+            cli.run(["dispersion", "--count", "3", "--out", "d.csv"])
+    finally:
+        gc.enable()
+        gc.unfreeze()
+    assert exited.value.code == 0
+    assert seen == {"parse": False, "execute": (True, True)}
 
 
 def test_the_console_script_is_the_process_entry():
@@ -911,11 +983,11 @@ def test_write_table_matches_per_value_format_on_hard_values(tmp_path, case):
     assert path.read_bytes() == _reference_table_bytes({"case": case}, columns)
 
 
-@pytest.mark.parametrize("block", [cli._FORMAT_BLOCK, 5])
+@pytest.mark.parametrize("block", [tables._FORMAT_BLOCK, 5])
 @pytest.mark.parametrize("shape", [(5000, 1), (2000, 3), (0, 1), (1, 4), (7, 4)])
 def test_write_table_blocks_split_rows_byte_for_byte(tmp_path, monkeypatch, block, shape):
     # a table of more values than a block is written block by block, and a block may end inside a row
-    monkeypatch.setattr(cli, "_FORMAT_BLOCK", block)
+    monkeypatch.setattr(tables, "_FORMAT_BLOCK", block)
     rows, width = shape
     scales = 10.0 ** (np.arange(rows * width) % 40 - 20)
     values = np.random.default_rng(rows + width).standard_normal(rows * width) * scales
@@ -1134,6 +1206,29 @@ def test_domain_warning_is_one_json_line_on_stderr(tmp_path):
     assert record["warning"] == "DomainTooSmallWarning" and "half-length 16.0" in record["message"]
 
 
+def test_a_sweep_keeps_nothing_of_the_warnings_it_shows(tmp_path, capsys):
+    # each speed that warns prints its one line, and no warnings registry keeps its message once main returns:
+    # what stays allocated from solver.py, where the message is made, does not grow with the speeds that warned
+    import tracemalloc
+
+    kept = {}
+    for count in (4, 36):
+        argv = ["sweep", "--half-length", "16", "--modes", "128", "--count", str(count),
+                "--out", str(tmp_path / "s.csv")]
+        assert main(argv) == 0  # imports and first-use allocations
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err.splitlines()
+        assert [json.loads(line)["warning"] for line in err] == ["DomainTooSmallWarning"] * 2 * count
+        made_in_solver = snapshot.filter_traces([tracemalloc.Filter(True, solver.__file__)])
+        kept[count] = sum(trace.size for trace in made_in_solver.traces)
+    assert kept[36] - kept[4] < 32 * 32, kept
+
+
 def test_dispersion_rejects_a_config_block_it_does_not_read(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"grid": {"modes": 7}}), encoding="utf-8")
@@ -1286,7 +1381,7 @@ def test_default_study_equals_reproduce_fig3c(tmp_path, capsys):
     code, _, _ = run_cli(capsys, *argv, "--out-dir", str(tmp_path))
     assert code == 0
     _, cols = read_table(tmp_path / "fig3c_amplitude_vs_k.csv")
-    _, grid, config, _ = cli._build_run(cli.build_parser().parse_args(argv))
+    _, grid, config, _ = runconfig.build_run(cli.parse_args(argv))
     columns, skipped = analysis.amplitude_vs_k_study(0.5, _FIG3C_DELTAS, 0.05, grid, config, solver.solve)
     assert skipped == []
     assert list(columns) == list(cols) == ["k_coeff", "zeta_max", "delta"]
@@ -1389,13 +1484,26 @@ def test_help_still_prints_usage_and_exits_0(capsys):
 
 # the modules every process of the command line loads; each command adds only the modules it runs
 CLI_CORE = {"tlwaves", "tlwaves.cli", "tlwaves.errors", "tlwaves.params"}
+# each command's own module and the numerical modules it runs, besides the commands package, its output files
+# (commands.tables) and, for a command with settings, its run (commands.runconfig)
 COMMAND_MODULES = {
-    "oracle": (("oracle", "--x-max", "20", "--out", "o.csv"), {"oracle"}),
-    "dispersion": (("dispersion", "--count", "11", "--out", "d.csv"), {"dispersion", "grid"}),
-    "analyze-spectrum": (("analyze", "spectrum", "--in", "wave.csv", "--out", "a.csv"), {"analysis", "grid"}),
-    "analyze-phase": (("analyze", "phase", "--in", "wave.csv", "--out", "p.csv"), {"analysis", "grid"}),
+    "oracle": (("oracle", "--x-max", "20", "--out", "o.csv"),
+               {"commands", "commands.oracle", "commands.runconfig", "commands.tables", "oracle"}),
+    "dispersion": (("dispersion", "--count", "11", "--out", "d.csv"),
+                   {"commands", "commands.dispersion", "commands.runconfig", "commands.tables", "dispersion", "grid"}),
+    "analyze-spectrum": (("analyze", "spectrum", "--in", "wave.csv", "--out", "a.csv"),
+                         {"commands", "commands.analyze", "commands.tables", "analysis", "grid"}),
+    "analyze-phase": (("analyze", "phase", "--in", "wave.csv", "--out", "p.csv"),
+                      {"commands", "commands.analyze", "commands.tables", "analysis", "grid"}),
     "solve": (("solve", "--half-length", "64", "--modes", "512", "--out", "s.csv"),
-              {"solver", "oracle", "extrapolation", "grid"}),
+              {"commands", "commands.solve", "commands.runconfig", "commands.tables", "solver", "oracle",
+               "extrapolation", "grid"}),
+    "sweep": (("sweep", "--half-length", "64", "--modes", "512", "--count", "4", "--out", "sw.csv"),
+              {"commands", "commands.sweep", "commands.runconfig", "commands.tables", "solver", "oracle",
+               "extrapolation", "grid", "analysis"}),
+    "reproduce": (("reproduce", "fig4", "--half-length", "64", "--modes", "512", "--out-dir", "r"),
+                  {"commands", "commands.reproduce", "commands.runconfig", "commands.tables", "solver", "oracle",
+                   "extrapolation", "grid", "analysis"}),
 }
 
 
@@ -1408,8 +1516,17 @@ def _tlwaves_modules(tmp_path, statement):
     return set(json.loads(done.stdout.strip().splitlines()[-1]))
 
 
+def _cold_command(tmp_path, *argv):
+    """A cold ``python -X importtime -m tlwaves.cli`` process: its exit code, the modules it imported in order, and
+    the lines of its stderr that are not import times."""
+    done = run_module("-X", "importtime", "-m", "tlwaves.cli", *argv, cwd=tmp_path)
+    lines = done.stderr.splitlines()
+    imported = [line.rsplit("|", 1)[1].strip() for line in lines[1:] if line.startswith("import time:")]
+    return done.returncode, imported, [line for line in lines if not line.startswith("import time:")]
+
+
 def test_cli_import_loads_only_the_core_modules(tmp_path):
-    assert _tlwaves_modules(tmp_path, "import tlwaves.cli") == CLI_CORE
+    assert _tlwaves_modules(tmp_path, "import tlwaves.cli; assert 'numpy' not in sys.modules") == CLI_CORE
 
 
 @pytest.mark.parametrize("command", list(COMMAND_MODULES))
@@ -1421,6 +1538,58 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, command):
     write_table(tmp_path / "wave.csv", {}, {"x": x, "zeta": zeta, "v": 0.5 * zeta})
     statement = f"from tlwaves.cli import main; code = main({list(argv)!r}); assert code == 0, code"
     assert _tlwaves_modules(tmp_path, statement) == CLI_CORE | {f"tlwaves.{name}" for name in modules}
+    # run as __main__, the entry is compiled once: no module the command loads imports tlwaves.cli
+    code, imported, _ = _cold_command(tmp_path, *argv)
+    assert code == 0
+    tlwaves_modules = [name for name in imported if name.split(".")[0] == "tlwaves"]
+    assert sorted(tlwaves_modules) == sorted(CLI_CORE - {"tlwaves.cli"} | {f"tlwaves.{name}" for name in modules})
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_help_and_a_usage_error_load_no_numpy(tmp_path, command):
+    for argv, exit_code in (((command, "--help"), 0), ((command, "--bogus", "1"), 1)):
+        code, imported, other = _cold_command(tmp_path, *argv)
+        assert code == exit_code, other
+        assert "tlwaves.params" in imported and not [name for name in imported if name.split(".")[0] == "numpy"]
+        assert not [name for name in imported if name.startswith("tlwaves.commands")]
+        if exit_code:
+            assert len(other) == 1 and json.loads(other[0])["error"] == "InputFormatError", other
+
+
+@pytest.mark.parametrize("command", [None, *cli._COMMANDS])
+def test_the_help_of_a_command_is_that_of_the_parser_of_every_command(capsys, command):
+    argv = ["--help"] if command is None else [command, "--help"]
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 0
+    own = capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(argv)
+    assert own == capsys.readouterr().out
+    assert own.startswith("usage: tlwaves" + ("" if command is None else f" {command}"))
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--bogus", "1", "--out", "w.csv"),
+    ("solve", "--cs"),
+    ("sweep", "--cs", "0.7", "--out", "s.csv"),
+    ("sweep", "--count", "many", "--out", "s.csv"),
+    ("oracle", "--x-max", "10"),
+    ("dispersion", "--count", "2.5", "--out", "d.csv"),
+    ("analyze", "fit", "--in", "w.csv", "--out", "a.csv"),
+    ("analyze", "decay", "--in", "w.csv", "--out", "a.csv", "--window", "1"),
+    ("reproduce", "fig9"),
+    ("reproduce", "all", "--config", "c.json"),
+    (),
+    ("bogus", "--out", "w.csv"),
+    ("--out", "w.csv", "solve"),
+], ids=lambda argv: "-".join(argv).lstrip("-") or "empty")
+def test_a_usage_error_is_that_of_the_parser_of_every_command(capsys, argv):
+    with pytest.raises(InputFormatError) as full:
+        cli.build_parser().parse_args(argv)
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 1 and stdout == ""
+    assert err == json.dumps({"error": "InputFormatError", "message": str(full.value)}) + "\n"
 
 
 def test_analysis_runs_its_study_and_portrait_without_the_solver(tmp_path):
