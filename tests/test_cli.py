@@ -1455,13 +1455,23 @@ def test_settings_table_flag_and_config_file_agree(tmp_path, capsys, command, se
     (("oracle", "--x-max", "10"), "the following arguments are required: --out"),
     (("reproduce", "fig9"), "argument target: invalid choice: 'fig9'"),
     ((), "the following arguments are required: command"),
+    (("dispersion", "--count", "2.5", "--out", "d.csv"), "argument --count: invalid int value: '2.5'"),
+    (("analyze", "fit", "--in", "w.csv", "--out", "a.csv"), "argument mode: invalid choice: 'fit'"),
+    (("analyze", "decay", "--in", "w.csv", "--out", "a.csv", "--window", "1"), "argument --window: expected 2"),
+    (("reproduce", "all", "--config", "c.json"), "unrecognized arguments: --config c.json"),
+    (("bogus", "--out", "w.csv"), "argument command: invalid choice: 'bogus'"),
+    (("--out", "w.csv", "solve"), "argument command: invalid choice: 'w.csv'"),
 ], ids=["unknown-flag", "flag-the-command-does-not-take", "ill-typed", "missing-value", "missing-out",
-        "bad-choice", "no-command"])
+        "bad-choice", "no-command", "ill-typed-count", "bad-mode", "short-window", "reproduce-takes-no-config",
+        "unknown-command", "flag-before-the-command"])
 def test_a_usage_error_exits_1_with_one_json_line(tmp_path, capsys, argv, named):
+    # main parses with the named command's parser alone; its message is that of the parser of every command
+    with pytest.raises(InputFormatError) as full:
+        cli.build_parser().parse_args(argv)
     code, stdout, err = run_cli(capsys, *argv)
     assert code == 1
     record = one_line_error(err)
-    assert record["error"] == "InputFormatError" and named in record["message"]
+    assert record == {"error": "InputFormatError", "message": str(full.value)} and named in record["message"]
     assert stdout == ""
 
 
@@ -1567,29 +1577,6 @@ def test_the_help_of_a_command_is_that_of_the_parser_of_every_command(capsys, co
         cli.build_parser().parse_args(argv)
     assert own == capsys.readouterr().out
     assert own.startswith("usage: tlwaves" + ("" if command is None else f" {command}"))
-
-
-@pytest.mark.parametrize("argv", [
-    ("solve", "--bogus", "1", "--out", "w.csv"),
-    ("solve", "--cs"),
-    ("sweep", "--cs", "0.7", "--out", "s.csv"),
-    ("sweep", "--count", "many", "--out", "s.csv"),
-    ("oracle", "--x-max", "10"),
-    ("dispersion", "--count", "2.5", "--out", "d.csv"),
-    ("analyze", "fit", "--in", "w.csv", "--out", "a.csv"),
-    ("analyze", "decay", "--in", "w.csv", "--out", "a.csv", "--window", "1"),
-    ("reproduce", "fig9"),
-    ("reproduce", "all", "--config", "c.json"),
-    (),
-    ("bogus", "--out", "w.csv"),
-    ("--out", "w.csv", "solve"),
-], ids=lambda argv: "-".join(argv).lstrip("-") or "empty")
-def test_a_usage_error_is_that_of_the_parser_of_every_command(capsys, argv):
-    with pytest.raises(InputFormatError) as full:
-        cli.build_parser().parse_args(argv)
-    code, stdout, err = run_cli(capsys, *argv)
-    assert code == 1 and stdout == ""
-    assert err == json.dumps({"error": "InputFormatError", "message": str(full.value)}) + "\n"
 
 
 def test_analysis_runs_its_study_and_portrait_without_the_solver(tmp_path):
