@@ -26,14 +26,14 @@ from __future__ import annotations
 import numpy as np
 
 from .dispersion import DispersionSymbols, _linear_flow
-from .grid import half_spectrum, helmholtz_symbol
+from .grid import half_spectrum, helmholtz_symbol, quadratic_spectra
 from .params import ModelParameters
 from .solver import WaveState
 
 
 def evolve(params: ModelParameters, state: WaveState, speed: float, t_end: float, dt: float) -> WaveState:
     """The state after time t_end in the frame moving at ``speed``, by integrating-factor RK4 with step dt."""
-    steps = round(t_end / dt) if dt > 0.0 else 0
+    steps = round(t_end / dt) if dt > 0.0 and np.isfinite(t_end / dt) else 0
     if not (steps >= 1 and abs(steps * dt - t_end) <= 1e-9 * t_end):
         raise ValueError(f"t_end {t_end} must be a positive whole number of steps dt {dt}")
     grid = state.grid
@@ -46,8 +46,8 @@ def evolve(params: ModelParameters, state: WaveState, speed: float, t_end: float
     coeff_v = 0.5 * coeff / sym
 
     def nonlinear(x):
-        zeta, v = np.fft.irfft(x, n)
-        return np.array([coeff * np.fft.rfft(zeta * v), coeff_v * np.fft.rfft(v * v)])
+        zv, vv = quadratic_spectra(grid, x[0], x[1])
+        return np.array([coeff * zv, coeff_v * vv])
 
     x = np.array([half_spectrum(grid, state.zeta), half_spectrum(grid, state.v)])
     for _ in range(steps):

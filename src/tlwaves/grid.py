@@ -14,6 +14,10 @@ The Nyquist mode n/2 of a real field has no quadrature partner: it gets no
 odd derivative, and the linear flow of :mod:`tlwaves.dispersion` holds it
 fixed.  :attr:`SpectralGrid.odd_wavenumbers` states this once, for
 :func:`differentiate`, ``dispersion.evolve_linear`` and ``evolve.evolve``.
+
+The quadratic products zeta v and v^2 of the solver and of the time
+stepper are :func:`quadratic_spectra`, taken at the nodes or by the 3/2
+rule; it alone states the rule and its Nyquist convention.
 """
 
 from __future__ import annotations
@@ -143,47 +147,32 @@ def spectrum_columns(grid: SpectralGrid, values: np.ndarray) -> dict:
             "re": spectrum.real, "im": spectrum.imag}
 
 
-def fine_grid_values(grid: SpectralGrid, half_spectrum: np.ndarray) -> np.ndarray:
-    """Values on the 3n/2-point grid of the field with rfft modes 0..n/2 on the n-point grid.
+def quadratic_spectra(grid: SpectralGrid, zh: np.ndarray, vh: np.ndarray,
+                      dealias: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """rfft modes 0..n/2 of the products zeta v and v^2, given those of zeta and v.
 
-    The modes are zero-padded; the Nyquist coefficient is split evenly
-    between modes +-n/2 of the fine grid, so the result samples the real
-    trigonometric interpolant of the field.
+    Plain, the products are taken at the n nodes, and their modes beyond n/2 alias.
+    With ``dealias``, Orszag's 3/2 rule (J. Atmos. Sci. 28, 1971): both fields are
+    zero-padded to m = 3n/2 points, their values scaled by m/n and multiplied there,
+    and the products' modes 0..n/2 kept, scaled by n/m.  The Nyquist mode n/2 has no
+    sign partner on the n-point grid: an input's Nyquist coefficient is split evenly
+    between modes +-n/2 of the fine grid (the real trigonometric interpolant), and the
+    kept one is the real part of the fine grid's mode n/2 (the modes -n/2..n/2-1).
     """
-    n, half = grid.n, grid.n // 2
-    m = 3 * n // 2
-    padded = np.zeros(m // 2 + 1, dtype=complex)
-    padded[:half] = half_spectrum[:half]
-    padded[half] = 0.5 * half_spectrum[half]
-    # m/n rescales the unnormalized n-point coefficients to m points
-    return np.fft.irfft(padded, m) * (m / n)
-
-
-def coarse_half_spectrum(grid: SpectralGrid, fine_values: np.ndarray) -> np.ndarray:
-    """rfft modes 0..n/2, on the n-point grid, of values given on the 3n/2-point grid.
-
-    The Nyquist coefficient is the real part of the fine grid's mode n/2,
-    i.e. the kept modes are -n/2..n/2-1 of the FFT layout.
-    """
-    n, half = grid.n, grid.n // 2
-    spectrum = np.fft.rfft(fine_values)[: half + 1] * (n / (3 * n // 2))
-    spectrum[half] = spectrum[half].real
-    return spectrum
-
-
-def padded_product(grid: SpectralGrid, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Pointwise product with 3/2-rule zero padding (alias-free quadratics).
-
-    The physical-space reference of the dealiased product: the solver's
-    iteration core holds the half spectra already and calls the two helpers
-    below directly, while :func:`solver.nonlinear_rhs` (which the acceptance
-    gate and the tests check the core against) calls this.  f and g are
-    moved to the 3n/2 grid by :func:`fine_grid_values`, multiplied there,
-    and the product's modes 0..n/2 are kept by :func:`coarse_half_spectrum`;
-    those two state the Nyquist convention.  ``g is f`` transforms f once.
-    """
-    f = _check_size(grid, f)
-    g = _check_size(grid, g)
-    ff = fine_grid_values(grid, np.fft.rfft(f))
-    gf = ff if g is f else fine_grid_values(grid, np.fft.rfft(g))
-    return np.fft.irfft(coarse_half_spectrum(grid, ff * gf), grid.n)
+    n = grid.n
+    if not dealias:
+        zeta, v = np.fft.irfft(zh, n), np.fft.irfft(vh, n)
+        return np.fft.rfft(zeta * v), np.fft.rfft(v * v)
+    half, m = n // 2, 3 * n // 2
+    padded, fine = np.zeros(m // 2 + 1, dtype=complex), []
+    for spectrum in (zh, vh):  # one padded buffer, each field's modes in turn
+        padded[:half], padded[half] = spectrum[:half], 0.5 * spectrum[half]
+        fine.append(np.fft.irfft(padded, m))
+        fine[-1] *= m / n
+    del padded
+    fine[0] *= fine[1]  # zeta v
+    fine[1] *= fine[1]  # v^2
+    spectra = tuple(np.fft.rfft(values)[: half + 1] * (n / m) for values in fine)
+    for spectrum in spectra:
+        spectrum[half] = spectrum[half].real
+    return spectra

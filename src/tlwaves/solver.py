@@ -6,8 +6,10 @@ Fourier mode,
 
     [[c_s, -1/(delta+gamma)], [gamma-1, c_s (1 + beta k'^2)]],
 
-against the quadratic right-hand side K (zeta_h . v_h, v_h . v_h / 2)
-taken pointwise.  Each iteration computes the stabilizing factor
+against the quadratic right-hand side K (zeta_h . v_h, v_h . v_h / 2),
+taken pointwise or, with ``dealias``, by the 3/2 rule of
+:func:`tlwaves.grid.quadratic_spectra`.  Each iteration computes the
+stabilizing factor
 
     m = <L x, x> / <N(x), x>        (Euclidean inner product in R^{2N})
 
@@ -23,7 +25,8 @@ builds the symbols, determinants and inverse coefficients once per solve.
 The products N(x_k) of each iterate are formed once and serve three uses:
 the residual check of x_k, and the stabilizing factor and right-hand side
 of the next step.  One iteration costs 2 ``rfft`` (the products) and 3
-``irfft`` (zeta, v and u, the last two from the same v-hat).
+``irfft`` (zeta, v and u, the last two from the same v-hat); a dealiased
+one costs 9, 4 of them of length 3n/2 (see :class:`_Core`).
 :func:`stabilizing_factor` computes m in physical space from
 :func:`nonlinear_rhs`; the acceptance gate checks its homogeneity, and
 the tests rebuild the plain step and residual from it as the reference
@@ -49,14 +52,7 @@ from .errors import (
     WaveError,
 )
 from .extrapolation import extrapolate
-from .grid import (
-    SpectralGrid,
-    coarse_half_spectrum,
-    fine_grid_values,
-    helmholtz_apply,
-    helmholtz_symbol,
-    padded_product,
-)
+from .grid import SpectralGrid, helmholtz_apply, helmholtz_symbol, quadratic_spectra
 from .params import ModelParameters, require_solitary_wave
 
 # a converged profile warns (or, under strict_domain, fails) when its boundary value exceeds
@@ -166,10 +162,12 @@ def _checked_determinants(grid: SpectralGrid, params: ModelParameters, speed: fl
 def nonlinear_rhs(
     params: ModelParameters, state: WaveState, dealias: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Quadratic right-hand side K (zeta v, v^2 / 2) as grid functions."""
+    """Quadratic right-hand side K (zeta v, v^2 / 2) as grid functions; with ``dealias`` the products are
+    those of :func:`~tlwaves.grid.quadratic_spectra`, moved to the nodes before K scales them."""
     if dealias:
-        zv = padded_product(state.grid, state.zeta, state.v)
-        vv = padded_product(state.grid, state.v, state.v)
+        grid = state.grid
+        spectra = quadratic_spectra(grid, np.fft.rfft(state.zeta), np.fft.rfft(state.v), dealias=True)
+        zv, vv = (np.fft.irfft(spectrum, grid.n) for spectrum in spectra)
     else:
         zv = state.zeta * state.v
         vv = state.v * state.v
@@ -217,11 +215,12 @@ class _Core:
 
     The symbol and singular-mode checks run once, here.  :meth:`step` costs 2 ``rfft``
     of the products and 3 ``irfft`` (zeta, v, and u from the same v-hat).
-    With dealiasing, the products are formed on the 3n/2 grid from the
-    half spectra of zeta and v that the step already holds (v moved to the
-    fine grid once for both products), and their truncated spectra feed the
-    next step directly: 2 fine ``irfft``, 2 fine ``rfft`` and 2 ``irfft``
-    for the physical products, in place of the two ``rfft`` of the step.
+    With dealiasing, :func:`~tlwaves.grid.quadratic_spectra` forms the
+    products from the half spectra of zeta and v that the step already
+    holds (v moved to the fine grid once for both products), and their
+    truncated spectra, scaled by K in place, feed the next step directly:
+    2 fine ``irfft``, 2 fine ``rfft`` and 2 ``irfft`` for the physical
+    products, in place of the two ``rfft`` of the step.
 
     Both work in place, element by element in the order of the whole-array
     expressions, so the bits are theirs.  :meth:`step` scales the products'
@@ -254,9 +253,9 @@ class _Core:
         if self.config.dealias:
             if zh is None:
                 zh, vh = np.fft.rfft(zeta), np.fft.rfft(v)
-            zf, vf = fine_grid_values(grid, zh), fine_grid_values(grid, vh)
-            k = params.k_coeff
-            spectra = (k * coarse_half_spectrum(grid, zf * vf), 0.5 * k * coarse_half_spectrum(grid, vf * vf))
+            spectra = quadratic_spectra(grid, zh, vh, dealias=True)
+            np.multiply(params.k_coeff, spectra[0], out=spectra[0])
+            np.multiply(0.5 * params.k_coeff, spectra[1], out=spectra[1])
             n1, n2 = (np.fft.irfft(spectrum, grid.n) for spectrum in spectra)
         else:
             n1, n2 = nonlinear_rhs(params, state)

@@ -46,9 +46,12 @@ def test_mass_is_conserved(grid):
     assert abs(end.zeta.sum() - bump.sum()) < 1e-12 * abs(bump.sum())
 
 
-@pytest.mark.parametrize("t_end, dt", [(1.0, 0.3), (1.0, 0.0), (0.0, 0.1), (1.0, -0.5)])
+@pytest.mark.parametrize("t_end, dt", [(1.0, 0.3), (1.0, 0.0), (0.0, 0.1), (1.0, -0.5),
+                                       (np.inf, 0.1), (1.0, 1e-320), (np.nan, 0.1)])
 def test_rejects_a_step_that_does_not_divide_the_time(grid, t_end, dt):
+    # t_end / dt of inf or nan is no whole number of steps either
     params = make_parameters(0.5, 0.8)
     state = WaveState.from_zeta_v(grid, params, np.zeros(grid.n), np.zeros(grid.n))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"t_end {t_end} must be a positive whole number of steps dt {dt}"):
         evolve(params, state, 0.7, t_end, dt)
+

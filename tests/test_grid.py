@@ -12,7 +12,7 @@ from tlwaves.grid import (
     helmholtz_solve,
     helmholtz_symbol,
     inverse_transform,
-    padded_product,
+    quadratic_spectra,
     spectrum_columns,
 )
 from tlwaves.params import make_parameters
@@ -170,12 +170,17 @@ def test_serialization_columns():
     assert np.allclose(np.fft.irfft(rebuilt, g.n), f, rtol=0.0, atol=1e-15)
 
 
+def _padded_product(g, f, h):
+    """The dealiased product f h as a grid function: the zeta v row of the 3/2 rule with zeta = f, v = h."""
+    return np.fft.irfft(quadratic_spectra(g, np.fft.rfft(f), np.fft.rfft(h), dealias=True)[0], g.n)
+
+
 def test_padded_product_matches_plain_on_band_limited_data():
     g = SpectralGrid(half_length=np.pi, n=64)
     f = np.cos(3 * g.nodes) + 0.5 * np.sin(5 * g.nodes)
     h = np.sin(2 * g.nodes)
     # product occupies modes up to 8 < n/3, so both routes are exact
-    assert np.allclose(padded_product(g, f, h), f * h, atol=1e-13)
+    assert np.allclose(_padded_product(g, f, h), f * h, atol=1e-13)
 
 
 def test_padded_product_removes_aliasing():
@@ -183,7 +188,7 @@ def test_padded_product_removes_aliasing():
     k_high = 6  # 2*k aliases onto -4 on the coarse grid
     f = np.cos(k_high * g.nodes)
     plain_spec = forward_transform(g, f * f)
-    padded_spec = forward_transform(g, padded_product(g, f, f))
+    padded_spec = forward_transform(g, _padded_product(g, f, f))
     alias_mode = (2 * k_high) - g.n  # = -4
     idx = int(np.where(np.fft.fftfreq(g.n, d=1.0 / g.n) == alias_mode)[0][0])
     assert np.abs(plain_spec[idx]) > 1.0
@@ -220,8 +225,11 @@ def test_padded_product_matches_complex_formula(n):
 
     f, h = band_limited(), band_limited()
     for a, b in ((f, h), (f, f)):
-        want = _complex_padded_product(g, a, b)
-        assert np.max(np.abs(padded_product(g, a, b) - want)) <= 1e-14 * np.max(np.abs(want))
+        # both rows: zeta v with zeta = a, v = b, and v^2 = b b
+        rows = quadratic_spectra(g, np.fft.rfft(a), np.fft.rfft(b), dealias=True)
+        for row, (c, d) in zip(rows, ((a, b), (b, b))):
+            want = _complex_padded_product(g, c, d)
+            assert np.max(np.abs(np.fft.irfft(row, n) - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_padded_product_nyquist_convention():
@@ -229,8 +237,43 @@ def test_padded_product_nyquist_convention():
     nyquist = (-1.0) ** np.arange(g.n)
     # the input's Nyquist coefficient is split between modes +-n/2 of the fine grid (a real cosine);
     # the product keeps one mode of that pair, so f * 1 returns half of f's Nyquist component
-    out = padded_product(g, nyquist, np.ones(g.n))
+    out = _padded_product(g, nyquist, np.ones(g.n))
     assert np.max(np.abs(out - 0.5 * nyquist)) < 1e-14
+
+
+def _fine_grid_values(g, spectrum):
+    """The values on the 3n/2-point grid of the former solver core, as the reference for its bits."""
+    n, half = g.n, g.n // 2
+    m = 3 * n // 2
+    padded = np.zeros(m // 2 + 1, dtype=complex)
+    padded[:half] = spectrum[:half]
+    padded[half] = 0.5 * spectrum[half]
+    return np.fft.irfft(padded, m) * (m / n)
+
+
+def _coarse_half_spectrum(g, fine_values):
+    """The kept modes 0..n/2 of the former solver core, as the reference for its bits."""
+    n, half = g.n, g.n // 2
+    spectrum = np.fft.rfft(fine_values)[: half + 1] * (n / (3 * n // 2))
+    spectrum[half] = spectrum[half].real
+    return spectrum
+
+
+@pytest.mark.parametrize("n", [16, 18, 64, 1024, 16384])
+def test_quadratic_spectra_are_the_former_expressions_bit_for_bit(n):
+    rng = np.random.default_rng(n + 1)
+    g = SpectralGrid(half_length=5.0, n=n)
+    zh, vh = np.fft.rfft(rng.standard_normal(n)), np.fft.rfft(rng.standard_normal(n))
+    zf, vf = _fine_grid_values(g, zh), _fine_grid_values(g, vh)
+    dealiased = (_coarse_half_spectrum(g, zf * vf), _coarse_half_spectrum(g, vf * vf))
+    zeta, v = np.fft.irfft(zh, n), np.fft.irfft(vh, n)
+    plain = (np.fft.rfft(zeta * v), np.fft.rfft(v * v))
+    for dealias, want in ((True, dealiased), (False, plain)):
+        got = quadratic_spectra(g, zh, vh, dealias=dealias)
+        assert len(got) == 2
+        for row, reference in zip(got, want):
+            assert row.shape == (n // 2 + 1,)
+            assert row.tobytes() == reference.tobytes()
 
 
 @pytest.mark.parametrize("half_length,n", [(64.0, 512), (64.0, 500), (100.0, 1000), (2048.0, 16384), (0.3, 10)])

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -340,6 +341,25 @@ def test_core_step_is_the_out_of_place_step_bit_for_bit(elevation_params, defaul
         for got, want in zip((x.state.zeta, x.state.v, x.state.u), fields):
             assert got.tobytes() == want.tobytes()
         assert (x.residual, x.num, x.den) == scalars
+
+
+def test_dealiased_core_step_holds_little_above_its_result():
+    # the 3/2 rule reuses one padded buffer and forms the fine products in place; each fine array is 0.19 MiB here
+    grid = SpectralGrid(half_length=2048.0, n=16384)
+    params = make_parameters(0.5, 0.8)
+    cs = params.c_crit + 0.2
+    core = solver._Core(grid, params, SolverConfig(speed=cs, dealias=True))
+    x = core.evaluate(solver.auto_initial_guess(grid, params, cs))
+    x = core.step(x, solver._stabilizing_ratio(x.num, x.den, x.state.zeta, x.state.v))  # first-use allocations
+    m = solver._stabilizing_ratio(x.num, x.den, x.state.zeta, x.state.v)
+    tracemalloc.start()
+    try:
+        new = core.step(x, m)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert new.spectra is not None
+    assert peak - current <= 0.65 * 2**20, (peak - current) / 2**20
 
 
 def test_non_finite_seed_fails_at_first_iteration(elevation_params, small_grid):
