@@ -169,7 +169,7 @@ def quadratic_spectra(grid: SpectralGrid, zh: np.ndarray, vh: np.ndarray,
         padded[:half], padded[half] = spectrum[:half], 0.5 * spectrum[half]
         fine.append(np.fft.irfft(padded, m))
         fine[-1] *= m / n
-    del padded
+    del padded  # freed before the products and their transforms
     fine[0] *= fine[1]  # zeta v
     fine[1] *= fine[1]  # v^2
     spectra = tuple(np.fft.rfft(values)[: half + 1] * (n / m) for values in fine)
