@@ -152,12 +152,13 @@ def _resolve_settings(args) -> dict:
 
 class _Parser(argparse.ArgumentParser):
     """argparse whose usage errors raise InputFormatError (exit 1, one JSON line) instead of exiting 2, the
-    code of non-convergence, and which reads ``-1e300`` as a value, as argparse does ``-1`` and ``-1.5``.
-    ``add_subparsers`` builds each command's parser with this class too."""
+    code of non-convergence, and which reads ``-1e300``, ``-inf``, ``-infinity`` and ``-nan`` (any case, as
+    ``float`` does) as values, as argparse does ``-1`` and ``-1.5``.  ``add_subparsers`` builds each command's
+    parser with this class too."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        self._negative_number_matcher = re.compile(r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$", re.I)
 
     def error(self, message: str) -> NoReturn:
         raise InputFormatError(f"{self.prog}: {message}")

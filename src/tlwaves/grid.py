@@ -1,14 +1,13 @@
 """Periodic Fourier collocation grid on (-l, l).
 
-DFT normalization convention used throughout the package: unnormalized
-forward transform, ``1/N`` inverse.  Parseval then reads
-``sum |f_j|^2 == (1/N) * sum |fhat_k|^2``.  All per-mode symbol operations
-(differentiation, Helmholtz) are normalization-invariant.
-
-Every path uses real half spectra (rfft modes 0..n/2, Nyquist last) on
-:attr:`SpectralGrid.half_wavenumbers`, the ``--spectrum-out`` file format
-(:func:`spectrum_columns`) included; the full complex layout is only the
-public DFT (:func:`forward_transform`, :func:`inverse_transform`).
+The one transform is the half spectrum (:func:`half_spectrum`): the rfft
+modes 0..n/2 of a real field, Nyquist last, on
+:attr:`SpectralGrid.half_wavenumbers`, unnormalized forward and ``1/N``
+inverse.  Every path uses it, the ``--spectrum-out`` file format
+(:func:`spectrum_columns`) included.  Parseval counts the interior modes
+twice: ``sum f_j^2 == (|F_0|^2 + 2 sum_{0<k<n/2} |F_k|^2 + |F_{n/2}|^2) / n``.
+All per-mode symbol operations (differentiation, Helmholtz) are
+normalization-invariant.
 
 The Nyquist mode n/2 of a real field has no quadrature partner: it gets no
 odd derivative, and the linear flow of :mod:`tlwaves.dispersion` holds it
@@ -90,26 +89,12 @@ class SpectralGrid:
         return 2.0 * self.half_length / self.n
 
 
-def _check_size(grid: SpectralGrid, values: np.ndarray) -> np.ndarray:
+def half_spectrum(grid: SpectralGrid, values: np.ndarray) -> np.ndarray:
+    """rfft modes 0..n/2 (unnormalized) of a real grid function; ``np.fft.irfft(., grid.n)`` inverts it."""
     values = np.asarray(values)
     if values.shape != (grid.n,):
         raise ValueError(f"grid function must have shape ({grid.n},), got {values.shape}")
-    return values
-
-
-def forward_transform(grid: SpectralGrid, values: np.ndarray) -> np.ndarray:
-    """Discrete Fourier coefficients of a grid function (unnormalized)."""
-    return np.fft.fft(_check_size(grid, values))
-
-
-def inverse_transform(grid: SpectralGrid, spectrum: np.ndarray) -> np.ndarray:
-    """Inverse DFT with the 1/N factor. Returns the complex samples."""
-    return np.fft.ifft(_check_size(grid, spectrum))
-
-
-def half_spectrum(grid: SpectralGrid, values: np.ndarray) -> np.ndarray:
-    """rfft modes 0..n/2 (unnormalized) of a real grid function; ``np.fft.irfft(., grid.n)`` inverts it."""
-    return np.fft.rfft(_check_size(grid, values))
+    return np.fft.rfft(values)
 
 
 def differentiate(grid: SpectralGrid, values: np.ndarray) -> np.ndarray:

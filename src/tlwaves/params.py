@@ -97,7 +97,10 @@ def wave_type(params: ModelParameters) -> WaveType:
 
 
 def require_solitary_wave(params: ModelParameters, speed: float) -> None:
-    """Raise :class:`NoSolitaryWaveError` unless k_coeff != 0 and c_s^2 > c_crit^2 (either direction)."""
+    """Raise :class:`NoSolitaryWaveError` unless k_coeff != 0 and c_s^2 > c_crit^2 (either direction), and
+    :class:`ParameterDomainError` for a speed that is not finite or whose square overflows."""
+    if not math.isfinite(speed):
+        raise ParameterDomainError(f"speed {speed} is not finite")
     if params.k_coeff == 0.0:
         raise NoSolitaryWaveError("nonlinearity coefficient is zero (delta^2 == gamma)")
     try:

@@ -343,6 +343,8 @@ def solve(grid: SpectralGrid, params: ModelParameters, config: SolverConfig) -> 
     ------
     NoSolitaryWaveError
         If c_s^2 <= c_crit^2 or the nonlinearity coefficient is zero.
+    ParameterDomainError
+        If c_s is not finite or c_s^2 overflows.
     ValueError
         If c_s < 0.
     NotConvergedError

@@ -1484,6 +1484,36 @@ def test_a_negative_value_in_exponent_form_is_read_as_the_value_of_its_flag(tmp_
     assert record["error"] == error and f"speed {float(value):g}" in record["message"]
 
 
+@pytest.mark.parametrize("setting", ["--cs=inf", "--cs=nan", "--cs=-inf", "config"])
+def test_a_non_finite_speed_exits_1_naming_the_speed(tmp_path, capsys, setting):
+    # Python's JSON reader takes Infinity; the solve names the speed, not the grid its symbols overflow on
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"solver": {"cs": Infinity}}', encoding="utf-8")
+    out = tmp_path / "w.csv"
+    code, stdout, err = run_cli(capsys, "solve", *(("--config", str(cfg)) if setting == "config" else (setting,)),
+                                "--out", str(out))
+    assert code == 1
+    record = one_line_error(err)
+    assert record["error"] == "ParameterDomainError" and record["message"].startswith("speed ")
+    assert "not finite" in record["message"]
+    assert "--half-length" not in record["message"] and "--modes" not in record["message"]
+    assert stdout == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--cs", "-nan"), ("solve", "--cs", "-Infinity"), ("sweep", "--offset-min", "-inf"),
+    ("oracle", "--cs", "-inf"), ("oracle", "--cs", "-NaN"), ("dispersion", "--k-min", "-INF"),
+], ids="_".join)
+def test_a_negative_non_finite_value_is_read_as_the_value_of_its_flag(tmp_path, capsys, argv):
+    command, flag, value = argv
+    out = str(tmp_path / "o.csv")
+    code, _, err = run_cli(capsys, command, flag, value, "--out", out)
+    spelled_code, _, spelled_err = run_cli(capsys, command, f"{flag}={value}", "--out", out)
+    assert (code, err) == (spelled_code, spelled_err)
+    assert code == 1 and one_line_error(err)["error"] != "InputFormatError"
+
+
 def test_help_still_prints_usage_and_exits_0(capsys):
     with pytest.raises(SystemExit) as exited:
         main(["solve", "--help"])

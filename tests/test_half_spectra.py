@@ -1,4 +1,4 @@
-"""Real fields go through rfft half spectra: the full complex FFT is only the public DFT."""
+"""Real fields go through rfft half spectra: no compute path uses the full complex FFT."""
 
 import numpy as np
 import pytest

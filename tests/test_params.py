@@ -104,6 +104,14 @@ def test_require_solitary_wave_rejects_a_speed_whose_square_overflows(speed):
         require_solitary_wave(make_parameters(0.5, 0.8), speed)
 
 
+@pytest.mark.parametrize("gamma, delta", [(0.5, 0.8), (0.25, 0.5)], ids=["elevation", "zero-K"])
+@pytest.mark.parametrize("speed", [math.inf, -math.inf, math.nan])
+def test_require_solitary_wave_rejects_a_speed_that_is_not_finite(gamma, delta, speed):
+    # checked before the nonlinearity and the supersonic test: nan is not subsonic, and inf is no grid's fault
+    with pytest.raises(ParameterDomainError, match=re.escape(f"speed {speed} is not finite")):
+        require_solitary_wave(make_parameters(gamma, delta), speed)
+
+
 def test_require_solitary_wave_accepts_either_direction():
     p = make_parameters(0.5, 0.8)
     for speed in (1.01 * p.c_crit, -1.01 * p.c_crit):

@@ -11,6 +11,7 @@ from tlwaves.errors import (
     DomainTooSmallWarning,
     NoSolitaryWaveError,
     NotConvergedError,
+    ParameterDomainError,
     SingularModeError,
 )
 from tlwaves.extrapolation import extrapolate
@@ -200,6 +201,12 @@ def test_solve_rejects_degenerate(small_grid):
     degenerate = make_parameters(0.25, 0.5)
     with pytest.raises(NoSolitaryWaveError):
         solver.solve(small_grid, degenerate, SolverConfig(speed=2.0))
+
+
+@pytest.mark.parametrize("speed", [np.inf, -np.inf, np.nan])
+def test_solve_rejects_a_speed_that_is_not_finite(elevation_params, small_grid, speed):
+    with pytest.raises(ParameterDomainError, match=f"speed {speed} is not finite"):
+        solver.solve(small_grid, elevation_params, SolverConfig(speed=speed))
 
 
 def test_solve_rejects_negative_speed(elevation_params, small_grid):
