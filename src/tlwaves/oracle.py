@@ -50,14 +50,13 @@ like step^6 where a cubic's fell like step^4, so a seed's nodes can lie 4x
 further apart at the same accuracy.  ``energy_max`` is max |v'^2/2 + U(v)|
 of that interpolant at the node midpoints, where it reads
 v_mid = (v0 + v1)/2 + 5h/32 (v0' - v1') + h^2/64 (v0'' + v1''), and v'_mid
-the same one derivative up.  A mask picks the nodes kept: all of them,
-or, given the abscissae a caller will sample, the two end nodes of each piece
-that holds one and the last two nodes, which serve those beyond them.  Each
-quintic piece reads only its end nodes, so the samples are the full profile's
-to the byte, and the memory kept follows the sample count.  The blocks take
-the sample abscissae as ascending runs: as given when they ascend, or the two
-arms when they fall to a least element and rise again, as |x| of the grid
-nodes does; only other orders are sorted.
+the same one derivative up.  A mask picks the nodes kept: all of them (the
+solver's seed), or, given the abscissae a caller will sample (the ``oracle``
+command's rows), the two end nodes of each piece that holds one and the last
+two nodes, which serve those beyond them.  Each quintic piece reads only its
+end nodes, so the samples are the full profile's to the byte, and the memory
+kept follows the sample count.  The samples are taken ascending: as given, or
+sorted.
 """
 
 from __future__ import annotations
@@ -68,7 +67,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import PoleProximityError, StepSizeTooLargeError, WaveError
-from .params import ModelParameters, require_solitary_wave
+from .params import ModelParameters, require_solitary_wave, saddle_rate
 
 _SERIES_CUTOFF = 1e-3  # |v/v_pole| below which log1p cancellation kicks in
 _PANELS = 256  # uniform z-panels of the coarse map x(z) that places the nodes
@@ -200,12 +199,9 @@ def potential(problem: TravelingWaveProblem) -> PotentialCurve:
     """
     p = problem.params
     require_solitary_wave(p, problem.speed)
-    cs = abs(problem.speed)
-    pole = cs / p.k_coeff
-    curve = PotentialCurve(
-        problem=problem, v_pole=pole, turning_point=math.nan,
-        saddle_rate=math.sqrt((cs * cs - p.c_crit**2) / (p.beta * cs * cs)),
-    )
+    pole = abs(problem.speed) / p.k_coeff
+    curve = PotentialCurve(problem=problem, v_pole=pole, turning_point=math.nan,
+                           saddle_rate=saddle_rate(p, problem.speed))
     series, closed = curve._series, curve._closed  # U's branches, bound once for the search on floats
     # U(t*pole) changes sign once on (0, 1): negative near the saddle, positive near the pole where G
     # blows up.  The bracket's ends are on either side of the cutoff; the midpoints take U's branch.
@@ -330,9 +326,9 @@ def integrate_profile(curve: PotentialCurve, x_max: float, step: float = 1e-3,
     module docstring).  ``energy_max`` is the largest |v'^2/2 + U(v)| of the
     quintic Hermite interpolant at the node midpoints, which must stay within
     ``drift_bound`` times max(1, max |U|): the ``oracle`` command keeps the
-    default 1e-10, and the solver's seed passes a bound of its own.  It keeps
-    every node or, given ``samples``, the abscissae the caller will sample,
-    the at most 2 len(samples) + 2 nodes they read.
+    default 1e-10, and the solver's seed passes inf, which a NaN drift alone
+    fails.  It keeps every node or, given ``samples``, the abscissae the
+    caller will sample, the at most 2 len(samples) + 2 nodes they read.
 
     Raises
     ------
@@ -342,7 +338,7 @@ def integrate_profile(curve: PotentialCurve, x_max: float, step: float = 1e-3,
         If -2U(v) < 0 at a node: v* is so close to the pole that U's
         round-off changes its sign on the orbit.
     StepSizeTooLargeError
-        If energy_max exceeds drift_bound times max(1, max |U|).
+        If energy_max exceeds drift_bound times max(1, max |U|), or is NaN.
     """
     if not (0.0 < x_max < math.inf and 0.0 < step < math.inf):
         raise ValueError("x_max and step must be positive and finite")
@@ -415,12 +411,8 @@ def integrate_profile(curve: PotentialCurve, x_max: float, step: float = 1e-3,
     # nodes it keeps, every node without samples, else the ends of the pieces that hold a sample
     every = samples is None
     t = np.abs(np.asarray([] if every else samples, dtype=float)).ravel()
-    # the samples as ascending runs: the two arms of a V from its least element, which an ascending t and |x| of
-    # the grid nodes are, and else t sorted
-    i = np.argmin(t) if t.size else 0
-    runs = [t[i::-1], t[i + 1:]]
-    if not all((run[:-1] <= run[1:]).all() for run in runs):
-        runs = [np.sort(t)]
+    if not (t[:-1] <= t[1:]).all():  # the samples ascending: as given, or sorted
+        t = np.sort(t)
     nodes = np.empty((5, n + 1 if every else min(n + 1, 2 * t.size + 2)))
     scratch = np.empty((5, _BLOCK + 1))
     kept = 0  # the nodes kept
@@ -479,12 +471,10 @@ def integrate_profile(curve: PotentialCurve, x_max: float, step: float = 1e-3,
             # nodes, which sample |x| >= x[-1] and the tail, and any other block leaves its last node to the next
             keep = np.full(x.size, every)
             keep[0] = carry
-            for j, run in enumerate(runs):  # each run loses the samples below the block's last node
-                end = run.searchsorted(x_last)
-                if end:
-                    k = x.searchsorted(run[:end], side="right") - 1
-                    keep[k] = keep[k + 1] = True
-                    runs[j] = run[end:]
+            end = t.searchsorted(x_last)  # the samples below the block's last node, which t then loses
+            k = x.searchsorted(t[:end], side="right") - 1
+            keep[k] = keep[k + 1] = True
+            t = t[end:]
             if i1 == n + 1:
                 keep[-2:] = True
             else:

@@ -6,7 +6,7 @@ fluid layers.  Every derived constant used elsewhere in the package is
 computed here once:
 
 * ``beta``    dispersion coefficient, (1 + gamma*delta) / (3*delta*(gamma + delta))
-* ``k_coeff`` quadratic nonlinearity coefficient, (delta^2 - gamma) / (delta + gamma)^2
+* ``k_coeff`` quadratic nonlinearity coefficient, (delta^2 - gamma) / (delta + gamma)^2, or 0 within 2 eps gamma
 * ``c_crit``  critical wave speed, sqrt((1 - gamma) / (delta + gamma))
 
 Solitary waves exist only for speeds with ``c_s^2 > c_crit^2`` and a
@@ -73,7 +73,8 @@ def make_parameters(gamma: float, delta: float) -> ModelParameters:
 
     try:
         beta = (1.0 + gamma * delta) / (3.0 * delta * (gamma + delta))
-        k_coeff = (delta * delta - gamma) / (delta + gamma) ** 2
+        excess = delta * delta - gamma  # 0.8 * 0.8 rounds to 0.64 + 1.1e-16: no nonlinearity at (0.64, 0.8)
+        k_coeff = 0.0 if abs(excess) <= 2.0 * math.ulp(1.0) * gamma else excess / (delta + gamma) ** 2
     except (OverflowError, ZeroDivisionError):
         beta = k_coeff = math.inf
     if not math.isfinite(beta + k_coeff):
@@ -86,8 +87,9 @@ def wave_type(params: ModelParameters) -> WaveType:
     """Polarity of the solitary wave carried by these parameters.
 
     Elevation for k_coeff > 0, depression for k_coeff < 0.  The degenerate
-    case delta^2 == gamma (exact comparison) kills the quadratic
-    nonlinearity entirely, so no solitary wave exists there.
+    case delta^2 == gamma (up to the rounding of delta^2, see
+    :func:`make_parameters`) kills the quadratic nonlinearity entirely,
+    so no solitary wave exists there.
     """
     if params.k_coeff > 0.0:
         return WaveType.ELEVATION
@@ -111,6 +113,11 @@ def require_solitary_wave(params: ModelParameters, speed: float) -> None:
         raise NoSolitaryWaveError(
             f"speed {speed} is not supersonic: c_s^2 <= c_crit^2 = {params.c_crit ** 2:.6g}"
         )
+
+
+def saddle_rate(params: ModelParameters, speed: float) -> float:
+    """The decay rate lambda = sqrt((c_s^2 - c_crit^2) / (beta c_s^2)) of the solitary wave at a supersonic c_s."""
+    return math.sqrt((speed * speed - params.c_crit**2) / (params.beta * speed * speed))
 
 
 def params_to_config(params: ModelParameters) -> dict:

@@ -53,7 +53,7 @@ from .errors import (
 )
 from .extrapolation import extrapolate
 from .grid import SpectralGrid, helmholtz_apply, helmholtz_symbol, quadratic_spectra
-from .params import ModelParameters, require_solitary_wave
+from .params import ModelParameters, require_solitary_wave, saddle_rate
 
 # a converged profile warns (or, under strict_domain, fails) when its boundary value exceeds
 # this fraction of its peak
@@ -308,26 +308,22 @@ def auto_initial_guess(grid: SpectralGrid, params: ModelParameters, speed: float
     return WaveState.from_zeta_v(grid, params, zeta, v)
 
 
-def oracle_initial_guess(grid: SpectralGrid, params: ModelParameters, speed: float, tol: float = 1e-10) -> WaveState:
-    """The ODE oracle's solitary profile at the grid nodes, zeta by the first-row algebra.
+def oracle_initial_guess(grid: SpectralGrid, params: ModelParameters, speed: float) -> WaveState:
+    """The ODE oracle's whole solitary profile at the grid nodes, zeta by the first-row algebra.
 
     The profile is integrated to x_max = min(l, 16/lambda), beyond which its exponential
     tail continuation is exact to ~1e-14 |v*|, with nodes 0.016/lambda or 0.008 of the
     crest's dx/dz apart, whichever is shorter, and at most 20000 of them: close to the
     pole dx/dz at the crest tends to 0.  The quintic interpolant between them is exact
-    to ~3e-13 |v*| on the reference wave.  Of those nodes it keeps the ones that the
-    grid's samples read, at most 2n + 2.  The oracle's energy drift may reach 100 ``tol``
-    (at least its own 1e-10): a seed only needs to start the iteration close to the
-    wave.  Raises what the oracle raises, a :class:`WaveError` (``PoleProximityError``
-    or ``StepSizeTooLargeError`` close to the pole).
+    to ~3e-13 |v*| on the reference wave.  No drift bound applies: a seed that drifts
+    still starts the iteration closer to the wave than the sech^2 seed.  Raises what the
+    oracle raises, a :class:`WaveError` (``PoleProximityError`` where -2U < 0 on the orbit).
     """
     curve = oracle.potential(oracle.TravelingWaveProblem(params=params, speed=speed))
     lam = curve.saddle_rate
     x_max = min(grid.half_length, 16.0 / lam)
     step = max(min(0.016 / lam, 0.008 * curve.crest_dxdz()), x_max / 20000)
-    profile = oracle.integrate_profile(curve, x_max=x_max, step=step, samples=grid.nodes,
-                                       drift_bound=max(1e-10, 100.0 * tol))
-    v = profile.sample_v(grid.nodes)
+    v = oracle.integrate_profile(curve, x_max=x_max, step=step, drift_bound=math.inf).sample_v(grid.nodes)
     return WaveState.from_zeta_v(grid, params, oracle.reconstruct_zeta(curve, v), v)
 
 
@@ -346,7 +342,8 @@ def solve(grid: SpectralGrid, params: ModelParameters, config: SolverConfig) -> 
     ParameterDomainError
         If c_s is not finite or c_s^2 overflows.
     ValueError
-        If c_s < 0.
+        If c_s < 0, or if the grid's node spacing exceeds the wave's decay
+        length 1/lambda.
     NotConvergedError
         If max_iter is reached, or at the first non-finite stabilizing
         factor or residual; the partial report rides on the exception.
@@ -362,13 +359,18 @@ def solve(grid: SpectralGrid, params: ModelParameters, config: SolverConfig) -> 
             "the wave at c_s < 0 is (zeta, -v, -u) of the wave at |c_s|, and oracle --cs takes negative speeds"
         )
 
+    lam = saddle_rate(params, speed)
+    if grid.spacing * lam > 1.0:  # the wave would lie between a few nodes
+        raise ValueError(f"node spacing {grid.spacing:.3g} of l = {grid.half_length:g}, n = {grid.n} exceeds the "
+                         f"wave's decay length 1/lambda = {1.0 / lam:.3g}: lower --half-length or raise --modes")
+
     started = time.perf_counter()
     report = SolveReport()
     core = _Core(grid, params, config)  # checks the grid's modes before a seed is sampled on it
     state = config.initial_guess
     if state is None:
         try:
-            state = oracle_initial_guess(grid, params, speed, config.tol_residual)
+            state = oracle_initial_guess(grid, params, speed)
             report.seed = "oracle"
         except WaveError:
             state = auto_initial_guess(grid, params, speed)

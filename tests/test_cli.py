@@ -1322,7 +1322,8 @@ def test_sweep_ends_use_the_oracle_seed(gamma, delta, offset):
 
 
 def test_solve_near_the_pole_falls_back_to_the_sech2_seed(tmp_path, capsys):
-    # v*/v_pole >= 0.93: the oracle's energy check fails, the sech^2-seeded solve converges
+    # v* lies 4.4e-8 |v_pole| below the pole, where U's round-off makes -2U < 0 on the orbit: the oracle raises
+    # PoleProximityError, and the sech^2-seeded solve converges
     params = make_parameters(0.95, 0.8)
     out = tmp_path / "pole.csv"
     code, _, err = run_cli(capsys, "solve", "--gamma", "0.95", "--delta", "0.8", "--cs", repr(params.c_crit + 1.0),
@@ -1332,6 +1333,45 @@ def test_solve_near_the_pole_falls_back_to_the_sech2_seed(tmp_path, capsys):
     meta, _ = read_table(out)
     assert meta["report"]["seed"] == "sech2"
     assert meta["report"]["converged"] is True
+
+
+@pytest.mark.parametrize("gamma, delta", [(0.64, 0.8), (0.49, 0.7), (0.16, 0.4), (0.04, 0.2), (0.01, 0.1)])
+@pytest.mark.parametrize("command", ["solve", "sweep", "oracle"])
+def test_a_nonlinearity_that_is_only_rounding_is_refused_by_name(tmp_path, capsys, command, gamma, delta):
+    # delta * delta misses gamma by the rounding of the product alone (0.8 * 0.8 is 0.64 + 1.1e-16): K is 0, and
+    # no solitary wave exists
+    out = tmp_path / "o.csv"
+    code, stdout, err = run_cli(capsys, command, "--gamma", repr(gamma), "--delta", repr(delta), "--out", str(out))
+    assert code == 1
+    assert one_line_error(err) == {"error": "NoSolitaryWaveError",
+                                   "message": "nonlinearity coefficient is zero (delta^2 == gamma)"}
+    assert stdout == ""
+    assert not out.exists()
+
+
+def test_dispersion_runs_where_the_nonlinearity_vanishes(tmp_path, capsys):
+    out = tmp_path / "d.csv"
+    code, _, err = run_cli(capsys, "dispersion", "--gamma", "0.64", "--delta", "0.8", "--out", str(out))
+    assert code == 0, err
+    assert out.is_file()
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--half-length", "1e300", "--modes", "64"),
+    ("solve", "--modes", "10"),
+    ("sweep", "--modes", "10"),
+], ids=["solve-wide", "solve-few-modes", "sweep-few-modes"])
+def test_a_grid_coarser_than_the_wave_exits_1_naming_both_flags(tmp_path, capsys, argv):
+    # node spacing 3.1e298 and 25.6 against the decay length 1/lambda of 1.8 (and 3.8 at the sweep's first speed)
+    out = tmp_path / "o.csv"
+    code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 1
+    record = one_line_error(err)
+    assert record["error"] == "ValueError"
+    assert "decay length 1/lambda" in record["message"]
+    assert "--half-length" in record["message"] and "--modes" in record["message"]
+    assert stdout == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, error, message", [

@@ -5,6 +5,7 @@ import pytest
 
 from tlwaves import oracle
 from tlwaves.errors import NoSolitaryWaveError, PoleProximityError, StepSizeTooLargeError
+from tlwaves.grid import SpectralGrid
 from tlwaves.params import make_parameters
 
 
@@ -374,7 +375,9 @@ def test_a_profile_kept_for_its_samples_samples_them_as_the_full_one(gamma, delt
     # the middle of each block's last piece, whose right end is the next block's first node
     edges = full.x[oracle._BLOCK :: oracle._BLOCK]
     last_pieces = 0.5 * (full.x[oracle._BLOCK - 1 :: oracle._BLOCK][: edges.size] + edges)
-    for samples in (xs, np.concatenate([xs, extra]), last_pieces, full.x[-1:] * [1.0, 2.0]):
+    # |x| of grid nodes, which falls to the crest and rises again
+    v_shaped = np.abs(SpectralGrid(x_max, 64).nodes)
+    for samples in (xs, np.concatenate([xs, extra]), last_pieces, full.x[-1:] * [1.0, 2.0], v_shaped):
         kept = oracle.integrate_profile(curve, x_max=x_max, step=step, samples=samples)
         assert kept.x.size <= 2 * samples.size + 2
         if not (samples < full.x[-1]).any():  # at and beyond the last node: the last two nodes alone

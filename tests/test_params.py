@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import pytest
 from hypothesis import given
@@ -66,12 +67,31 @@ def test_derived_constants_admissible(gamma, delta):
     assert p.beta > 0.0
     assert 0.0 < p.c_crit < math.inf
     kind = wave_type(p)
-    if delta * delta - gamma > 0:
-        assert kind is WaveType.ELEVATION
-    elif delta * delta - gamma < 0:
-        assert kind is WaveType.DEPRESSION
-    else:
+    excess = delta * delta - gamma
+    if abs(excess) <= 2.0 * sys.float_info.epsilon * gamma:  # the rounding of delta * delta alone
         assert kind is WaveType.DEGENERATE
+    elif excess > 0:
+        assert kind is WaveType.ELEVATION
+    else:
+        assert kind is WaveType.DEPRESSION
+
+
+@pytest.mark.parametrize("gamma, delta", [(0.64, 0.8), (0.49, 0.7), (0.16, 0.4), (0.04, 0.2), (0.01, 0.1)])
+def test_a_delta_squared_that_misses_gamma_by_rounding_alone_is_degenerate(gamma, delta):
+    # 0.8 * 0.8 is 0.64 + 1.1e-16: a K of 5.4e-17 would put v_pole near 1e16 and the turning point near 1e15
+    assert delta * delta != gamma
+    p = make_parameters(gamma, delta)
+    assert p.k_coeff == 0.0
+    assert wave_type(p) is WaveType.DEGENERATE
+    with pytest.raises(NoSolitaryWaveError, match="nonlinearity coefficient is zero"):
+        require_solitary_wave(p, 2.0 * p.c_crit)
+
+
+@pytest.mark.parametrize("gamma, delta", [(0.0, 1e-9), (0.64, 0.80001)])
+def test_a_small_nonlinearity_above_rounding_is_kept(gamma, delta):
+    p = make_parameters(gamma, delta)
+    assert p.k_coeff == (delta * delta - gamma) / (delta + gamma) ** 2 > 0.0
+    require_solitary_wave(p, p.c_crit + 0.05)
 
 
 def test_config_round_trip():
