@@ -92,13 +92,13 @@ def fit_speed_amplitude(samples: Sequence[tuple[float, float]]) -> FitResult:
     Raises
     ------
     InsufficientDataError
-        Fewer than 4 samples.
+        Fewer than 4 distinct speeds: three parameters fit any fewer exactly.
     NoBracketError
         SSE(B) is monotone over the exponent search interval.
     """
     pts = np.asarray(list(samples), dtype=float)
-    if pts.ndim != 2 or pts.shape[0] < 4:
-        raise InsufficientDataError("speed-amplitude fit needs at least 4 samples")
+    if pts.ndim != 2 or len(set(pts[:, 0].tolist())) < 4:  # a set: np.unique's first call pages in ~1.7 MiB
+        raise InsufficientDataError("speed-amplitude fit needs samples at 4 distinct speeds")
     cs, y = pts[:, 0], pts[:, 1]
     if np.any(cs <= 0.0):
         raise WaveError("speeds must be positive for the power fit")
@@ -239,8 +239,8 @@ def speed_sweep(solve: Callable, grid: SpectralGrid, params, config, offsets: np
 
 
 def speed_fit(columns: dict) -> FitResult:
-    """The power law of |zeta_max| against cs over the columns of a speed sweep."""
-    return fit_speed_amplitude(list(zip(columns["cs"], np.abs(columns["zeta_max"]))))
+    """The power law of |zeta_max| against |cs| over the columns of a speed sweep in either direction."""
+    return fit_speed_amplitude(list(zip(np.abs(columns["cs"]), np.abs(columns["zeta_max"]))))
 
 
 def amplitude_vs_k_study(

@@ -14,13 +14,14 @@ from .tables import meta, write_json, write_table
 
 def execute(args) -> int:
     params, grid, config, described = build_run(args)
-    if args.count < 4:
-        raise InsufficientDataError("sweep needs at least 4 speeds for the power fit")
     if not (np.isfinite(args.offset_min) and np.isfinite(args.offset_max)):
         raise ValueError(f"--offset-min and --offset-max must be finite, got {args.offset_min} and {args.offset_max}")
     check_memory(args.count * _SWEEP_ROW_BYTES, f"sweep --count {args.count}", "lower --count")
-    columns = analysis.speed_sweep(solver.solve, grid, params, config,
-                                   np.linspace(args.offset_min, args.offset_max, args.count))
+    offsets = np.linspace(args.offset_min, args.offset_max, max(args.count, 0))
+    # the fit is over |c_s|: equal offsets, or speeds of opposite sign and equal size, are one abscissa
+    if len(set(np.abs(params.c_crit + offsets).tolist())) < 4:
+        raise InsufficientDataError("sweep needs at least 4 speeds for the power fit")
+    columns = analysis.speed_sweep(solver.solve, grid, params, config, offsets)
 
     described["sweep"] = {"offset_min": args.offset_min, "offset_max": args.offset_max, "count": args.count}
     header = meta("sweep", described)

@@ -13,8 +13,9 @@ lambda = sqrt((c_s^2 - c_crit^2) / (beta c_s^2)).
 The system is symmetric under (c_s, zeta, v, u) -> (-c_s, zeta, -v, -u),
 so the oracle computes one wave, the right-moving one at |c_s|, for either
 sign of the speed; the left-moving wave is its image under
-:func:`negative_speed_map`.  The problem keeps the speed as given, so every
-error names it.
+:func:`negative_speed_map`, as is the solver's.  The problem keeps the speed
+as given, so every error names it; :func:`potential` checks it with
+``params.require_solitary_wave``, as ``solver.solve`` does.
 
 :class:`PotentialCurve` derives its constants once and writes each branch
 of U once, valid on floats and arrays: a series for |v / v_pole| < 1e-3,
@@ -83,14 +84,10 @@ _GL_HALF_WEIGHTS = (0.18945061045506864, 0.18260341504492364, 0.1691565193950026
 
 @dataclass(frozen=True)
 class TravelingWaveProblem:
-    """A parameter set together with a nonzero traveling-wave speed."""
+    """A parameter set together with a traveling-wave speed of either sign, which :func:`potential` checks."""
 
     params: ModelParameters
     speed: float
-
-    def __post_init__(self) -> None:
-        if self.speed == 0.0 or not math.isfinite(self.speed):
-            raise ValueError(f"traveling-wave speed must be finite and nonzero, got {self.speed}")
 
 
 def negative_speed_map(zeta, v, u):
@@ -193,6 +190,8 @@ def potential(problem: TravelingWaveProblem) -> PotentialCurve:
     NoSolitaryWaveError
         If c_s^2 <= c_crit^2 (the origin is not a saddle) or the
         nonlinearity coefficient vanishes.
+    ParameterDomainError
+        If c_s is not finite or c_s^2 overflows.
     PoleProximityError
         If U does not change sign below 1 - 1e-15 of the pole: v* is then
         closer to the pole than the profile can be resolved.

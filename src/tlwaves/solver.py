@@ -316,7 +316,8 @@ def oracle_initial_guess(grid: SpectralGrid, params: ModelParameters, speed: flo
     crest's dx/dz apart, whichever is shorter, and at most 20000 of them: close to the
     pole dx/dz at the crest tends to 0.  The quintic interpolant between them is exact
     to ~3e-13 |v*| on the reference wave.  No drift bound applies: a seed that drifts
-    still starts the iteration closer to the wave than the sech^2 seed.  Raises what the
+    still starts the iteration closer to the wave than the sech^2 seed.  The profile is the
+    right-moving wave at |c_s|; at c_s < 0 the seed is its image (zeta, -v).  Raises what the
     oracle raises, a :class:`WaveError` (``PoleProximityError`` where -2U < 0 on the orbit).
     """
     curve = oracle.potential(oracle.TravelingWaveProblem(params=params, speed=speed))
@@ -324,7 +325,7 @@ def oracle_initial_guess(grid: SpectralGrid, params: ModelParameters, speed: flo
     x_max = min(grid.half_length, 16.0 / lam)
     step = max(min(0.016 / lam, 0.008 * curve.crest_dxdz()), x_max / 20000)
     v = oracle.integrate_profile(curve, x_max=x_max, step=step, drift_bound=math.inf).sample_v(grid.nodes)
-    return WaveState.from_zeta_v(grid, params, oracle.reconstruct_zeta(curve, v), v)
+    return WaveState.from_zeta_v(grid, params, oracle.reconstruct_zeta(curve, v), v if speed > 0 else -v)
 
 
 def solve(grid: SpectralGrid, params: ModelParameters, config: SolverConfig) -> tuple[WaveState, SolveReport]:
@@ -333,7 +334,8 @@ def solve(grid: SpectralGrid, params: ModelParameters, config: SolverConfig) -> 
     Without ``config.initial_guess`` the iteration starts from
     :func:`oracle_initial_guess`, or from :func:`auto_initial_guess` where
     the oracle raises a :class:`WaveError`; ``SolveReport.seed`` records
-    which (``"oracle"`` or ``"sech2"``).
+    which (``"oracle"`` or ``"sech2"``).  The iteration is odd in (c_s, v, u):
+    at c_s < 0 it returns exactly (zeta, -v, -u) of the solve at |c_s|.
 
     Raises
     ------
@@ -342,8 +344,7 @@ def solve(grid: SpectralGrid, params: ModelParameters, config: SolverConfig) -> 
     ParameterDomainError
         If c_s is not finite or c_s^2 overflows.
     ValueError
-        If c_s < 0, or if the grid's node spacing exceeds the wave's decay
-        length 1/lambda.
+        If the grid's node spacing exceeds the wave's decay length 1/lambda.
     NotConvergedError
         If max_iter is reached, or at the first non-finite stabilizing
         factor or residual; the partial report rides on the exception.
@@ -353,12 +354,6 @@ def solve(grid: SpectralGrid, params: ModelParameters, config: SolverConfig) -> 
     """
     speed = config.speed
     require_solitary_wave(params, speed)
-    if speed < 0.0:
-        raise ValueError(
-            f"solver computes right-moving waves: solve and sweep need c_s > 0, got c_s = {speed!r}; "
-            "the wave at c_s < 0 is (zeta, -v, -u) of the wave at |c_s|, and oracle --cs takes negative speeds"
-        )
-
     lam = saddle_rate(params, speed)
     if grid.spacing * lam > 1.0:  # the wave would lie between a few nodes
         raise ValueError(f"node spacing {grid.spacing:.3g} of l = {grid.half_length:g}, n = {grid.n} exceeds the "

@@ -72,6 +72,14 @@ def test_power_fit_insufficient_data():
         fit_speed_amplitude([(0.7, 1.0), (0.8, 2.0), (0.9, 3.0)])
 
 
+@pytest.mark.parametrize("speeds", [(0.7, 0.7, 0.7, 0.7), (0.7, 0.7, 0.9, 0.9), (0.7, 0.8, 0.9, 0.9, 0.8, 0.7)],
+                         ids=["one", "two", "three"])
+def test_power_fit_needs_4_distinct_speeds(speeds):
+    # three parameters fit the means at fewer distinct speeds exactly, with R^2 = 1
+    with pytest.raises(InsufficientDataError, match="4 distinct speeds"):
+        fit_speed_amplitude([(cs, 2.0 * cs**2 + 0.01 * i) for i, cs in enumerate(speeds)])
+
+
 def test_power_fit_no_bracket():
     speeds = np.linspace(1.1, 2.0, 10)
     data = speeds**9.0

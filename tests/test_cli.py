@@ -1377,10 +1377,7 @@ def test_a_grid_coarser_than_the_wave_exits_1_naming_both_flags(tmp_path, capsys
 @pytest.mark.parametrize("argv, error, message", [
     (("--cs", "0.1"), "NoSolitaryWaveError", "speed 0.1 is not supersonic: c_s^2 <= c_crit^2"),
     (("--gamma", "0.25", "--delta", "0.5"), "NoSolitaryWaveError", "nonlinearity coefficient is zero"),
-    (("--cs", "-1.0"), "ValueError",
-     "solver computes right-moving waves: solve and sweep need c_s > 0, got c_s = -1.0; the wave at c_s < 0 is "
-     "(zeta, -v, -u) of the wave at |c_s|, and oracle --cs takes negative speeds"),
-], ids=["subsonic", "zero-K", "negative-speed"])
+], ids=["subsonic", "zero-K"])
 def test_solve_keeps_the_solver_errors(tmp_path, capsys, argv, error, message):
     code, _, err = run_cli(capsys, "solve", *argv, "--half-length", "64", "--modes", "512",
                            "--out", str(tmp_path / "x.csv"))
@@ -1390,10 +1387,66 @@ def test_solve_keeps_the_solver_errors(tmp_path, capsys, argv, error, message):
     assert payload["message"].startswith(message)
 
 
+def test_a_left_moving_solve_writes_the_mirror_image_of_the_right_moving_one(tmp_path, capsys):
+    speed = make_parameters(0.5, 0.8).c_crit + 0.05
+    written = {}
+    for cs in (speed, -speed):
+        out, spectrum = tmp_path / f"wave{cs!r}.csv", tmp_path / f"spectrum{cs!r}.csv"
+        code, _, _ = run_cli(capsys, "solve", f"--cs={cs!r}", "--half-length", "64", "--modes", "512",
+                             "--out", str(out), "--spectrum-out", str(spectrum))
+        assert code == 0
+        written[cs] = read_table(out)[1], read_table(spectrum)[1]
+    (right, right_spectrum), (left, left_spectrum) = written[speed], written[-speed]
+    # values, not tokens: an exact zero of irfft prints as 0 on both sides
+    assert np.array_equal(left["x"], right["x"]) and np.array_equal(left["zeta"], right["zeta"])
+    assert np.array_equal(left["v"], -right["v"]) and np.array_equal(left["u"], -right["u"])
+    assert list(left_spectrum) == list(right_spectrum)
+    assert all(np.array_equal(left_spectrum[name], right_spectrum[name]) for name in right_spectrum)
+    # the oracle's left-moving wave, sampled at the node spacing from x = 0
+    profile = tmp_path / "oracle.csv"
+    assert run_cli(capsys, "oracle", f"--cs={-speed!r}", "--x-max", "64", "--dx", "0.25", "--out", str(profile))[0] == 0
+    oracle_v = read_table(profile)[1]["v"]
+    right_half = left["x"] >= 0.0
+    assert np.max(np.abs(left["v"][right_half] - oracle_v[:np.count_nonzero(right_half)])) <= 1e-9
+
+
+def test_a_left_moving_sweep_fits_its_crests_against_the_speed_size(tmp_path, capsys):
+    # the speeds c_crit - 1.54 ... c_crit - 1.3 are -0.92 ... -0.68, supersonic to the left
+    out = tmp_path / "sweep.csv"
+    code, stdout, err = run_cli(capsys, "sweep", "--half-length", "64", "--modes", "512",
+                                "--offset-min", "-1.54", "--offset-max", "-1.3", "--count", "5", "--out", str(out))
+    assert code == 0 and err == ""
+    _, cols = read_table(out)
+    assert np.all(cols["cs"] < 0.0) and np.all(cols["v_max"] < 0.0) and np.all(cols["u_max"] < 0.0)
+    assert np.all(np.diff(cols["zeta_max"]) < 0.0)  # the crest grows with |c_s|
+    params, grid = make_parameters(0.5, 0.8), SpectralGrid(half_length=64.0, n=512)
+    right, _ = solver.solve(grid, params, solver.SolverConfig(speed=-cols["cs"][0]))
+    assert cols["zeta_max"][0] == analysis.amplitude(right)[0] and cols["v_max"][0] == -analysis.amplitude(right)[1]
+    fit = json.loads(out.with_suffix(".fit.json").read_text())["fit"]
+    assert fit["r_squared"] > 0.9999
+    assert fit["window"] == [float(-cols["cs"][-1]), float(-cols["cs"][0])]
+
+
+def test_a_sweep_of_fewer_than_4_distinct_speeds_exits_1_before_it_solves(tmp_path, capsys, monkeypatch):
+    # three parameters fit the amplitudes at any 3 distinct speeds exactly: the fit would be made up
+    def swept(*args, **kwargs):
+        raise AssertionError("sweep solved speeds it cannot fit")
+
+    monkeypatch.setattr(analysis, "speed_sweep", swept)
+    out = tmp_path / "sweep.csv"
+    code, stdout, err = run_cli(capsys, "sweep", "--modes", "256", "--half-length", "32", "--offset-min", "0.1",
+                                "--offset-max", "0.1", "--count", "4", "--out", str(out))
+    assert code == 1
+    assert one_line_error(err) == {"error": "InsufficientDataError",
+                                   "message": "sweep needs at least 4 speeds for the power fit"}
+    assert stdout == "" and list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv, message", [
     (("--cs", "0.1"), "speed 0.1 is not supersonic: c_s^2 <= c_crit^2"),
     (("--gamma", "0.25", "--delta", "0.5"), "nonlinearity coefficient is zero"),
-], ids=["subsonic", "zero-K"])
+    (("--cs", "0"), "speed 0.0 is not supersonic: c_s^2 <= c_crit^2"),
+], ids=["subsonic", "zero-K", "zero-speed"])
 def test_oracle_reports_the_solver_existence_errors(tmp_path, capsys, argv, message):
     out = tmp_path / "o.csv"
     code, _, err = run_cli(capsys, "oracle", *argv, "--x-max", "20", "--out", str(out))
@@ -1524,13 +1577,20 @@ def test_a_negative_value_in_exponent_form_is_read_as_the_value_of_its_flag(tmp_
     assert record["error"] == error and f"speed {float(value):g}" in record["message"]
 
 
-@pytest.mark.parametrize("setting", ["--cs=inf", "--cs=nan", "--cs=-inf", "config"])
-def test_a_non_finite_speed_exits_1_naming_the_speed(tmp_path, capsys, setting):
-    # Python's JSON reader takes Infinity; the solve names the speed, not the grid its symbols overflow on
+_NON_FINITE_SPEEDS = ("--cs=inf", "--cs=nan", "--cs=-inf", "config")
+
+
+@pytest.mark.parametrize("command, setting", [*(("solve", setting) for setting in _NON_FINITE_SPEEDS),
+                                              *(("oracle", setting) for setting in _NON_FINITE_SPEEDS)],
+                         ids=[*_NON_FINITE_SPEEDS,
+                              "oracle--cs=inf", "oracle--cs=nan", "oracle--cs=-inf", "oracle-config"])
+def test_a_non_finite_speed_exits_1_naming_the_speed(tmp_path, capsys, command, setting):
+    # Python's JSON reader takes Infinity; the solve names the speed, not the grid its symbols overflow on, and
+    # the oracle refuses it with the same check
     cfg = tmp_path / "c.json"
     cfg.write_text('{"solver": {"cs": Infinity}}', encoding="utf-8")
     out = tmp_path / "w.csv"
-    code, stdout, err = run_cli(capsys, "solve", *(("--config", str(cfg)) if setting == "config" else (setting,)),
+    code, stdout, err = run_cli(capsys, command, *(("--config", str(cfg)) if setting == "config" else (setting,)),
                                 "--out", str(out))
     assert code == 1
     record = one_line_error(err)

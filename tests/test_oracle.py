@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from tlwaves import oracle
-from tlwaves.errors import NoSolitaryWaveError, PoleProximityError, StepSizeTooLargeError
+from tlwaves import oracle, solver
+from tlwaves.errors import (NoSolitaryWaveError, ParameterDomainError, PoleProximityError, StepSizeTooLargeError,
+                            WaveError)
 from tlwaves.grid import SpectralGrid
 from tlwaves.params import make_parameters
 
@@ -26,10 +27,17 @@ def elev_profile(elev_curve):
     return oracle.integrate_profile(elev_curve, x_max=60.0, step=1e-3)
 
 
-def test_problem_rejects_zero_speed():
+@pytest.mark.parametrize("speed", [0.0, math.inf, -math.inf, math.nan], ids=["zero", "inf", "-inf", "nan"])
+def test_potential_refuses_a_speed_with_the_error_of_solve(speed):
+    # one check, params.require_solitary_wave, for the oracle and the solver
     p = make_parameters(0.5, 0.8)
-    with pytest.raises(ValueError):
-        oracle.TravelingWaveProblem(params=p, speed=0.0)
+    problem = oracle.TravelingWaveProblem(params=p, speed=speed)
+    with pytest.raises(WaveError) as refused:
+        oracle.potential(problem)
+    with pytest.raises(WaveError) as solved:
+        solver.solve(SpectralGrid(half_length=64.0, n=512), p, solver.SolverConfig(speed=speed))
+    assert type(refused.value) is type(solved.value) is (NoSolitaryWaveError if speed == 0.0 else ParameterDomainError)
+    assert str(refused.value) == str(solved.value)
 
 
 def test_turning_point_elevation(elev_curve):

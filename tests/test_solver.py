@@ -210,11 +210,27 @@ def test_solve_rejects_a_speed_that_is_not_finite(elevation_params, small_grid, 
         solver.solve(small_grid, elevation_params, SolverConfig(speed=speed))
 
 
-def test_solve_rejects_negative_speed(elevation_params, small_grid):
-    with pytest.raises(ValueError):
-        solver.solve(
-            small_grid, elevation_params, SolverConfig(speed=-(elevation_params.c_crit + 0.05))
-        )
+@pytest.mark.parametrize("gamma, delta", [(0.5, 0.8), (0.5, 0.5)], ids=["elevation", "depression"])
+@pytest.mark.parametrize("mpe_cycle, dealias, sech2", [(None, False, False), (6, False, False), (None, True, False),
+                                                       (6, False, True)],
+                         ids=["plain", "mpe6", "dealiased", "mpe6-sech2-seeded"])
+def test_a_left_moving_solve_is_the_mirror_image_of_the_right_moving_one(small_grid, gamma, delta, mpe_cycle, dealias,
+                                                                          sech2):
+    # the iteration is odd in (c_s, v, u): det takes c_s^2, a11, a22 and zeta v change sign, and v^2, m, the
+    # residual and the update do not; the oracle seed at -c_s is (zeta, -v), and the sech^2 seed's
+    # v = c_s (gamma + delta) zeta
+    params = make_parameters(gamma, delta)
+    speed = params.c_crit + 0.3
+    (right, right_report), (left, left_report) = (
+        solver.solve(small_grid, params, SolverConfig(
+            speed=cs, mpe_cycle=mpe_cycle, dealias=dealias,
+            initial_guess=solver.auto_initial_guess(small_grid, params, cs) if sech2 else None))
+        for cs in (speed, -speed))
+    assert right_report.iterations > 1
+    assert np.array_equal(left.zeta, right.zeta) and np.array_equal(left.v, -right.v)
+    assert np.array_equal(left.u, -right.u)
+    for key in ("iterations", "residual_history", "m_history", "seed", "boundary_ratio", "warnings"):
+        assert getattr(left_report, key) == getattr(right_report, key), key
 
 
 def test_not_converged_carries_report(elevation_params, small_grid):
