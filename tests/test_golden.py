@@ -1,10 +1,12 @@
-"""The files of ``reproduce all`` against a checked-in manifest of their hashes and figures.
+"""The files of a few commands against a checked-in manifest of their hashes and figures.
 
-``tests/golden/manifest.json`` records, for each of the 15 files, its sha256 and its figures: per CSV
-column the max |value| and the values of the first, middle and last rows, and per JSON file the
-coefficients of each fit it holds.  It also records the numpy version and the machine that wrote it.
-Where both match this process's, the files must have the manifest's bytes; elsewhere, where numpy's
-kernels may round differently, every figure must agree within ``RELATIVE_BOUND``.
+``tests/golden/manifest.json`` records, per run, its command lines and, for each file they write, its sha256
+and its figures: per CSV column the max |value| and the values of the first, middle and last rows, and per
+JSON file the coefficients of each fit it holds.  The runs are ``reproduce all``; ``oracle --x-max 128 --step
+1e-3`` at c_s and -c_s of both polarities; ``solve --modes 512 --half-length 64`` at c_s and -c_s; and
+``dispersion``.  The manifest also records the numpy version and the machine that wrote it.  Where both match
+this process's, the files must have the manifest's bytes; elsewhere, where numpy's kernels may round
+differently, every figure must agree within ``RELATIVE_BOUND``.
 
 A change that moves the outputs on purpose regenerates the manifest, in a cold process, with
 
@@ -25,12 +27,32 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from tlwaves.cli import main
 from tlwaves.commands.analyze import read_table
+from tlwaves.params import REFERENCE_OFFSET, make_parameters
 
 MANIFEST = Path(__file__).with_name("golden") / "manifest.json"
-COMMAND = ["reproduce", "all"]
+
+
+def _speeds(delta: float) -> tuple:
+    """(--cs value, side) of the reference speed c_crit + 0.05 at (0.5, delta) and of its opposite."""
+    right = repr(make_parameters(0.5, delta).c_crit + REFERENCE_OFFSET)
+    return (right, "right"), (f"-{right}", "left")
+
+
+# each run's command lines, which write their files into the current directory
+RUNS = {
+    "reproduce": [["reproduce", "all", "--out-dir", "."]],
+    "oracle": [["oracle", "--gamma", "0.5", "--delta", f"{delta:g}", f"--cs={cs}", "--x-max", "128", "--step", "1e-3",
+                "--out", f"oracle_{name}_{side}.csv"]
+               for delta, name in ((0.8, "elevation"), (0.5, "depression")) for cs, side in _speeds(delta)],
+    "solve": [["solve", "--modes", "512", "--half-length", "64", f"--cs={cs}", "--out", f"solve_{side}.csv",
+               "--spectrum-out", f"spectrum_{side}.csv"] for cs, side in _speeds(0.8)],
+    "dispersion": [["dispersion", "--out", "dispersion.csv"]],
+}
+
 # Where numpy or the machine differ: each figure within this fraction of its column's max |value| (of the
 # coefficient itself for a fit).  The solves stop at a residual of 1e-10 and most end near 1e-14; a profile
 # moved by 1e-13 of its peak moves the decay fits' exponents by ~1e-7 (see analysis._FIT_FLOOR).  With numpy's
@@ -67,14 +89,14 @@ def summarize(directory: Path) -> dict:
     return files
 
 
-def cold_summary() -> dict:
-    """``summarize`` of the files a cold ``tlwaves`` process writes."""
+def cold_summary(commands: list) -> dict:
+    """``summarize`` of the files that cold ``tlwaves`` processes running ``commands`` write."""
     with tempfile.TemporaryDirectory() as work:
-        out = Path(work) / "results"
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-        subprocess.run([sys.executable, "-m", "tlwaves.cli", *COMMAND, "--out-dir", str(out)], env=env, check=True,
-                       stdout=subprocess.DEVNULL)
-        return summarize(out)
+        for argv in commands:
+            subprocess.run([sys.executable, "-m", "tlwaves.cli", *argv], cwd=work, env=env, check=True,
+                           stdout=subprocess.DEVNULL)
+        return summarize(Path(work))
 
 
 def figure_gaps(written: dict, golden: dict) -> dict:
@@ -93,26 +115,43 @@ def figure_gaps(written: dict, golden: dict) -> dict:
     return gaps
 
 
-def test_reproduce_all_writes_the_golden_outputs(tmp_path, capsys):
+def check_run(run: str, directory: Path, monkeypatch, capsys) -> None:
+    """Run ``run``'s commands through ``main`` in ``directory`` and hold their files to the manifest."""
     golden = json.loads(MANIFEST.read_text(encoding="utf-8"))
-    assert main([*COMMAND, "--out-dir", str(tmp_path / "results")]) == 0
+    record = golden["runs"][run]
+    assert record["commands"] == RUNS[run]
+    monkeypatch.chdir(directory)
+    for argv in RUNS[run]:
+        assert main(argv) == 0
     capsys.readouterr()
-    written = summarize(tmp_path / "results")
-    assert sorted(written) == sorted(golden["files"])
+    written = summarize(directory)
+    assert sorted(written) == sorted(record["files"])
     if (golden["numpy"], golden["machine"]) == (np.__version__, machine()):
-        hashes = {name: record["sha256"] for name, record in golden["files"].items()}
-        if {name: record["sha256"] for name, record in written.items()} != hashes:
+        hashes = {name: file["sha256"] for name, file in record["files"].items()}
+        if {name: file["sha256"] for name, file in written.items()} != hashes:
             # another test of this process may have changed numpy's state; a cold process has none of it
-            written = cold_summary()
-        assert {name: record["sha256"] for name, record in written.items()} == hashes
+            written = cold_summary(RUNS[run])
+        assert {name: file["sha256"] for name, file in written.items()} == hashes
     else:
-        gaps = figure_gaps(written, golden["files"])
+        gaps = figure_gaps(written, record["files"])
         worst = max(gaps, key=gaps.get)
         assert gaps[worst] <= RELATIVE_BOUND, (worst, gaps[worst])
 
 
+def test_reproduce_all_writes_the_golden_outputs(tmp_path, monkeypatch, capsys):
+    check_run("reproduce", tmp_path, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("run", ["oracle", "solve", "dispersion"])
+def test_a_command_writes_the_golden_outputs(tmp_path, monkeypatch, capsys, run):
+    # the oracle and the solver at c_s and -c_s: the left-moving wave's files are pinned as well
+    check_run(run, tmp_path, monkeypatch, capsys)
+
+
 if __name__ == "__main__":
     MANIFEST.parent.mkdir(exist_ok=True)
-    manifest = {"command": COMMAND, "numpy": np.__version__, "machine": machine(), "files": cold_summary()}
+    runs = {run: {"commands": commands, "files": cold_summary(commands)} for run, commands in RUNS.items()}
+    manifest = {"numpy": np.__version__, "machine": machine(), "runs": runs}
     MANIFEST.write_text(json.dumps(manifest, indent=1) + "\n", encoding="utf-8")
-    print(f"{MANIFEST}: {len(manifest['files'])} files, numpy {manifest['numpy']}, {manifest['machine']}")
+    counts = ", ".join(f"{run} {len(record['files'])}" for run, record in runs.items())
+    print(f"{MANIFEST}: files of {counts}; numpy {manifest['numpy']}, {manifest['machine']}")
