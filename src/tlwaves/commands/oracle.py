@@ -21,19 +21,13 @@ def execute(args) -> int:
         if 0.0 < args.x_max < np.inf and 0.0 < spacing < np.inf:
             check_memory(args.x_max / spacing * per_item, f"oracle --x-max {args.x_max:g} with {flag} {spacing:g}",
                          f"raise {flag} or lower --x-max")
-    speed = described["solver"]["cs"]
-    # the right-moving wave at |c_s|; a left-moving one is its image under the sign map
-    curve = oracle.potential(oracle.TravelingWaveProblem(params=params, speed=speed))
+    curve = oracle.potential(oracle.TravelingWaveProblem(params=params, speed=described["solver"]["cs"]))
     xs = np.arange(0.0, args.x_max + 0.5 * args.dx, args.dx)
     profile = oracle.integrate_profile(curve, x_max=args.x_max, step=args.step, samples=xs)
     v = profile.sample_v(xs)
     zeta, u = oracle.reconstruct_zeta(curve, v), oracle.reconstruct_u(curve, v)
-    # v' is odd, so the image's -v'(x) is v'(-x), whose crest zero is +0
-    vp = profile.sample_v_prime(xs if speed > 0 else -xs)
+    vp = profile.sample_v_prime(xs)
     vstar = curve.turning_point
-    if speed < 0:
-        zeta, v, u = oracle.negative_speed_map(zeta, v, u)
-        vstar = -vstar
     described["oracle"] = {"x_max": args.x_max, "step": args.step, "dx": args.dx}
     header = meta(
         "oracle",

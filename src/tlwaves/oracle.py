@@ -10,12 +10,13 @@ the origin.  The profile starts at the turning point v* (the nonzero root
 of U) with v'(0) = 0 and decays like exp(-lambda |x|) with
 lambda = sqrt((c_s^2 - c_crit^2) / (beta c_s^2)).
 
-The system is symmetric under (c_s, zeta, v, u) -> (-c_s, zeta, -v, -u),
-so the oracle computes one wave, the right-moving one at |c_s|, for either
-sign of the speed; the left-moving wave is its image under
-:func:`negative_speed_map`, as is the solver's.  The problem keeps the speed
-as given, so every error names it; :func:`potential` checks it with
-``params.require_solitary_wave``, as ``solver.solve`` does.
+The oracle solves the signed speed: ``PotentialCurve.cs`` is c_s itself and
+v_pole = c_s / K.  The system is symmetric under (c_s, zeta, v, u) ->
+(-c_s, zeta, -v, -u), and so is every operation here: U, U'' and zeta are
+even under (c_s, v) -> (-c_s, -v), G', v'' and u odd, each to the bit, so
+the wave at -c_s is the bitwise negative of the wave at c_s in v, v' and u,
+with the same zeta.  Every error names the speed as given; :func:`potential`
+checks it with ``params.require_solitary_wave``, as ``solver.solve`` does.
 
 :class:`PotentialCurve` derives its constants once and writes each branch
 of U once, valid on floats and arrays: a series for |v / v_pole| < 1e-3,
@@ -90,19 +91,13 @@ class TravelingWaveProblem:
     speed: float
 
 
-def negative_speed_map(zeta, v, u):
-    """Solution map (c_s, zeta, v, u) -> (-c_s, zeta, -v, -u)."""
-    return zeta, -v, -u
-
-
 @dataclass(frozen=True)
 class PotentialCurve:
     """Closed-form potential data for one traveling-wave problem.
 
-    The curve is that of the right-moving wave at |c_s|: a problem with
-    speed < 0 gets the same curve, and its wave is the image under
-    :func:`negative_speed_map`.  ``cs`` = |c_s|, ``c2`` = c_crit^2 / (beta c_s K)
-    and ``cubic``, U's v^3 coefficient, are derived; ``r`` below is v / v_pole.
+    ``cs`` is the signed speed c_s, so v_pole = c_s / K has its sign, and
+    ``c2`` = c_crit^2 / (beta c_s K) and ``cubic``, U's v^3 coefficient, are
+    derived; ``r`` below is v / v_pole.
     """
 
     problem: TravelingWaveProblem
@@ -114,7 +109,7 @@ class PotentialCurve:
     cubic: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        p, cs = self.problem.params, abs(self.problem.speed)
+        p, cs = self.problem.params, self.problem.speed
         c2 = p.c_crit**2 / (p.beta * cs * p.k_coeff)
         object.__setattr__(self, "cs", cs)
         object.__setattr__(self, "c2", c2)
@@ -198,7 +193,7 @@ def potential(problem: TravelingWaveProblem) -> PotentialCurve:
     """
     p = problem.params
     require_solitary_wave(p, problem.speed)
-    pole = abs(problem.speed) / p.k_coeff
+    pole = problem.speed / p.k_coeff
     curve = PotentialCurve(problem=problem, v_pole=pole, turning_point=math.nan,
                            saddle_rate=saddle_rate(p, problem.speed))
     series, closed = curve._series, curve._closed  # U's branches, bound once for the search on floats
@@ -277,8 +272,8 @@ class OracleProfile:
     """Half-line samples of the solitary profile with quintic Hermite evaluation.
 
     ``x`` ascends to just beyond x_max, from x[0] = 0 at the crest; ``v``,
-    ``v_prime``, ``v_second`` = v'' and ``v_third`` = v''' are the
-    right-moving wave's at the nodes, v'' from the ODE and v''' = -U''(v) v'.
+    ``v_prime``, ``v_second`` = v'' and ``v_third`` = v''' are the wave's
+    at the nodes, v'' from the ODE and v''' = -U''(v) v'.
     Between samples, v is the quintic Hermite interpolant of the stored
     (v, v', v'') and v' that of (v', v'', v''').  Each quintic piece uses
     only its two end samples, so evaluating at |x| (times sign(x) for v') is
@@ -504,7 +499,7 @@ def _off_pole(curve: PotentialCurve, v_beta) -> np.ndarray:
 def reconstruct_zeta(curve: PotentialCurve, v_beta):
     """Interface deviation from the velocity profile (first-row algebra).
 
-    zeta = v / ((gamma + delta) (c_s - K v)) with c_s = |c_s|.
+    zeta = v / ((gamma + delta) (c_s - K v)).
     """
     p = curve.problem.params
     v = _off_pole(curve, v_beta)

@@ -316,16 +316,16 @@ def oracle_initial_guess(grid: SpectralGrid, params: ModelParameters, speed: flo
     crest's dx/dz apart, whichever is shorter, and at most 20000 of them: close to the
     pole dx/dz at the crest tends to 0.  The quintic interpolant between them is exact
     to ~3e-13 |v*| on the reference wave.  No drift bound applies: a seed that drifts
-    still starts the iteration closer to the wave than the sech^2 seed.  The profile is the
-    right-moving wave at |c_s|; at c_s < 0 the seed is its image (zeta, -v).  Raises what the
-    oracle raises, a :class:`WaveError` (``PoleProximityError`` where -2U < 0 on the orbit).
+    still starts the iteration closer to the wave than the sech^2 seed.  The oracle solves the
+    signed speed, so the seed at -c_s is (zeta, -v) of the seed at c_s, to the bit.  Raises
+    what the oracle raises, a :class:`WaveError` (``PoleProximityError`` where -2U < 0 on the orbit).
     """
     curve = oracle.potential(oracle.TravelingWaveProblem(params=params, speed=speed))
     lam = curve.saddle_rate
     x_max = min(grid.half_length, 16.0 / lam)
     step = max(min(0.016 / lam, 0.008 * curve.crest_dxdz()), x_max / 20000)
     v = oracle.integrate_profile(curve, x_max=x_max, step=step, drift_bound=math.inf).sample_v(grid.nodes)
-    return WaveState.from_zeta_v(grid, params, oracle.reconstruct_zeta(curve, v), v if speed > 0 else -v)
+    return WaveState.from_zeta_v(grid, params, oracle.reconstruct_zeta(curve, v), v)
 
 
 def solve(grid: SpectralGrid, params: ModelParameters, config: SolverConfig) -> tuple[WaveState, SolveReport]:

@@ -99,7 +99,7 @@ def test_potential_series_matches_closed_form(elev_curve):
 def _where_G_U(curve, v):
     """G and U with both branches evaluated on every sample and selected by np.where."""
     p = curve.problem.params
-    cs = abs(curve.problem.speed)
+    cs = curve.problem.speed
     K, pole = p.k_coeff, curve.v_pole
     c2 = p.c_crit**2 / (p.beta * cs * K)
     v = np.asarray(v, dtype=float)
@@ -255,23 +255,37 @@ def test_turning_point_monotone_in_speed():
     assert np.all(np.diff(vstars) > 0.0)
 
 
+def _negated(a, b) -> bool:
+    """Whether the floats of b are those of a negated, bit for bit but for the sign of a zero."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(-a, b) and not np.isnan(a).any()
+
+
 def test_negative_speed_sign_map():
-    # a -c_s problem keeps its speed, and its curve is the +c_s one bit for bit
+    # a -c_s problem keeps its speed, and its curve's constants are the c_s ones negated bit for bit, but for the
+    # saddle rate
     for delta in (0.8, 0.5):
         p = make_parameters(0.5, delta)
         speed = p.c_crit + 0.05
         pos = oracle.potential(oracle.TravelingWaveProblem(params=p, speed=speed))
         neg = oracle.potential(oracle.TravelingWaveProblem(params=p, speed=-speed))
         assert neg.problem.speed == -speed
-        assert (neg.v_pole, neg.turning_point, neg.saddle_rate) == (pos.v_pole, pos.turning_point, pos.saddle_rate)
-        assert (neg.cs, neg.c2, neg.cubic) == (pos.cs, pos.c2, pos.cubic)
-    # the left-moving wave is the map's image: the interface deviation is unchanged, velocities flip
-    zeta, v, u = oracle.negative_speed_map(1.5, 2.0, 3.0)
-    assert (zeta, v, u) == (1.5, -2.0, -3.0)
+        assert (neg.v_pole, neg.turning_point, neg.saddle_rate) == (-pos.v_pole, -pos.turning_point, pos.saddle_rate)
+        assert (neg.cs, neg.c2, neg.cubic) == (-pos.cs, -pos.c2, -pos.cubic)
+        # the map (c_s, zeta, v, u) -> (-c_s, zeta, -v, -u): U, U'' and zeta are even, v'' and u odd, on both of
+        # U's branches
+        v = pos.turning_point * np.logspace(-7, 0, 401)
+        assert neg.U(-v).tobytes() == pos.U(v).tobytes()
+        assert neg.U_second(-v).tobytes() == pos.U_second(v).tobytes()
+        assert _negated(pos.ode_rhs(v), neg.ode_rhs(-v))
+        assert oracle.reconstruct_zeta(neg, -v).tobytes() == oracle.reconstruct_zeta(pos, v).tobytes()
+        assert _negated(oracle.reconstruct_u(pos, v), oracle.reconstruct_u(neg, -v))
+        assert neg.crest_dxdz() == pos.crest_dxdz()
 
 
 def test_profile_negative_speed():
-    # the -c_s profile is the +c_s one bit for bit, and so are its samples and reconstructions
+    # the -c_s profile is the c_s one negated bit for bit, its abscissae and drift the same, and so are its samples
+    # and reconstructions; the crest's v' is +0 at either speed
     xs = np.linspace(-25.0, 25.0, 401)
     for delta in (0.8, 0.5):
         p = make_parameters(0.5, delta)
@@ -279,14 +293,16 @@ def test_profile_negative_speed():
         pos, neg = (oracle.potential(oracle.TravelingWaveProblem(params=p, speed=s)) for s in (speed, -speed))
         prof_pos = oracle.integrate_profile(pos, x_max=20.0, step=1e-3)
         prof_neg = oracle.integrate_profile(neg, x_max=20.0, step=1e-3)
-        for name in ("x", "v", "v_prime", "v_second", "v_third"):
-            assert getattr(prof_neg, name).tobytes() == getattr(prof_pos, name).tobytes(), name
+        assert prof_neg.x.tobytes() == prof_pos.x.tobytes()
+        for name in ("v", "v_prime", "v_second", "v_third"):
+            assert _negated(getattr(prof_pos, name), getattr(prof_neg, name)), name
+        assert prof_neg.v_prime[0] == 0.0 and not np.signbit(prof_neg.v_prime[0])
         assert prof_neg.energy_max == prof_pos.energy_max
-        assert prof_neg.sample_v(xs).tobytes() == prof_pos.sample_v(xs).tobytes()
-        assert prof_neg.sample_v_prime(xs).tobytes() == prof_pos.sample_v_prime(xs).tobytes()
+        assert _negated(prof_pos.sample_v(xs), prof_neg.sample_v(xs))
+        assert _negated(prof_pos.sample_v_prime(xs), prof_neg.sample_v_prime(xs))
         v = prof_pos.v
-        assert oracle.reconstruct_zeta(neg, v).tobytes() == oracle.reconstruct_zeta(pos, v).tobytes()
-        assert oracle.reconstruct_u(neg, v).tobytes() == oracle.reconstruct_u(pos, v).tobytes()
+        assert oracle.reconstruct_zeta(neg, -v).tobytes() == oracle.reconstruct_zeta(pos, v).tobytes()
+        assert _negated(oracle.reconstruct_u(pos, v), oracle.reconstruct_u(neg, -v))
 
 
 @pytest.mark.parametrize(
@@ -438,7 +454,7 @@ def _reference_profile(curve, x_max, step):
     lam = curve.saddle_rate
     vstar = curve.turning_point
     crest_sign = 1.0 if vstar > 0 else -1.0
-    K, beta, cs, ccrit2 = p.k_coeff, p.beta, abs(curve.problem.speed), p.c_crit**2
+    K, beta, cs, ccrit2 = p.k_coeff, p.beta, curve.problem.speed, p.c_crit**2
 
     def rhs(v):
         return v / beta - (0.5 * K * v * v + ccrit2 * v / (cs - K * v)) / (beta * cs)
@@ -525,7 +541,7 @@ def _reference_turning_point(problem):
     """The turning-point bisection evaluated with the vectorised PotentialCurve.U, or None where
     its bracket reaches the pole (t = 1)."""
     p = problem.params
-    cs = abs(problem.speed)
+    cs = problem.speed
     pole = cs / p.k_coeff
     lam = math.sqrt((cs * cs - p.c_crit**2) / (p.beta * cs * cs))
     curve = oracle.PotentialCurve(problem=problem, v_pole=pole, turning_point=math.nan, saddle_rate=lam)
