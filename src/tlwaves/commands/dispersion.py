@@ -15,8 +15,8 @@ def execute(args) -> int:
     if args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
     check_memory(args.count * _ROW_BYTES, f"dispersion --count {args.count}", "lower --count")
-    if not (np.isfinite(args.k_min) and np.isfinite(args.k_max)):
-        raise ValueError(f"--k-min and --k-max must be finite, got {args.k_min} and {args.k_max}")
+    if not np.isfinite(args.k_max - args.k_min):  # either is not finite, or the span overflows
+        raise ValueError(f"--k-min and --k-max must be finite, as must their span, got {args.k_min} and {args.k_max}")
     params, _, _, described = build_run(args)
     symbols = dispersion.DispersionSymbols(params)
     ks = np.linspace(args.k_min, args.k_max, args.count)

@@ -13,14 +13,13 @@ from .tables import meta, write_table
 
 def execute(args) -> int:
     params, _, _, described = build_run(args)
-    if not 0.0 < args.dx < np.inf:
-        raise ValueError(f"--dx must be positive and finite, got {args.dx}")
+    for flag, value in (("--x-max", args.x_max), ("--step", args.step), ("--dx", args.dx)):
+        if not 0.0 < value < np.inf:
+            raise ValueError(f"{flag} must be positive and finite, got {value}")
     for flag, spacing, per_item in (("--step", args.step, _NODE_BYTES), ("--dx", args.dx, _SAMPLE_BYTES)):
-        # the node count bounds the run's time, the sample count its memory; a setting that is not
-        # positive and finite is left to the check that names it
-        if 0.0 < args.x_max < np.inf and 0.0 < spacing < np.inf:
-            check_memory(args.x_max / spacing * per_item, f"oracle --x-max {args.x_max:g} with {flag} {spacing:g}",
-                         f"raise {flag} or lower --x-max")
+        # the node count bounds the run's time, the sample count its memory
+        check_memory(args.x_max / spacing * per_item, f"oracle --x-max {args.x_max:g} with {flag} {spacing:g}",
+                     f"raise {flag} or lower --x-max")
     curve = oracle.potential(oracle.TravelingWaveProblem(params=params, speed=described["solver"]["cs"]))
     xs = np.arange(0.0, args.x_max + 0.5 * args.dx, args.dx)
     profile = oracle.integrate_profile(curve, x_max=args.x_max, step=args.step, samples=xs)

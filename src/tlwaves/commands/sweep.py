@@ -14,8 +14,9 @@ from .tables import meta, write_json, write_table
 
 def execute(args) -> int:
     params, grid, config, described = build_run(args)
-    if not (np.isfinite(args.offset_min) and np.isfinite(args.offset_max)):
-        raise ValueError(f"--offset-min and --offset-max must be finite, got {args.offset_min} and {args.offset_max}")
+    if not np.isfinite(args.offset_max - args.offset_min):  # either is not finite, or the span overflows
+        raise ValueError(f"--offset-min and --offset-max must be finite, as must their span, got {args.offset_min} "
+                         f"and {args.offset_max}")
     check_memory(args.count * _SWEEP_ROW_BYTES, f"sweep --count {args.count}", "lower --count")
     offsets = np.linspace(args.offset_min, args.offset_max, max(args.count, 0))
     # the fit is over |c_s|: equal offsets, or speeds of opposite sign and equal size, are one abscissa

@@ -167,12 +167,15 @@ def test_a_left_moving_oracle_is_the_sign_map_of_the_right_moving_one(tmp_path, 
     assert left["v_prime"][0] == 0.0 and not np.signbit(left["v_prime"][0])
 
 
-@pytest.mark.parametrize("flag, value", [("--dx", "0"), ("--dx", "-1"), ("--dx", "nan"), ("--x-max", "inf")])
+@pytest.mark.parametrize("flag, value", [("--dx", "0"), ("--dx", "-1"), ("--dx", "nan"), ("--x-max", "inf"),
+                                         ("--x-max", "nan"), ("--step", "nan")])
 def test_oracle_rejects_a_bad_sampling_setting(tmp_path, capsys, flag, value):
+    # each flag is checked by name before any array is sized from it
     out = tmp_path / "oracle.csv"
     code, stdout, err = run_cli(capsys, "oracle", "--x-max", "10", flag, value, "--out", str(out))
     assert code == 1
-    assert one_line_error(err)["error"] == "ValueError"
+    record = one_line_error(err)
+    assert record["error"] == "ValueError" and flag in record["message"]
     assert stdout == ""
     assert not out.exists()
 
@@ -1273,25 +1276,30 @@ def test_dispersion_rejects_a_count_below_one(tmp_path, capsys, count):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag, value", [("--k-max", "inf"), ("--k-min", "nan")])
-def test_dispersion_rejects_a_non_finite_wavenumber(tmp_path, capsys, flag, value):
+@pytest.mark.parametrize("argv", [("--k-max", "inf"), ("--k-min", "nan"), ("--k-min=-1e308", "--k-max", "1e308")],
+                         ids="-".join)
+def test_dispersion_rejects_a_non_finite_wavenumber(tmp_path, capsys, argv):
+    # the last range is finite at both ends, but its span k_max - k_min overflows
     out = tmp_path / "d.csv"
-    code, stdout, err = run_cli(capsys, "dispersion", flag, value, "--out", str(out))
+    code, stdout, err = run_cli(capsys, "dispersion", *argv, "--count", "3", "--out", str(out))
     assert code == 1
     record = one_line_error(err)
-    assert record["error"] == "ValueError" and flag in record["message"]
+    assert record["error"] == "ValueError" and "--k-min" in record["message"] and "--k-max" in record["message"]
     assert stdout == ""
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag, value", [("--offset-max", "inf"), ("--offset-min", "nan")])
-def test_sweep_rejects_a_non_finite_offset(tmp_path, capsys, flag, value):
+@pytest.mark.parametrize("argv", [("--offset-max", "inf"), ("--offset-min", "nan"),
+                                  ("--offset-min=-1e308", "--offset-max", "1e308")], ids="-".join)
+def test_sweep_rejects_a_non_finite_offset(tmp_path, capsys, argv):
+    # the last range is finite at both ends, but its span overflows
     out = tmp_path / "w.csv"
     code, stdout, err = run_cli(capsys, "sweep", "--half-length", "64", "--modes", "512", "--count", "4",
-                                flag, value, "--out", str(out))
+                                *argv, "--out", str(out))
     assert code == 1
     record = one_line_error(err)
-    assert record["error"] == "ValueError" and flag in record["message"]
+    assert record["error"] == "ValueError"
+    assert "--offset-min" in record["message"] and "--offset-max" in record["message"]
     assert stdout == ""
     assert not out.exists()
 
