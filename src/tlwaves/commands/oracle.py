@@ -26,13 +26,12 @@ def execute(args) -> int:
     v = profile.sample_v(xs)
     zeta, u = oracle.reconstruct_zeta(curve, v), oracle.reconstruct_u(curve, v)
     vp = profile.sample_v_prime(xs)
-    vstar = curve.turning_point
     described["oracle"] = {"x_max": args.x_max, "step": args.step, "dx": args.dx}
     header = meta(
         "oracle",
         described,
-        {"turning_point": vstar, "saddle_rate": curve.saddle_rate, "energy_max": profile.energy_max},
+        {"turning_point": curve.turning_point, "saddle_rate": curve.saddle_rate, "energy_max": profile.energy_max},
     )
     write_table(Path(args.out), header, {"x": xs, "v": v, "v_prime": vp, "zeta": zeta, "u": u})
-    print(f"oracle: turning point {vstar:.12g}, energy drift {profile.energy_max:.2e} -> {args.out}")
+    print(f"oracle: turning point {curve.turning_point:.12g}, energy drift {profile.energy_max:.2e} -> {args.out}")
     return 0

@@ -257,8 +257,7 @@ def test_turning_point_monotone_in_speed():
 
 def _negated(a, b) -> bool:
     """Whether the floats of b are those of a negated, bit for bit but for the sign of a zero."""
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and np.array_equal(-a, b) and not np.isnan(a).any()
+    return np.array_equal(-np.asarray(a), b)  # False on a NaN, and on unequal shapes
 
 
 def test_negative_speed_sign_map():
