@@ -1,3 +1,7 @@
+# first, so that numpy loads with the one BLAS thread of a cold command (see tlwaves.cli): run in process, a
+# command at N=16384 then sums its inner products in the order of a cold one and writes its bytes
+import tlwaves.cli  # noqa: F401
+
 import numpy as np
 import pytest
 

@@ -3,10 +3,12 @@
 ``tests/golden/manifest.json`` records, per run, its command lines and, for each file they write, its sha256
 and its figures: per CSV column the max |value| and the values of the first, middle and last rows, and per
 JSON file the coefficients of each fit it holds.  The runs are ``reproduce all``; ``oracle --x-max 128 --step
-1e-3`` at c_s and -c_s of both polarities; ``solve --modes 512 --half-length 64`` at c_s and -c_s; and
-``dispersion``.  The manifest also records the numpy version and the machine that wrote it.  Where both match
-this process's, the files must have the manifest's bytes; elsewhere, where numpy's kernels may round
-differently, every figure must agree within ``RELATIVE_BOUND``.
+1e-3`` at c_s and -c_s of both polarities; ``solve --modes 512 --half-length 64`` at c_s and -c_s;
+``dispersion``; and the benchmark's N=16384 MPE(6) shapes for both polarities: ``sweep --count 10``, and the
+dealiased ``solve`` with its spectrum followed by ``analyze spectrum`` of its profile.  The manifest also
+records the numpy version and the machine that wrote it.  Where both match this process's, the files must have
+the manifest's bytes; elsewhere, where numpy's kernels may round differently, every figure must agree within
+``RELATIVE_BOUND``.
 
 A change that moves the outputs on purpose regenerates the manifest, in a cold process, with
 
@@ -42,15 +44,23 @@ def _speeds(delta: float) -> tuple:
     return (right, "right"), (f"-{right}", "left")
 
 
+POLARITIES = ((0.8, "elevation"), (0.5, "depression"))  # delta at gamma = 0.5
+LARGE = ["--modes", "16384", "--half-length", "2048", "--extrapolation", "mpe:6"]  # the benchmark's large grid
+
 # each run's command lines, which write their files into the current directory
 RUNS = {
     "reproduce": [["reproduce", "all", "--out-dir", "."]],
     "oracle": [["oracle", "--gamma", "0.5", "--delta", f"{delta:g}", f"--cs={cs}", "--x-max", "128", "--step", "1e-3",
-                "--out", f"oracle_{name}_{side}.csv"]
-               for delta, name in ((0.8, "elevation"), (0.5, "depression")) for cs, side in _speeds(delta)],
+                "--out", f"oracle_{name}_{side}.csv"] for delta, name in POLARITIES for cs, side in _speeds(delta)],
     "solve": [["solve", "--modes", "512", "--half-length", "64", f"--cs={cs}", "--out", f"solve_{side}.csv",
                "--spectrum-out", f"spectrum_{side}.csv"] for cs, side in _speeds(0.8)],
     "dispersion": [["dispersion", "--out", "dispersion.csv"]],
+    "sweep_large": [["sweep", "--gamma", "0.5", "--delta", f"{delta:g}", *LARGE, "--count", "10",
+                     "--out", f"sweep_{name}.csv"] for delta, name in POLARITIES],
+    "solve_large": [argv for delta, name in POLARITIES for argv in (
+        ["solve", "--gamma", "0.5", "--delta", f"{delta:g}", f"--cs={_speeds(delta)[0][0]}", *LARGE, "--dealias",
+         "--out", f"solve_{name}.csv", "--spectrum-out", f"solve_{name}_spectrum.csv"],
+        ["analyze", "spectrum", "--in", f"solve_{name}.csv", "--out", f"analyze_{name}.csv"])],
 }
 
 # Where numpy or the machine differ: each figure within this fraction of its column's max |value| (of the
@@ -142,7 +152,7 @@ def test_reproduce_all_writes_the_golden_outputs(tmp_path, monkeypatch, capsys):
     check_run("reproduce", tmp_path, monkeypatch, capsys)
 
 
-@pytest.mark.parametrize("run", ["oracle", "solve", "dispersion"])
+@pytest.mark.parametrize("run", ["oracle", "solve", "dispersion", "sweep_large", "solve_large"])
 def test_a_command_writes_the_golden_outputs(tmp_path, monkeypatch, capsys, run):
     # the oracle and the solver at c_s and -c_s: the left-moving wave's files are pinned as well
     check_run(run, tmp_path, monkeypatch, capsys)
