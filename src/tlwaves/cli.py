@@ -30,14 +30,19 @@ its message, where ``"default"`` would keep every distinct one to the end.
 
 :func:`run` is the process entry, of the ``tlwaves`` script and of
 ``python -m tlwaves.cli``.  It turns the interpreter's cyclic collector off
-across the parse and the command's imports, numpy's included: nearly all
-of their ~22k tracked objects stay alive, so the ~30 collections they would
-set off cost a cold command ~5 ms and free only ~0.23 MiB of numpy's import
-garbage, which the heap then keeps.  Then it freezes the heap
-(``gc.freeze``) and turns the collector on before the command works, so
-the command's collections skip those objects, and freezes it again on its
-way out, so the collections at exit skip them too.  :func:`main` leaves
-the collector alone, so tests and library callers keep a collectable heap.
+for the whole of :func:`main`: nearly all of the ~22k tracked objects that
+the parse and the imports (numpy's included) make stay alive, so the ~30
+collections they would set off cost a cold command ~5 ms and free only
+~0.23 MiB of numpy's import garbage.  No command collects once its module is
+loaded either: a counter on ``gc.callbacks`` read 0 collections in ``reproduce
+all``, the N=16384 sweeps and dealiased solves with their spectra, ``analyze``,
+``oracle``, ``dispersion`` and a solve that exits 2, and
+``sweep --modes 128 --count 2000`` ran 5 young collections that freed
+nothing.  On its way out ``run`` turns the collector back on and freezes the
+heap (``gc.freeze``), so the collections at exit skip those objects.  A
+command that builds cyclic garbage per item, which these do not, would need
+the collector back on while it works.  :func:`main` leaves the collector
+alone, so tests and library callers keep a collectable heap.
 
 numpy's BLAS runs on one thread.  OpenBLAS sizes its thread pool from
 ``OPENBLAS_NUM_THREADS`` once, when numpy is first imported, so the pin is
@@ -60,7 +65,7 @@ import re
 import sys
 import warnings
 from pathlib import Path
-from typing import Callable, NoReturn
+from typing import NoReturn
 
 if "numpy" not in sys.modules:
     # read once, when numpy loads OpenBLAS (see the module docstring)
@@ -257,16 +262,10 @@ def _stderr_record(kind: str, name: str, message) -> None:
 
 def main(argv=None) -> int:
     """Parse argv, load the module of its command and run it; returns the exit code (see the module docstring)."""
-    return _main(argv, lambda: None)
-
-
-def _main(argv, loaded: Callable[[], None]) -> int:
-    """main, calling ``loaded`` once the command's module is imported and before its body runs."""
     try:
         args = parse_args(argv)
         # __import__ takes the import statement's path, which -X importtime reports (importlib.import_module's is not)
         execute = __import__(f"tlwaves.commands.{args.command}", fromlist=["execute"]).execute
-        loaded()
         with warnings.catch_warnings():
             warnings.simplefilter("always", DomainTooSmallWarning)
             warnings.showwarning = lambda message, category, *_: _stderr_record("warning", category.__name__, message)
@@ -279,17 +278,11 @@ def _main(argv, loaded: Callable[[], None]) -> int:
         return 1
 
 
-def _collect_from_here() -> None:
-    gc.freeze()
-    gc.enable()
-
-
 def run(argv=None) -> NoReturn:
-    """The process entry: main with the collector off until the command is loaded, then exit with a frozen heap
-    (see the module docstring)."""
+    """The process entry: main with the collector off, then exit with a frozen heap (see the module docstring)."""
     gc.disable()
     try:
-        code = _main(argv, _collect_from_here)
+        code = main(argv)
     finally:
         gc.enable()
     gc.freeze()

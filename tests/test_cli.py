@@ -737,21 +737,30 @@ def test_run_leaves_the_collector_on(tmp_path, capsys, monkeypatch, argv, code):
     capsys.readouterr()
 
 
-def test_run_collects_nothing_until_the_command_is_loaded(tmp_path, monkeypatch):
-    # off over the parse and the command's imports; on, over a frozen heap, while the command works
+def test_run_collects_nothing_and_freezes_nothing_until_main_returns(tmp_path, monkeypatch):
+    # off over the parse, the command's imports and its body; the heap is frozen only once main has returned
     from tlwaves.commands import dispersion
 
     seen = {}
-    parse_args, execute = cli.parse_args, dispersion.execute
+    main, parse_args, execute = cli.main, cli.parse_args, dispersion.execute
+
+    def state():
+        return gc.isenabled(), gc.get_freeze_count()
+
+    def mained(argv):
+        code = main(argv)
+        seen["returned"] = state()
+        return code
 
     def parsed(argv):
-        seen["parse"] = gc.isenabled()
+        seen["parse"] = state()
         return parse_args(argv)
 
     def executed(args):
-        seen["execute"] = gc.isenabled(), gc.get_freeze_count() > 0
+        seen["execute"] = state()
         return execute(args)
 
+    monkeypatch.setattr(cli, "main", mained)
     monkeypatch.setattr(cli, "parse_args", parsed)
     monkeypatch.setattr(dispersion, "execute", executed)
     monkeypatch.chdir(tmp_path)
@@ -762,7 +771,7 @@ def test_run_collects_nothing_until_the_command_is_loaded(tmp_path, monkeypatch)
         gc.enable()
         gc.unfreeze()
     assert exited.value.code == 0
-    assert seen == {"parse": False, "execute": (True, True)}
+    assert seen == {"parse": (False, 0), "execute": (False, 0), "returned": (False, 0)}
 
 
 def test_the_console_script_is_the_process_entry():
