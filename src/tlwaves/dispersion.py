@@ -31,7 +31,8 @@ class DispersionSymbols:
     def omega(self, k):
         """omega(k); positive for all real k, no poles or zeros on the axis."""
         p = self.params
-        return 1.0 / ((p.delta + p.gamma) * (1.0 + p.beta * np.asarray(k, dtype=float) ** 2))
+        with np.errstate(over="ignore"):  # k^2 = inf above ~1.3e154, where 1/inf = 0 is omega's exact limit
+            return 1.0 / ((p.delta + p.gamma) * (1.0 + p.beta * np.asarray(k, dtype=float) ** 2))
 
     def sigma(self, k):
         """Phase speed symbol sigma(k) = sqrt((1 - gamma) * omega(k))."""

@@ -1298,6 +1298,19 @@ def test_dispersion_rejects_a_non_finite_wavenumber(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+def test_dispersion_where_k_squared_overflows_writes_the_limit_without_a_warning(tmp_path, capsys):
+    # k^2 is inf above ~1.3e154, and omega = sigma = 0 there is the exact limit, not a fault to report
+    rows = {}
+    for name, argv in (("wide", ("--k-min", "0", "--k-max", "1e308", "--count", "3")),
+                       ("high", ("--k-min", "1e200", "--k-max", "1e201", "--count", "2"))):
+        out = tmp_path / f"{name}.csv"
+        code, _, err = run_cli(capsys, "dispersion", *argv, "--out", str(out))
+        assert (code, err) == (0, ""), name
+        rows[name] = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    assert rows == {"wide": ["0,0.76923076923076916,0.6201736729460422", "5.0000000000000001e+307,0,0", "1e+308,0,0"],
+                    "high": ["9.9999999999999997e+199,0,0", "1e+201,0,0"]}
+
+
 @pytest.mark.parametrize("argv", [("--offset-max", "inf"), ("--offset-min", "nan"),
                                   ("--offset-min=-1e308", "--offset-max", "1e308")], ids="-".join)
 def test_sweep_rejects_a_non_finite_offset(tmp_path, capsys, argv):
