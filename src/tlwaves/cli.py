@@ -33,15 +33,15 @@ its message, where ``"default"`` would keep every distinct one to the end.
 for the whole of :func:`main`: nearly all of the ~22k tracked objects that
 the parse and the imports (numpy's included) make stay alive, so the ~30
 collections they would set off cost a cold command ~5 ms and free only
-~0.23 MiB of numpy's import garbage.  No command collects once its module is
-loaded either: a counter on ``gc.callbacks`` read 0 collections in ``reproduce
-all``, the N=16384 sweeps and dealiased solves with their spectra, ``analyze``,
-``oracle``, ``dispersion`` and a solve that exits 2, and
-``sweep --modes 128 --count 2000`` ran 5 young collections that freed
-nothing.  On its way out ``run`` turns the collector back on and freezes the
-heap (``gc.freeze``), so the collections at exit skip those objects.  A
-command that builds cyclic garbage per item, which these do not, would need
-the collector back on while it works.  :func:`main` leaves the collector
+~0.23 MiB of numpy's import garbage.  Nor does a command collect once its
+module is loaded: a ``gc.callbacks`` counter read 0 collections in
+``reproduce all``, the N=16384 sweeps and dealiased solves with their
+spectra, ``analyze``, ``oracle``, ``dispersion`` and a solve that exits 2,
+and ``sweep --modes 128 --half-length 16 --count 2000`` ran 5 young
+collections that freed nothing.  A command that builds cyclic garbage per
+item would need the collector on while it works.  On its way out ``run``
+turns the collector back on and freezes the heap (``gc.freeze``), so the
+collections at exit skip those objects.  :func:`main` leaves the collector
 alone, so tests and library callers keep a collectable heap.
 
 numpy's BLAS runs on one thread.  OpenBLAS sizes its thread pool from
