@@ -85,7 +85,7 @@ _GL_HALF_WEIGHTS = (0.18945061045506864, 0.18260341504492364, 0.1691565193950026
 
 @dataclass(frozen=True)
 class TravelingWaveProblem:
-    """A parameter set together with a traveling-wave speed of either sign, which :func:`potential` checks."""
+    """The input of :func:`potential`: a parameter set and a speed of either sign, kept for its callers."""
 
     params: ModelParameters
     speed: float
@@ -93,25 +93,24 @@ class TravelingWaveProblem:
 
 @dataclass(frozen=True)
 class PotentialCurve:
-    """Closed-form potential data for one traveling-wave problem.
+    """One wave's record: its parameters, signed speed, potential and turning point.
 
     ``cs`` is the signed speed c_s, so v_pole = c_s / K has its sign, and
     ``c2`` = c_crit^2 / (beta c_s K) and ``cubic``, U's v^3 coefficient, are
     derived; ``r`` below is v / v_pole.
     """
 
-    problem: TravelingWaveProblem
+    params: ModelParameters
+    cs: float
     v_pole: float
     turning_point: float
     saddle_rate: float
-    cs: float = field(init=False, repr=False, compare=False)
     c2: float = field(init=False, repr=False, compare=False)
     cubic: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        p, cs = self.problem.params, self.problem.speed
+        p, cs = self.params, self.cs
         c2 = p.c_crit**2 / (p.beta * cs * p.k_coeff)
-        object.__setattr__(self, "cs", cs)
         object.__setattr__(self, "c2", c2)
         object.__setattr__(self, "cubic", p.k_coeff / (6.0 * p.beta * cs) + c2 / (3.0 * self.v_pole**2))
 
@@ -131,7 +130,7 @@ class PotentialCurve:
 
     def _closed(self, v, r):
         """U = -v^2 / (2 beta) + K v^3 / (6 beta c_s) + c2 (-v - v_pole log1p(-r)), NaN beyond the pole."""
-        p = self.problem.params  # (C + B) + A is A + (B + C) to the bit, and C is built before A is live
+        p = self.params  # (C + B) + A is A + (B + C) to the bit, and C is built before A is live
         return (self.c2 * (-v - self.v_pole * np.log1p(-r)) + p.k_coeff * (v * v * v) / (6.0 * p.beta * self.cs)
                 + -v * v / (2.0 * p.beta))
 
@@ -157,20 +156,20 @@ class PotentialCurve:
 
     def G_prime(self, v, gap=None):
         """G'(v) = (K v^2 / 2 + c_crit^2 v / gap) / (beta c_s), gap = c_s - K v unless the caller has it."""
-        p = self.problem.params
+        p = self.params
         gap = self.cs - p.k_coeff * v if gap is None else gap
         return (0.5 * p.k_coeff * v * v + p.c_crit**2 * v / gap) / (p.beta * self.cs)
 
     def U_second(self, v, gap=None):
         """U''(v) = -1/beta + (K v + c_crit^2 c_s / gap^2) / (beta c_s), gap = c_s - K v unless given."""
-        p = self.problem.params
+        p = self.params
         K, cs = p.k_coeff, self.cs
         gap = cs - K * v if gap is None else gap
         return -1.0 / p.beta + (K * v + p.c_crit**2 * cs / gap**2) / (p.beta * cs)
 
     def ode_rhs(self, v, gap=None):
         """Acceleration v'' = v/beta - G'(v)."""
-        return v / self.problem.params.beta - self.G_prime(v, gap)
+        return v / self.params.beta - self.G_prime(v, gap)
 
     def crest_dxdz(self) -> float:
         """dx/dz = sqrt(2 v* / U'(v*)) at the crest, where v = v* exp(-z^2)."""
@@ -191,11 +190,10 @@ def potential(problem: TravelingWaveProblem) -> PotentialCurve:
         If U does not change sign below 1 - 1e-15 of the pole: v* is then
         closer to the pole than the profile can be resolved.
     """
-    p = problem.params
-    require_solitary_wave(p, problem.speed)
-    pole = problem.speed / p.k_coeff
-    curve = PotentialCurve(problem=problem, v_pole=pole, turning_point=math.nan,
-                           saddle_rate=saddle_rate(p, problem.speed))
+    p, cs = problem.params, problem.speed
+    require_solitary_wave(p, cs)
+    pole = cs / p.k_coeff
+    curve = PotentialCurve(params=p, cs=cs, v_pole=pole, turning_point=math.nan, saddle_rate=saddle_rate(p, cs))
     series, closed = curve._series, curve._closed  # U's branches, bound once for the search on floats
     # U(t*pole) changes sign once on (0, 1): negative near the saddle, positive near the pole where G
     # blows up.  The bracket's ends are on either side of the cutoff; the midpoints take U's branch.
@@ -210,7 +208,7 @@ def potential(problem: TravelingWaveProblem) -> PotentialCurve:
         raise WaveError(f"turning-point bracket failed: U({lo * pole:.3g}) = {f_lo:.3g}, "
                         f"U({hi * pole:.3g}) = {f_hi:.3g}")
     if f_hi <= 0.0:
-        raise PoleProximityError(f"speed {problem.speed:g}: turning point within 1e-15 |v_pole| of v_pole = {pole:.6g}")
+        raise PoleProximityError(f"speed {cs:g}: turning point within 1e-15 |v_pole| of v_pole = {pole:.6g}")
     while hi - lo > 1e-15:
         mid = 0.5 * (lo + hi)
         v = mid * pole
@@ -427,7 +425,7 @@ def integrate_profile(curve: PotentialCurve, x_max: float, step: float = 1e-3,
             z = x
             z[:] = _hermite(x_edges, z_edges, z_slopes, x)
             np.multiply(vstar, np.exp(-z * z), out=v)
-            gap = curve.cs - curve.problem.params.k_coeff * v
+            gap = curve.cs - curve.params.k_coeff * v
             vpp[:] = curve.ode_rhs(v, gap)
             vppp[:] = curve.U_second(v, gap)
             upp = vppp
@@ -452,7 +450,7 @@ def integrate_profile(curve: PotentialCurve, x_max: float, step: float = 1e-3,
             vp *= -crest_sign
             vp[tail] = -lam * v[tail]
             if np.isnan(vp).any():  # m < 0: U's round-off close to the pole, which no smaller step removes
-                raise PoleProximityError(f"speed {curve.problem.speed:g}: -2U < 0 on the orbit, whose turning point "
+                raise PoleProximityError(f"speed {curve.cs:g}: -2U < 0 on the orbit, whose turning point "
                                          f"lies {1.0 - vstar / curve.v_pole:.3g} |v_pole| below v_pole = "
                                          f"{curve.v_pole:.6g}")
             if i0 == 1:
@@ -501,7 +499,7 @@ def reconstruct_zeta(curve: PotentialCurve, v_beta):
 
     zeta = v / ((gamma + delta) (c_s - K v)).
     """
-    p = curve.problem.params
+    p = curve.params
     v = _off_pole(curve, v_beta)
     out = v / ((p.gamma + p.delta) * (curve.cs - p.k_coeff * v))
     return out if out.ndim else float(out)
@@ -509,5 +507,5 @@ def reconstruct_zeta(curve: PotentialCurve, v_beta):
 
 def reconstruct_u(curve: PotentialCurve, v_beta):
     """Unsmoothed velocity u = beta * G'(v) along the orbit."""
-    out = curve.problem.params.beta * np.asarray(curve.G_prime(_off_pole(curve, v_beta)))
+    out = curve.params.beta * np.asarray(curve.G_prime(_off_pole(curve, v_beta)))
     return out if out.ndim else float(out)

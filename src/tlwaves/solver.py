@@ -47,6 +47,7 @@ from .errors import (
     DegenerateInnerProductError,
     DomainTooSmallError,
     DomainTooSmallWarning,
+    NoSolitaryWaveError,
     NotConvergedError,
     SingularModeError,
     WaveError,
@@ -289,27 +290,25 @@ class _Core:
         return self.evaluate(state, zh, vh)
 
 
-def auto_initial_guess(grid: SpectralGrid, params: ModelParameters, speed: float) -> WaveState:
-    """sech^2 seed scaled from the ODE oracle's turning point: :func:`solve`'s fallback
+def auto_initial_guess(grid: SpectralGrid, curve: oracle.PotentialCurve) -> WaveState:
+    """sech^2 seed scaled from the curve's turning point: :func:`solve`'s fallback
     where :func:`oracle_initial_guess` raises.
 
     Amplitude zeta_s(v*), which has the sign of K, width 1/lambda from the saddle rate, and the
     long-wave proportionality v = c_s (gamma + delta) zeta.
     """
-    problem = oracle.TravelingWaveProblem(params=params, speed=speed)
-    curve = oracle.potential(problem)
+    params = curve.params
     amp = oracle.reconstruct_zeta(curve, curve.turning_point)
-    lam = curve.saddle_rate
     # sech^2 via exp to avoid cosh overflow on wide domains
-    e = np.exp(-np.abs(grid.nodes) * lam)
+    e = np.exp(-np.abs(grid.nodes) * curve.saddle_rate)
     sech2 = (2.0 * e / (1.0 + e * e)) ** 2
     zeta = amp * sech2
-    v = speed * (params.gamma + params.delta) * zeta
+    v = curve.cs * (params.gamma + params.delta) * zeta
     return WaveState.from_zeta_v(grid, params, zeta, v)
 
 
-def oracle_initial_guess(grid: SpectralGrid, params: ModelParameters, speed: float) -> WaveState:
-    """The ODE oracle's whole solitary profile at the grid nodes, zeta by the first-row algebra.
+def oracle_initial_guess(grid: SpectralGrid, curve: oracle.PotentialCurve) -> WaveState:
+    """The curve's whole solitary profile at the grid nodes, zeta by the first-row algebra.
 
     The profile is integrated to x_max = min(l, 16/lambda), beyond which its exponential
     tail continuation is exact to ~1e-14 |v*|, with nodes 0.016/lambda or 0.008 of the
@@ -318,29 +317,30 @@ def oracle_initial_guess(grid: SpectralGrid, params: ModelParameters, speed: flo
     to ~3e-13 |v*| on the reference wave.  No drift bound applies: a seed that drifts
     still starts the iteration closer to the wave than the sech^2 seed.  The oracle solves the
     signed speed, so the seed at -c_s is (zeta, -v) of the seed at c_s, to the bit.  Raises
-    what the oracle raises, a :class:`WaveError` (``PoleProximityError`` where -2U < 0 on the orbit).
+    what the integration raises, a :class:`WaveError` (``PoleProximityError`` where -2U < 0 on the orbit).
     """
-    curve = oracle.potential(oracle.TravelingWaveProblem(params=params, speed=speed))
     lam = curve.saddle_rate
     x_max = min(grid.half_length, 16.0 / lam)
     step = max(min(0.016 / lam, 0.008 * curve.crest_dxdz()), x_max / 20000)
     v = oracle.integrate_profile(curve, x_max=x_max, step=step, drift_bound=math.inf).sample_v(grid.nodes)
-    return WaveState.from_zeta_v(grid, params, oracle.reconstruct_zeta(curve, v), v)
+    return WaveState.from_zeta_v(grid, curve.params, oracle.reconstruct_zeta(curve, v), v)
 
 
 def solve(grid: SpectralGrid, params: ModelParameters, config: SolverConfig) -> tuple[WaveState, SolveReport]:
     """Run the iteration until both the residual and the update are within ``tol_residual``.
 
-    Without ``config.initial_guess`` the iteration starts from
-    :func:`oracle_initial_guess`, or from :func:`auto_initial_guess` where
-    the oracle raises a :class:`WaveError`; ``SolveReport.seed`` records
-    which (``"oracle"`` or ``"sech2"``).  The iteration is odd in (c_s, v, u):
+    Without ``config.initial_guess`` it builds one ``oracle.potential`` curve after the mode check, and starts
+    from :func:`oracle_initial_guess` of it, or from :func:`auto_initial_guess` of the same curve where the
+    integration raises a :class:`WaveError`; ``SolveReport.seed`` records which (``"oracle"`` or ``"sech2"``).
+    A given ``initial_guess`` builds no curve.  The iteration is odd in (c_s, v, u):
     at c_s < 0 it returns exactly (zeta, -v, -u) of the solve at |c_s|.
 
     Raises
     ------
     NoSolitaryWaveError
-        If c_s^2 <= c_crit^2 or the nonlinearity coefficient is zero.
+        If c_s^2 <= c_crit^2 or the nonlinearity coefficient is zero, or if
+        the converged iterate is the constant state: its boundary value
+        exceeds half its peak.
     ParameterDomainError
         If c_s is not finite or c_s^2 overflows.
     ValueError
@@ -364,11 +364,12 @@ def solve(grid: SpectralGrid, params: ModelParameters, config: SolverConfig) -> 
     core = _Core(grid, params, config)  # checks the grid's modes before a seed is sampled on it
     state = config.initial_guess
     if state is None:
+        curve = oracle.potential(oracle.TravelingWaveProblem(params=params, speed=speed))  # both seeds read it
         try:
-            state = oracle_initial_guess(grid, params, speed)
+            state = oracle_initial_guess(grid, curve)
             report.seed = "oracle"
         except WaveError:
-            state = auto_initial_guess(grid, params, speed)
+            state = auto_initial_guess(grid, curve)
             report.seed = "sech2"
     else:
         # a given guess is checked against the grid and its u rebuilt from v
@@ -425,6 +426,12 @@ def solve(grid: SpectralGrid, params: ModelParameters, config: SolverConfig) -> 
             report=report,
         )
 
+    if report.boundary_ratio > 0.5:  # a measured wave reads at most 0.27, the constant state 1
+        raise NoSolitaryWaveError(
+            f"the iterate converged to the constant state zeta = {state.zeta[0]:.4g}, not a solitary wave: "
+            f"--half-length {grid.half_length:g} gives l*lambda = {grid.half_length * lam:.3g}; raise --half-length "
+            f"to {math.log(1.0 / BOUNDARY_DECAY_TOL) / lam:.3g}, where exp(-lambda l) = {BOUNDARY_DECAY_TOL:g}"
+        )
     if report.boundary_ratio > BOUNDARY_DECAY_TOL:
         msg = (
             f"profile decays only to {report.boundary_ratio:.3e} of its peak at the boundary; "

@@ -31,6 +31,11 @@ def default_grid():
     return SpectralGrid(half_length=REF_HALF_LENGTH, n=REF_MODES)
 
 
+def potential_curve(params, speed):
+    """The oracle's curve of one wave, the record both seeds take."""
+    return oracle.potential(oracle.TravelingWaveProblem(params=params, speed=speed))
+
+
 def _sech2_seeded_solution(params, grid):
     # the sech^2 seed, not the default oracle seed, so that criterion 2 compares the solver
     # with the oracle from an independent start
@@ -39,7 +44,7 @@ def _sech2_seeded_solution(params, grid):
         speed=speed,
         tol_residual=1e-10,
         max_iter=300,
-        initial_guess=solver.auto_initial_guess(grid, params, speed),
+        initial_guess=solver.auto_initial_guess(grid, potential_curve(params, speed)),
     )
     return solver.solve(grid, params, config)
 
@@ -56,8 +61,7 @@ def depression_solution(depression_params, default_grid):
 
 @pytest.fixture(scope="session")
 def elevation_curve(elevation_params):
-    problem = oracle.TravelingWaveProblem(params=elevation_params, speed=elevation_params.c_crit + REF_OFFSET)
-    return oracle.potential(problem)
+    return potential_curve(elevation_params, elevation_params.c_crit + REF_OFFSET)
 
 
 @pytest.fixture(scope="session")

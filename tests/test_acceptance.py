@@ -7,7 +7,7 @@ the terminal summary prints (see conftest.pytest_terminal_summary).
 import numpy as np
 import pytest
 
-from conftest import REF_OFFSET, record_criterion
+from conftest import REF_OFFSET, potential_curve, record_criterion
 from tlwaves import analysis, oracle, solver
 from tlwaves.dispersion import DispersionSymbols, evolve_linear, mode_energy, propagator, sigma_order
 from tlwaves.errors import NoSolitaryWaveError
@@ -29,7 +29,7 @@ def test_criterion_1_solver_convergence(elevation_params, default_grid, elevatio
         tol_residual=1e-10,
         max_iter=300,
         mpe_cycle=6,
-        initial_guess=solver.auto_initial_guess(default_grid, elevation_params, speed),
+        initial_guess=solver.auto_initial_guess(default_grid, potential_curve(elevation_params, speed)),
     )
     _, mpe_report = solver.solve(default_grid, elevation_params, cfg)
     ok = (
@@ -265,7 +265,7 @@ def test_criterion_10_property_suite(elevation_params, default_grid):
     helm_ok = helm_rt <= 1e-13 * np.max(np.abs(h))
 
     cs = elevation_params.c_crit + REF_OFFSET
-    seed_state = solver.auto_initial_guess(default_grid, elevation_params, cs)
+    seed_state = solver.auto_initial_guess(default_grid, potential_curve(elevation_params, cs))
     m_base = solver.stabilizing_factor(default_grid, elevation_params, cs, seed_state)
     alpha = 3.7
     scaled = WaveState.from_zeta_v(

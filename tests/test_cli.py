@@ -1195,6 +1195,24 @@ def test_a_turning_point_at_the_pole_exits_1(tmp_path, capsys, argv, speed):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, flat", [
+    (("--half-length", "4", "--modes", "64"), "1.021"),
+    (("--delta", "1e-8", "--modes", "256", "--half-length", "32"), "-0.0676"),
+], ids=["elevation-l4", "small-K-l32"])
+def test_a_solve_that_converges_to_the_constant_state_exits_1(tmp_path, capsys, argv, flat):
+    # a half-domain of a few decay lengths or less lets the iteration settle on the constant equilibrium, whose
+    # boundary ratio is 1: no solitary wave, whatever its residual
+    out = tmp_path / "w.csv"
+    code, stdout, err = run_cli(capsys, "solve", *argv, "--out", str(out))
+    assert code == 1
+    record = one_line_error(err)
+    assert record["error"] == "NoSolitaryWaveError"
+    assert f"constant state zeta = {flat}," in record["message"]
+    assert "--half-length" in record["message"] and "l*lambda" in record["message"]
+    assert stdout == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_a_non_finite_tolerance_exits_1(tmp_path, capsys, source):
     cfg = tmp_path / "c.json"

@@ -76,8 +76,8 @@ def test_existence_boundary_is_sharp():
 
 
 def test_saddle_curvature_matches_finite_differences(elev_curve):
-    p = elev_curve.problem.params
-    cs = elev_curve.problem.speed
+    p = elev_curve.params
+    cs = elev_curve.cs
     expected = -(cs**2 - p.c_crit**2) / (p.beta * cs**2)
     h = 1e-4
     second_diff = (elev_curve.U(h) - 2.0 * elev_curve.U(0.0) + elev_curve.U(-h)) / h**2
@@ -86,8 +86,8 @@ def test_saddle_curvature_matches_finite_differences(elev_curve):
 
 def test_potential_series_matches_closed_form(elev_curve):
     # both branches of U agree with the closed form where they meet
-    p = elev_curve.problem.params
-    beta, K, cs = p.beta, p.k_coeff, elev_curve.problem.speed
+    p = elev_curve.params
+    beta, K, cs = p.beta, p.k_coeff, elev_curve.cs
     for val in (1.1e-3 * elev_curve.v_pole, 0.9e-3 * elev_curve.v_pole):  # just outside and just inside the cutoff
         # G = int_0^v G' = K v^3 / (6 beta c_s) + c_crit^2 / (beta c_s) (-v / K - c_s / K^2 log(1 - K v / c_s))
         log_term = -val / K - cs / K**2 * math.log1p(-K * val / cs)
@@ -98,8 +98,8 @@ def test_potential_series_matches_closed_form(elev_curve):
 
 def _where_G_U(curve, v):
     """G and U with both branches evaluated on every sample and selected by np.where."""
-    p = curve.problem.params
-    cs = curve.problem.speed
+    p = curve.params
+    cs = curve.cs
     K, pole = p.k_coeff, curve.v_pole
     c2 = p.c_crit**2 / (p.beta * cs * K)
     v = np.asarray(v, dtype=float)
@@ -216,8 +216,8 @@ def test_step_size_monitor():
 def test_reconstruct_zeta_basics(elev_curve):
     assert oracle.reconstruct_zeta(elev_curve, 0.0) == 0.0
     v = 1e-6 * elev_curve.v_pole
-    p = elev_curve.problem.params
-    linearized = v / (elev_curve.problem.speed * (p.gamma + p.delta))
+    p = elev_curve.params
+    linearized = v / (elev_curve.cs * (p.gamma + p.delta))
     assert oracle.reconstruct_zeta(elev_curve, v) == pytest.approx(linearized, rel=1e-4)
     with pytest.raises(PoleProximityError):
         oracle.reconstruct_zeta(elev_curve, elev_curve.v_pole * (1 - 1e-14))
@@ -240,7 +240,7 @@ def test_reconstruct_u_consistent_with_trajectory(elev_curve, elev_profile):
     v = elev_profile.v
     h0, h1 = x[1:-1] - x[:-2], x[2:] - x[1:-1]
     second = 2.0 * ((v[2:] - v[1:-1]) / h1 - (v[1:-1] - v[:-2]) / h0) / (h0 + h1)
-    beta = elev_curve.problem.params.beta
+    beta = elev_curve.params.beta
     u = oracle.reconstruct_u(elev_curve, v[1:-1])
     assert np.max(np.abs(u - v[1:-1] + beta * second)) < 1e-8
 
@@ -268,7 +268,7 @@ def test_negative_speed_sign_map():
         speed = p.c_crit + 0.05
         pos = oracle.potential(oracle.TravelingWaveProblem(params=p, speed=speed))
         neg = oracle.potential(oracle.TravelingWaveProblem(params=p, speed=-speed))
-        assert neg.problem.speed == -speed
+        assert neg.cs == -speed
         assert (neg.v_pole, neg.turning_point, neg.saddle_rate) == (-pos.v_pole, -pos.turning_point, pos.saddle_rate)
         assert (neg.cs, neg.c2, neg.cubic) == (-pos.cs, -pos.c2, -pos.cubic)
         # the map (c_s, zeta, v, u) -> (-c_s, zeta, -v, -u): U, U'' and zeta are even, v'' and u odd, on both of
@@ -449,11 +449,11 @@ def _reference_profile(curve, x_max, step):
     the crest, which a bisection on the last substep locates; returns an
     OracleProfile on the RK4 samples.
     """
-    p = curve.problem.params
+    p = curve.params
     lam = curve.saddle_rate
     vstar = curve.turning_point
     crest_sign = 1.0 if vstar > 0 else -1.0
-    K, beta, cs, ccrit2 = p.k_coeff, p.beta, curve.problem.speed, p.c_crit**2
+    K, beta, cs, ccrit2 = p.k_coeff, p.beta, curve.cs, p.c_crit**2
 
     def rhs(v):
         return v / beta - (0.5 * K * v * v + ccrit2 * v / (cs - K * v)) / (beta * cs)
@@ -543,7 +543,7 @@ def _reference_turning_point(problem):
     cs = problem.speed
     pole = cs / p.k_coeff
     lam = math.sqrt((cs * cs - p.c_crit**2) / (p.beta * cs * cs))
-    curve = oracle.PotentialCurve(problem=problem, v_pole=pole, turning_point=math.nan, saddle_rate=lam)
+    curve = oracle.PotentialCurve(params=p, cs=cs, v_pole=pole, turning_point=math.nan, saddle_rate=lam)
     lo, hi = 1e-12, 1.0 - 1e-9
     for _ in range(3):
         if curve.U(hi * pole) > 0.0:
@@ -600,7 +600,7 @@ def test_gauss_legendre_literals_are_leggauss():
 
 def _U_reference(curve, v):
     """U as first written: each branch on its own masked samples, the closed form as A + (B + C)."""
-    p = curve.problem.params
+    p = curve.params
     v = np.asarray(v, dtype=float)
     r = v / curve.v_pole
     small = np.abs(r) < oracle._SERIES_CUTOFF
@@ -645,7 +645,7 @@ def test_U_on_a_block_is_the_masked_reference_bit_for_bit(request, curve_name, w
 
 def test_the_curve_kernels_with_a_shared_gap_are_the_former_expressions_bit_for_bit(elev_curve, depr_curve):
     for curve in (elev_curve, depr_curve):
-        p, cs = curve.problem.params, curve.cs
+        p, cs = curve.params, curve.cs
         K, c2crit = p.k_coeff, p.c_crit**2
         v = curve.turning_point * np.linspace(0.0, 1.0, oracle._BLOCK + 1)
         g_prime = (0.5 * K * v * v + c2crit * v / (cs - K * v)) / (p.beta * cs)

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import potential_curve
 from tlwaves import oracle, solver
 from tlwaves.errors import (
     DegenerateInnerProductError,
@@ -102,7 +103,7 @@ def test_nonlinear_rhs_constants(elevation_params, small_grid):
 
 def test_stabilizing_factor_homogeneity(elevation_params, small_grid):
     cs = elevation_params.c_crit + 0.05
-    state = solver.auto_initial_guess(small_grid, elevation_params, cs)
+    state = solver.auto_initial_guess(small_grid, potential_curve(elevation_params, cs))
     m_base = solver.stabilizing_factor(small_grid, elevation_params, cs, state)
     alpha = 2.5
     scaled = WaveState.from_zeta_v(
@@ -221,11 +222,17 @@ def test_a_left_moving_solve_is_the_mirror_image_of_the_right_moving_one(small_g
     # v = c_s (gamma + delta) zeta
     params = make_parameters(gamma, delta)
     speed = params.c_crit + 0.3
-    (right, right_report), (left, left_report) = (
-        solver.solve(small_grid, params, SolverConfig(
-            speed=cs, mpe_cycle=mpe_cycle, dealias=dealias,
-            initial_guess=solver.auto_initial_guess(small_grid, params, cs) if sech2 else None))
-        for cs in (speed, -speed))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", DomainTooSmallWarning)
+        (right, right_report), (left, left_report) = (
+            solver.solve(small_grid, params, SolverConfig(
+                speed=cs, mpe_cycle=mpe_cycle, dealias=dealias,
+                initial_guess=solver.auto_initial_guess(small_grid, potential_curve(params, cs)) if sech2 else None))
+            for cs in (speed, -speed))
+    # the dealiased elevation wave decays only to 6.6e-9 of its peak at l = 64: one warning per polarity, the same
+    expected = 2 if dealias and delta == 0.8 else 0
+    assert [w.category for w in caught] == [DomainTooSmallWarning] * expected
+    assert len({str(w.message) for w in caught}) == min(expected, 1)
     assert right_report.iterations > 1
     assert np.array_equal(left.zeta, right.zeta) and np.array_equal(left.v, -right.v)
     assert np.array_equal(left.u, -right.u)
@@ -235,7 +242,8 @@ def test_a_left_moving_solve_is_the_mirror_image_of_the_right_moving_one(small_g
 
 def test_not_converged_carries_report(elevation_params, small_grid):
     cs = elevation_params.c_crit + 0.05
-    cfg = SolverConfig(speed=cs, max_iter=3, initial_guess=solver.auto_initial_guess(small_grid, elevation_params, cs))
+    seed = solver.auto_initial_guess(small_grid, potential_curve(elevation_params, cs))
+    cfg = SolverConfig(speed=cs, max_iter=3, initial_guess=seed)
     with pytest.raises(NotConvergedError) as excinfo:
         solver.solve(small_grid, elevation_params, cfg)
     assert excinfo.value.report.iterations == 3
@@ -254,7 +262,7 @@ def test_domain_too_small_warning(elevation_params):
 
 def test_provided_initial_guess(elevation_params, small_grid):
     cs = elevation_params.c_crit + 0.05
-    seed = solver.auto_initial_guess(small_grid, elevation_params, cs)
+    seed = solver.auto_initial_guess(small_grid, potential_curve(elevation_params, cs))
     cfg = SolverConfig(speed=cs, initial_guess=seed)
     state, report = solver.solve(small_grid, elevation_params, cfg)
     assert report.converged
@@ -275,7 +283,7 @@ def test_mpe_accelerates(elevation_params, default_grid, elevation_solution):
         tol_residual=1e-10,
         max_iter=300,
         mpe_cycle=6,
-        initial_guess=solver.auto_initial_guess(default_grid, elevation_params, cs),
+        initial_guess=solver.auto_initial_guess(default_grid, potential_curve(elevation_params, cs)),
     )
     _, mpe_report = solver.solve(default_grid, elevation_params, cfg)
     assert mpe_report.converged
@@ -300,7 +308,7 @@ def test_solver_config_validation():
 
 def _reference_solve(grid, params, config):
     """The iteration rebuilt from the step helpers: (state, residual history, m history)."""
-    state = solver.auto_initial_guess(grid, params, config.speed)
+    state = solver.auto_initial_guess(grid, potential_curve(params, config.speed))
     history = [np.concatenate([state.zeta, state.v])]
     residuals, ms = [], []
     for _ in range(config.max_iter):
@@ -324,7 +332,7 @@ def _reference_solve(grid, params, config):
 @pytest.mark.parametrize("options", [{}, {"mpe_cycle": 6}, {"dealias": True}], ids=["plain", "mpe6", "dealias"])
 def test_core_matches_reference_iteration(elevation_params, default_grid, options):
     cs = elevation_params.c_crit + 0.05
-    seed = solver.auto_initial_guess(default_grid, elevation_params, cs)
+    seed = solver.auto_initial_guess(default_grid, potential_curve(elevation_params, cs))
     cfg = SolverConfig(speed=cs, max_iter=300, initial_guess=seed, **options)
     state, report = solver.solve(default_grid, elevation_params, cfg)
     ref_state, ref_residuals, ref_ms = _reference_solve(default_grid, elevation_params, cfg)
@@ -357,7 +365,7 @@ def _step_out_of_place(core, x, m):
 def test_core_step_is_the_out_of_place_step_bit_for_bit(elevation_params, default_grid, dealias):
     cs = elevation_params.c_crit + 0.05
     core = solver._Core(default_grid, elevation_params, SolverConfig(speed=cs, dealias=dealias))
-    x = core.evaluate(solver.auto_initial_guess(default_grid, elevation_params, cs))
+    x = core.evaluate(solver.auto_initial_guess(default_grid, potential_curve(elevation_params, cs)))
     for _ in range(3):
         m = solver._stabilizing_ratio(x.num, x.den, x.state.zeta, x.state.v)
         fields, scalars = _step_out_of_place(core, x, m)
@@ -373,7 +381,7 @@ def test_dealiased_core_step_holds_little_above_its_result():
     params = make_parameters(0.5, 0.8)
     cs = params.c_crit + 0.2
     core = solver._Core(grid, params, SolverConfig(speed=cs, dealias=True))
-    x = core.evaluate(solver.auto_initial_guess(grid, params, cs))
+    x = core.evaluate(solver.auto_initial_guess(grid, potential_curve(params, cs)))
     x = core.step(x, solver._stabilizing_ratio(x.num, x.den, x.state.zeta, x.state.v))  # first-use allocations
     m = solver._stabilizing_ratio(x.num, x.den, x.state.zeta, x.state.v)
     tracemalloc.start()
@@ -388,7 +396,7 @@ def test_dealiased_core_step_holds_little_above_its_result():
 
 def test_non_finite_seed_fails_at_first_iteration(elevation_params, small_grid):
     cs = elevation_params.c_crit + 0.05
-    seed = solver.auto_initial_guess(small_grid, elevation_params, cs)
+    seed = solver.auto_initial_guess(small_grid, potential_curve(elevation_params, cs))
     zeta = seed.zeta.copy()
     zeta[small_grid.n // 2] = np.nan
     cfg = SolverConfig(speed=cs, initial_guess=WaveState.from_zeta_v(small_grid, elevation_params, zeta, seed.v))
@@ -404,9 +412,9 @@ def test_oracle_seed_reaches_the_sech2_seeded_wave(default_grid, gamma, delta, o
     # the two seeds converge to the same wave within the tolerance scale (worst: depression at 0.02)
     params = make_parameters(gamma, delta)
     cs = params.c_crit + offset
-    sech2_seed = solver.auto_initial_guess(default_grid, params, cs)
+    sech2_seed = solver.auto_initial_guess(default_grid, potential_curve(params, cs))
     sech2, _ = solver.solve(default_grid, params, SolverConfig(speed=cs, initial_guess=sech2_seed))
-    seed = solver.oracle_initial_guess(default_grid, params, cs)
+    seed = solver.oracle_initial_guess(default_grid, potential_curve(params, cs))
     seeded, report = solver.solve(default_grid, params, SolverConfig(speed=cs, initial_guess=seed))
     assert report.converged and report.iterations <= 2
     assert report.seed == "given"
@@ -417,7 +425,7 @@ def test_oracle_seed_reaches_the_sech2_seeded_wave(default_grid, gamma, delta, o
 
 def test_oracle_seed_is_the_oracle_profile(default_grid, elevation_params, elevation_curve, elevation_oracle_profile):
     # the seed's short integration agrees with the oracle at x_max = l, step 1e-3 on every node
-    seed = solver.oracle_initial_guess(default_grid, elevation_params, elevation_curve.problem.speed)
+    seed = solver.oracle_initial_guess(default_grid, elevation_curve)
     v = elevation_oracle_profile.sample_v(default_grid.nodes)
     assert np.max(np.abs(seed.v - v)) <= 1e-12 * abs(elevation_curve.turning_point)
     assert np.array_equal(seed.zeta, oracle.reconstruct_zeta(elevation_curve, seed.v))
@@ -436,7 +444,7 @@ def test_oracle_seed_is_the_whole_profile_sampled_at_the_nodes(default_grid, mon
         return integrate(curve, x_max, step, samples, drift_bound)
 
     monkeypatch.setattr(oracle, "integrate_profile", spied)
-    seed = solver.oracle_initial_guess(default_grid, params, speed)
+    seed = solver.oracle_initial_guess(default_grid, potential_curve(params, speed))
     (curve, x_max, step, samples, drift_bound), = calls
     assert samples is None and drift_bound == math.inf
     v = integrate(curve, x_max, step, drift_bound=math.inf).sample_v(default_grid.nodes)
@@ -460,7 +468,7 @@ def test_a_seed_that_drifts_far_above_the_tolerance_seeds_the_solve(default_grid
     monkeypatch.setattr(oracle, "integrate_profile", spied)
     config = SolverConfig(speed=speed, tol_residual=tol, mpe_cycle=6)
     sech2_config = SolverConfig(speed=speed, tol_residual=tol, mpe_cycle=6,
-                                initial_guess=solver.auto_initial_guess(default_grid, params, speed))
+                                initial_guess=solver.auto_initial_guess(default_grid, potential_curve(params, speed)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DomainTooSmallWarning)
         seeded, report = solver.solve(default_grid, params, config)
@@ -490,7 +498,7 @@ def test_oracle_seed_sorts_no_samples(monkeypatch, gamma, delta):
 
     monkeypatch.setattr(oracle, "integrate_profile", spied)
     monkeypatch.setattr(np, "sort", no_sort)
-    seed = solver.oracle_initial_guess(grid, params, params.c_crit + 0.05)
+    seed = solver.oracle_initial_guess(grid, potential_curve(params, params.c_crit + 0.05))
     monkeypatch.undo()
     (curve, x_max, step, drift_bound), = calls
     v = integrate(curve, x_max, step, drift_bound=drift_bound).sample_v(grid.nodes)
@@ -502,14 +510,26 @@ def test_oracle_seed_sorts_no_samples(monkeypatch, gamma, delta):
     # so close to the pole that U's round-off makes -2U < 0 on the orbit: the oracle raises PoleProximityError and
     # the solve falls back to sech^2
     (0.95, 0.8, 1.2, "sech2"),
-], ids=["reference", "near-pole"])
-def test_default_seed_is_labelled_oracle(default_grid, gamma, delta, speed, seed):
+    (0.5, 0.8, make_parameters(0.5, 0.8).c_crit + 0.05, "given"),
+], ids=["reference", "near-pole", "given"])
+def test_default_seed_is_labelled_oracle(default_grid, monkeypatch, gamma, delta, speed, seed):
+    # a seeded solve builds one potential curve, which the sech^2 fallback reuses; a given seed builds none
+    params = make_parameters(gamma, delta)
+    given = solver.auto_initial_guess(default_grid, potential_curve(params, speed)) if seed == "given" else None
+    potential, calls = oracle.potential, []
+
+    def counted(problem):
+        calls.append(problem)
+        return potential(problem)
+
+    monkeypatch.setattr(oracle, "potential", counted)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DomainTooSmallWarning)  # the near-pole wave reaches 5.5e-10 at l=128
-        _, report = solver.solve(default_grid, make_parameters(gamma, delta), SolverConfig(speed=speed))
+        _, report = solver.solve(default_grid, params, SolverConfig(speed=speed, initial_guess=given))
     assert report.converged
     assert report.seed == seed
     assert report.to_dict()["seed"] == seed
+    assert len(calls) == (0 if seed == "given" else 1)
 
 
 def test_plane_scan_seeds_every_wave_from_the_oracle(default_grid):
